@@ -16,10 +16,9 @@ from .model import (CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
 from .bloch import (MeanState, absorption_exact, absorption_perturbative,
                     eq1_terms, steady_state)
 from .doppler import ShiftedDetunings, VelocityClasses, average, build_classes
-from .fluctuations import (DuanResult, FluctuationSystem, PhysicalityReport,
-                           duan_v12, eliminate_atoms, einstein_diffusion,
-                           field_system_at, linearize, propagate,
-                           vacuum_covariance, v12_spectrum)
+from .fluctuations import (DuanResult, PhysicalityReport, duan_v12,
+                           field_system_at, propagate, vacuum_covariance,
+                           v12_spectrum)
 from .tables import PumpSweepTable, SpectrumTable
 from .experiments import (FeatureReport, Scenario, all_scenarios,
                           extract_feature, fig2_scenarios, fig3_scenario,

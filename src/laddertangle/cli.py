@@ -11,17 +11,19 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import experiments
+from . import __version__, experiments
 from .errors import ConfigError, ContractError, LadderError, ParameterError
 from .experiments import Scenario, all_scenarios, extract_feature
-from .model import SCHEMA_VERSION, load_config, params_to_config
+from .model import SCHEMA_VERSION, load_config, params_to_config, validate_regime
 from .tables import SpectrumTable
 
 EXIT_OK = 0
@@ -48,6 +50,15 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _environment() -> dict:
+    """Interpreter and library versions plus the BLAS thread settings."""
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__, "laddertangle": __version__}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = os.environ.get(var)
+    return env
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,6 +136,9 @@ def _resolve_scenario(args) -> Scenario:
 def cmd_run(args) -> int:
     jobs = _default_jobs(args.jobs)
     scenario = _resolve_scenario(args)
+    regime_warnings = validate_regime(scenario.base)
+    for warning in regime_warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
@@ -144,6 +158,8 @@ def cmd_run(args) -> int:
         "velocity_nodes": scenario.base.doppler.nodes,
         "jobs": jobs,
         "wall_time_s": wall,
+        "regime_warnings": regime_warnings,
+        "environment": _environment(),
         "files": {csv_path.name: _sha256(csv_path)},
     }
     manifest_path = out_dir / f"{scenario.name}.manifest.json"

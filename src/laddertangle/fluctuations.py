@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bloch
-from .bloch import (IDX, LABELS, PROD, REDUCED_CONJ, REDUCED_LABELS, MeanState,
+from .bloch import (IDX, LABELS, PROD, REDUCED_CONJ, REDUCED_LABELS,
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
                     absorption_exact_batch, decay_generator, generator_matrix,
                     reduce_generator, steady_state_batch)
-from .doppler import ShiftedDetunings, average, build_classes
-from .errors import ContractError, DivergenceError, NoSteadyStateError, ResonanceError
+from .doppler import average, build_classes
+from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
 from .tables import SpectrumTable
 
@@ -40,36 +39,22 @@ RIDX = {lab: k for k, lab in enumerate(REDUCED_LABELS)}
 
 # field pairing involution (a1 <-> a1+, a2 <-> a2+)
 FIELD_CONJ = (1, 0, 3, 2)
-_J8 = np.eye(8)[list(REDUCED_CONJ)]
 
 # Duan quadrature coefficient vectors: du = dx1 - dx2, dv = dp1 + dp2
 _CU = np.array([1.0, 1.0, -1.0, -1.0], dtype=complex)
 _CV = np.array([-1j, 1j, -1j, 1j], dtype=complex)
 
+# one-hot product table: _PROD_ONEHOT[k, a, b] = 1 when sigma_a sigma_b = sigma_k
+_PROD_ONEHOT = (PROD[None, :, :] == np.arange(9)[:, None, None]).astype(complex)
+
+# field-coupling superoperators stacked as (component, reduced row, field)
+# for the field order (da1, da1+, da2, da2+)
+_FIELD_SOPS = np.stack([SOP_O1, SOP_O1C, SOP_O2, SOP_O2C], axis=-1)[1:].transpose(1, 0, 2)
+
 
 def vacuum_covariance() -> np.ndarray:
     """Shot-noise covariance of two uncorrelated coherent/vacuum modes."""
     return np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
-
-
-@dataclass
-class FluctuationSystem:
-    """Per-velocity-class linearized system: drift B, field coupling C,
-    diffusion D (with <F F> = 2 D), and the polarization projection used
-    by the field propagation equations."""
-
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray | None
-    source_projection: np.ndarray
-    n_atoms: float
-
-    def conjugation_error(self) -> float:
-        """Deviation of B and C from the swap-and-conjugate symmetry."""
-        perm = list(REDUCED_CONJ)
-        err_b = np.max(np.abs(self.b[np.ix_(perm, perm)] - np.conj(self.b)))
-        err_c = np.max(np.abs(self.c[perm][:, list(FIELD_CONJ)] - np.conj(self.c)))
-        return float(max(err_b, err_c))
 
 
 def _source_projection(params: SystemParams) -> np.ndarray:
@@ -89,50 +74,33 @@ def _source_projection(params: SystemParams) -> np.ndarray:
 
 def coupling_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
     """Field-coupling matrix C per class: Jacobian of the drift with
-    respect to (da1, da1+, da2, da2+) at the steady state."""
+    respect to (da1, da1+, da2, da2+) at the steady state.
+
+    C is linear in the steady state, so it is one product with a 9x32 map.
+    """
     g1, g2 = params.couplings
-    cols = [g1 * means @ SOP_O1.T,
-            g1 * means @ SOP_O1C.T,
-            g2 * means @ SOP_O2.T,
-            g2 * means @ SOP_O2C.T]
-    return np.stack(cols, axis=-1)[:, 1:, :]
+    cmap = (_FIELD_SOPS * np.array([g1, g1, g2, g2])).reshape(9, 32)
+    return (means @ cmap).reshape(-1, 8, 4)
 
 
 def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
     """Langevin correlators 2*D per class from the generalized Einstein
     relation, in the full 9-component basis.
 
-    Hamiltonian drift terms are derivations of the operator algebra and
-    cancel identically, so only the relaxation part enters.
+    With Gdec the relaxation part of the drift,
+
+        2 D_ab = (Gdec m)_[ab] - sum_l Gdec_al m_[lb] - sum_l Gdec_bl m_[al],
+
+    where x_[ab] is the component of x at the product sigma_a sigma_b, or
+    zero when that product vanishes.  Hamiltonian drift terms are derivations
+    of the operator algebra and cancel identically.  Every term is linear
+    in the steady state, so the kernel is one product with a 9x81 map.
     """
     gdec = decay_generator(params)
-    mask = PROD >= 0
-    safe = PROD.clip(min=0)
-    gm = means @ gdec.T                      # (K, 9)
-    mp = means[:, safe] * mask               # (K, 9, 9): <sigma_a sigma_b>
-    term1 = gm[:, safe] * mask
-    term2 = np.einsum("al,klb->kab", gdec, mp)
-    term3 = np.einsum("bl,kal->kab", gdec, mp)
-    return term1 - term2 - term3
-
-
-def linearize(params: SystemParams, shifted: ShiftedDetunings, mean: MeanState) -> FluctuationSystem:
-    """Drift and field-coupling Jacobians around one velocity class's
-    steady state."""
-    g = generator_matrix(params, shifted.d1, shifted.d2)
-    b = reduce_generator(g)
-    if float(np.max(np.linalg.eigvals(b).real)) >= 0.0:
-        raise NoSteadyStateError("atomic drift matrix is not dissipative")
-    c = coupling_batch(params, mean.vec[None, :])[0]
-    return FluctuationSystem(b=b, c=c, d=None,
-                             source_projection=_source_projection(params),
-                             n_atoms=params.geometry.N)
-
-
-def einstein_diffusion(params: SystemParams, mean: MeanState) -> np.ndarray:
-    """Diffusion matrix D (with <F_mu F_nu> = 2 D) on the traceless basis."""
-    corr = diffusion_correlator_batch(params, mean.vec[None, :])[0]
-    return 0.5 * corr[1:, 1:]
+    dmap = (np.einsum("kab,kj->jab", _PROD_ONEHOT, gdec)
+            - np.einsum("al,jlb->jab", gdec, _PROD_ONEHOT)
+            - np.einsum("bl,jal->jab", gdec, _PROD_ONEHOT))
+    return (means @ dmap.reshape(9, 81)).reshape(-1, 9, 9)
 
 
 def symmetrized_diffusion_min_eig(d: np.ndarray) -> float:
@@ -141,40 +109,38 @@ def symmetrized_diffusion_min_eig(d: np.ndarray) -> float:
     The physical (Hermitian) kernel couples F_mu to F_nu+, i.e. the
     column index is conjugated before symmetrizing.
     """
-    herm = 2.0 * d @ _J8
+    herm = 2.0 * d[:, list(REDUCED_CONJ)]
     herm = 0.5 * (herm + herm.conj().T)
     return float(np.min(np.linalg.eigvalsh(herm)))
 
 
 def _eliminate_batch(b, c, corr, kp, omega, n_atoms):
-    """Per-class field generator M_v and noise density S_v at frequency w."""
-    k = b.shape[0]
-    btil = -1j * omega * np.eye(8)[None, :, :] - b
-    rhs = np.broadcast_to(kp.T.conj(), (k, 8, 4)).copy()
+    """Per-class field generator M_v and noise density S_v at frequency w.
+
+    With T = kp (-i w - B)^-1 the source response to the atomic
+    fluctuations, M_v = T C and S_v = T <F F+> T+, where <F_mu F_nu+> is
+    the correlator with its column index conjugated.  T is solved in
+    transposed form, T^T = (B + i w)^-T (-kp^T), so the solve reads B
+    through a transposed view and needs no conjugate copies; the
+    conjugation of the noise column index becomes a row permutation of
+    T^T.
+    """
+    resolvent_t = b.transpose(0, 2, 1)
+    if omega != 0.0:
+        resolvent_t = resolvent_t + (1j * omega) * np.eye(8)
     try:
-        tt = np.linalg.solve(btil.conj().transpose(0, 2, 1), rhs)
+        t_t = np.linalg.solve(resolvent_t, -kp.T)          # (K,8,4) = T^T
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
-    t = tt.conj().transpose(0, 2, 1)          # (K,4,8) = kp (iw - B)^-1... see note
+    t = t_t.transpose(0, 2, 1)
     scale = n_atoms / C_M_MHZ
-    mv = scale * (t @ c)
-    a = t @ corr @ _J8
-    sv = scale * (a @ t.conj().transpose(0, 2, 1))
+    mv = t @ c
+    mv *= scale
+    t_perm = t_t[:, list(REDUCED_CONJ), :]
+    np.conjugate(t_perm, out=t_perm)
+    sv = (t @ corr) @ t_perm
+    sv *= scale
     return mv, sv
-
-
-def eliminate_atoms(sys: FluctuationSystem, omega: float = 0.0):
-    """Adiabatic elimination of the atomic fluctuations of one class.
-
-    Returns the per-class contributions (M_v, S_v) to the field spatial
-    generator and noise spectral density; both must still be Maxwellian
-    averaged and the free term i*w/c added to M before propagation.
-    """
-    if sys.d is None:
-        raise ContractError("FluctuationSystem.d not set; run einstein_diffusion first")
-    mv, sv = _eliminate_batch(sys.b[None], sys.c[None], 2.0 * sys.d[None],
-                              sys.source_projection, omega, sys.n_atoms)
-    return mv[0], sv[0]
 
 
 def propagate(m: np.ndarray, s: np.ndarray, length: float, sigma_in: np.ndarray) -> np.ndarray:
@@ -275,6 +241,9 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     means = steady_state_batch(g)
     absorption = absorption_exact_batch(params, means, classes)
     b = reduce_generator(g)
+    # free the 9x9 drift stack before the noise kernels allocate, so they
+    # can reuse its memory instead of faulting in fresh pages
+    del g
     c = coupling_batch(params, means)
     corr = diffusion_correlator_batch(params, means)[:, 1:, 1:]
     kp = _source_projection(params)

@@ -8,7 +8,7 @@ import pytest
 
 from laddertangle import cli
 from laddertangle.experiments import baseline_params
-from laddertangle.model import params_to_config
+from laddertangle.model import params_to_config, validate_regime
 from laddertangle.tables import SpectrumTable
 
 
@@ -42,6 +42,28 @@ class TestRun:
         table = SpectrumTable.read_csv(csv_path)
         assert len(table.delta1) == 5
         assert np.all(np.isfinite(table.v12))
+
+    def test_manifest_records_regime_and_environment(self, tmp_path, fast_doppler,
+                                                     monkeypatch, capsys):
+        params = baseline_params(p=0.5, alpha2=1.0, doppler=fast_doppler)
+        warnings = validate_regime(params)
+        assert any("depletion risk" in w for w in warnings)
+        path = tmp_path / "weak-pump.json"
+        path.write_text(json.dumps(params_to_config(params)), encoding="utf-8")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        out = tmp_path / "out"
+        code = _run(["run", "--config", path, "--out", out, "--jobs", 1,
+                     "--delta1-min", -20, "--delta1-max", 20, "--delta1-points", 3])
+        assert code == 0
+        manifest = json.loads((out / "custom.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["regime_warnings"] == warnings
+        err = capsys.readouterr().err
+        assert all(f"warning: {w}" in err for w in warnings)
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env) == {"python", "numpy", "scipy", "laddertangle",
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["OMP_NUM_THREADS"] == "3"
 
     def test_csv_round_trips_exactly(self, tmp_path, fast_config):
         out = tmp_path / "out"
