@@ -13,11 +13,9 @@ and O2 = g2*alpha2 (undepleted pump and probe).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .doppler import ShiftedDetunings, average, build_classes
+from .doppler import average, build_classes
 from .errors import NoSteadyStateError, ParameterError
 from .model import SystemParams
 
@@ -82,10 +80,10 @@ def decay_generator(params: SystemParams) -> np.ndarray:
 
 
 def generator_matrix(params: SystemParams, d1, d2, o1=None, o1c=None, o2=None, o2c=None):
-    """Drift matrix G with d<rho>/dt = G <rho>; batched over velocity classes.
+    """Drift matrices G with d<rho>/dt = G <rho>, one per velocity class.
 
-    d1, d2 may be scalars or 1-d arrays.  The four field couplings can be
-    overridden independently (used for linear-response columns and for
+    d1, d2 are 1-d arrays over the classes.  The four field couplings can
+    be overridden independently (used for linear-response columns and for
     holding the conjugate amplitude fixed in derivative oracles).
     """
     g1, g2 = params.couplings
@@ -99,25 +97,11 @@ def generator_matrix(params: SystemParams, d1, d2, o1=None, o1c=None, o2=None, o
         o2c = np.conj(o2)
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
-    scalar = d1.ndim == 0
-    d1 = np.atleast_1d(d1)
-    d2 = np.atleast_1d(d2)
     base = (decay_generator(params)
             + o1 * SOP_O1 + o1c * SOP_O1C + o2 * SOP_O2 + o2c * SOP_O2C)
-    g = (base[None, :, :]
-         + d1[:, None, None] * SOP_D1
-         + (d1 + d2)[:, None, None] * SOP_DSUM)
-    return g[0] if scalar else g
-
-
-def bloch_generator(params: SystemParams, shifted: ShiftedDetunings):
-    """Affine drift of the mean values: returns (G, s) with d<rho>/dt = G<rho> + s.
-
-    The component equations are trace-conserving and homogeneous, so the
-    inhomogeneous term is identically zero in the full 9-component basis.
-    """
-    g = generator_matrix(params, shifted.d1, shifted.d2)
-    return g, np.zeros(9, dtype=complex)
+    return (base[None, :, :]
+            + d1[:, None, None] * SOP_D1
+            + (d1 + d2)[:, None, None] * SOP_DSUM)
 
 
 def reduce_generator(g: np.ndarray) -> np.ndarray:
@@ -131,64 +115,29 @@ def reduce_generator(g: np.ndarray) -> np.ndarray:
 def steady_state_batch(g: np.ndarray) -> np.ndarray:
     """Unique trace-one null vectors of a stack of drift matrices."""
     a = np.array(g)
-    squeeze = a.ndim == 2
-    if squeeze:
-        a = a[None]
     a[:, 0, :] = 0.0
     a[:, 0, POPULATIONS] = 1.0
     b = np.zeros((a.shape[0], 9, 1), dtype=complex)
     b[:, 0, 0] = 1.0
     try:
-        m = np.linalg.solve(a, b)[..., 0]
+        return np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
-    return m[0] if squeeze else m
 
 
-@dataclass(frozen=True)
-class MeanState:
-    """Steady-state mean values <sigma_ij> = rho_ij of one velocity class."""
-
-    vec: np.ndarray
-
-    def sigma(self, i: int, j: int) -> complex:
-        return complex(self.vec[IDX[i, j]])
-
-    @property
-    def populations(self) -> np.ndarray:
-        return self.vec[list(POPULATIONS)].real
-
-    @property
-    def trace_error(self) -> float:
-        return abs(self.vec[list(POPULATIONS)].sum() - 1.0)
-
-    @property
-    def hermiticity_error(self) -> float:
-        errs = [abs(self.vec[IDX[i, j]] - np.conj(self.vec[IDX[j, i]]))
-                for (i, j) in LABELS if i < j]
-        errs += [abs(self.vec[k].imag) for k in POPULATIONS]
-        return max(errs)
-
-    def validate(self, tol: float = 1e-10):
-        if self.trace_error > tol:
-            raise NoSteadyStateError(f"trace error {self.trace_error:.3e}")
-        if self.hermiticity_error > tol:
-            raise NoSteadyStateError(f"hermiticity error {self.hermiticity_error:.3e}")
-        pops = self.populations
-        if pops.min() < -tol or pops.max() > 1.0 + tol:
-            raise NoSteadyStateError(f"populations out of range: {pops}")
-
-
-def steady_state(params: SystemParams, shifted: ShiftedDetunings) -> MeanState:
-    """Steady state of one velocity class, with dissipativity check."""
-    g = generator_matrix(params, shifted.d1, shifted.d2)
-    b = reduce_generator(g)
-    top = float(np.max(np.linalg.eigvals(b).real))
-    if top >= 0.0:
-        raise NoSteadyStateError(f"drift is not dissipative (max Re eigenvalue {top:.3e})")
-    state = MeanState(steady_state_batch(g))
-    state.validate()
-    return state
+def steady_state_errors(means: np.ndarray) -> tuple[float, float, float]:
+    """Worst trace, hermiticity and population-range errors over a stack
+    of steady states; all three are zero for physical density matrices."""
+    pops = means[:, list(POPULATIONS)]
+    trace_err = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
+    herm = 0.0
+    for (i, j) in LABELS:
+        if i < j:
+            herm = max(herm, float(np.max(np.abs(
+                means[:, IDX[i, j]] - np.conj(means[:, IDX[j, i]])))))
+    herm = max(herm, float(np.max(np.abs(pops.imag))))
+    pop_err = max(0.0, float(np.max(np.maximum(-pops.real, pops.real - 1.0))))
+    return trace_err, herm, pop_err
 
 
 def eq1_terms(params: SystemParams, d1, d2):

@@ -19,21 +19,6 @@ from .numerics import QuadratureRule, gauss_hermite_rule, gaussian_trapezoid_rul
 
 
 @dataclass(frozen=True)
-class ShiftedDetunings:
-    """Atom-frame detunings of probe (d1) and pump (d2) in MHz."""
-
-    d1: float
-    d2: float
-
-
-@dataclass(frozen=True)
-class VelocityClass:
-    v: float
-    weight: float
-    shifted: ShiftedDetunings
-
-
-@dataclass(frozen=True)
 class VelocityClasses:
     """Velocity-class grid as parallel arrays (one entry per class)."""
 
@@ -44,16 +29,6 @@ class VelocityClasses:
 
     def __len__(self) -> int:
         return len(self.shifts)
-
-    def __getitem__(self, i: int) -> VelocityClass:
-        return VelocityClass(
-            v=float(self.shifts[i]),
-            weight=float(self.weights[i]),
-            shifted=ShiftedDetunings(float(self.d1[i]), float(self.d2[i])),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def maxwellian_rule(params: SystemParams) -> QuadratureRule:

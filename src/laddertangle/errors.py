@@ -13,10 +13,6 @@ class ConfigError(LadderError, ValueError):
     """A configuration document is malformed or inconsistent."""
 
 
-class SingularSystemError(LadderError):
-    """A linear system is singular or too ill-conditioned to trust."""
-
-
 class NoSteadyStateError(LadderError):
     """The atomic drift generator is not dissipative; no unique steady state."""
 

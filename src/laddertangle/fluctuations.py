@@ -26,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (IDX, LABELS, PROD, REDUCED_CONJ, REDUCED_LABELS,
+from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
                     absorption_exact_batch, decay_generator, generator_matrix,
-                    reduce_generator, steady_state_batch)
+                    reduce_generator, steady_state_batch, steady_state_errors)
 from .doppler import average, build_classes
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
+from .numerics import propagation_integral
 from .tables import SpectrumTable
 
 RIDX = {lab: k for k, lab in enumerate(REDUCED_LABELS)}
@@ -146,12 +147,8 @@ def _eliminate_batch(b, c, corr, kp, omega, n_atoms):
 def propagate(m: np.ndarray, s: np.ndarray, length: float, sigma_in: np.ndarray) -> np.ndarray:
     """Traverse the medium: Sigma_out = T Sigma_in T+ + accumulated noise,
     with T = exp(M L)."""
-    from .numerics import matrix_exponential, propagation_integral
-
-    if length == 0.0:
-        return np.array(sigma_in, dtype=complex)
-    t = matrix_exponential(m * length)
-    out = t @ sigma_in @ t.conj().T + propagation_integral(m, s, length)
+    t, noise = propagation_integral(m, s, length)
+    out = t @ sigma_in @ t.conj().T + noise
     if not np.all(np.isfinite(out.view(float))) or np.max(np.abs(out)) > 1e12:
         raise DivergenceError("field covariance diverged during propagation")
     return out
@@ -220,18 +217,6 @@ class PhysicalityReport:
         )
 
 
-def _mean_diagnostics(means: np.ndarray) -> tuple[float, float]:
-    pops = means[:, [IDX[1, 1], IDX[2, 2], IDX[3, 3]]]
-    trace_err = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
-    herm = 0.0
-    for (i, j) in LABELS:
-        if i < j:
-            herm = max(herm, float(np.max(np.abs(
-                means[:, IDX[i, j]] - np.conj(means[:, IDX[j, i]])))))
-    herm = max(herm, float(np.max(np.abs(pops.imag))))
-    return trace_err, herm
-
-
 def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
                     collect: bool = False):
     """Maxwellian-averaged field generator M(w) and noise density S(w)
@@ -252,7 +237,7 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     s_tot = average(sv, classes)
     report = None
     if collect:
-        trace_err, herm_err = _mean_diagnostics(means)
+        trace_err, herm_err, _ = steady_state_errors(means)
         top = float(np.max(np.linalg.eigvals(b).real))
         report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
                                    max_drift_eigenvalue=top)

@@ -13,9 +13,8 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import ContractError, SingularSystemError, UnsupportedOrderError
+from .errors import ContractError, UnsupportedOrderError
 
-COND_LIMIT = 1e12
 MAX_DIM = 16
 MAX_HERMITE_ORDER = 512
 
@@ -27,29 +26,6 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def solve_linear(a, b) -> tuple[np.ndarray, float]:
-    """Solve A x = b for a small dense complex system.
-
-    Returns (x, residual) with residual = ||Ax - b||_inf.  Raises
-    SingularSystemError when the condition number exceeds 1e12.
-    """
-    a = _as_square(a)
-    b = np.asarray(b, dtype=complex)
-    if b.shape[0] != a.shape[0]:
-        raise ContractError("right-hand side length does not match matrix")
-    if not (np.all(np.isfinite(a.view(float))) and np.all(np.isfinite(b.view(float)))):
-        raise ContractError("non-finite entries in linear system")
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystemError(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    x = np.linalg.solve(a, b)
-    residual = float(np.max(np.abs(a @ x - b)))
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(b))))
-    if residual > tol:
-        raise SingularSystemError(f"solve residual {residual:.3e} exceeds {tol:.3e}")
-    return x, residual
-
-
 def matrix_exponential(a) -> np.ndarray:
     """exp(A) for a small dense complex matrix."""
     a = _as_square(a)
@@ -58,12 +34,6 @@ def matrix_exponential(a) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ContractError("non-finite entries in matrix exponential input")
     return sla.expm(a)
-
-
-def stability_check(a) -> float:
-    """Largest real part over the eigenvalues of A."""
-    a = _as_square(a)
-    return float(np.max(np.linalg.eigvals(a).real))
 
 
 @dataclass(frozen=True)
@@ -114,35 +84,46 @@ def gaussian_trapezoid_rule(n: int, mu: float, span: float = 3.0) -> QuadratureR
     return QuadratureRule(nodes, weights)
 
 
-def propagation_integral(m, s, length: float) -> np.ndarray:
-    """Closed-form integral  I = int_0^L exp(M u) S exp(M^H u) du.
+def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrix T = exp(M L) and accumulated noise
+    I = int_0^L exp(M u) S exp(M^H u) du.
 
-    Solved through the Lyapunov equation M Y + Y M^H = S, for which
-    I = exp(M L) Y exp(M^H L) - Y.  Falls back to composite
-    Gauss-Legendre quadrature when the Lyapunov solve is unreliable
-    (overlapping spectra of M and -M^H).
+    One Van Loan block exponential (Van Loan, IEEE TAC 23(3), 1978)
+    over a step h = L / 2^k gives both on [0, h]:
+
+        exp([[M, S], [0, -M^H]] h) = [[T(h), G], [0, exp(-M^H h)]],
+
+    with I(h) = G T(h)^H.  k doubling steps I <- I + T I T^H, T <- T T
+    then reach L.  k is the smallest integer with ||M||_1 h <= 1/2.  A
+    single block exponential over the whole cell would carry
+    exp(-M^H L), which grows as fast as an optically thick cell
+    attenuates, and would lose I to rounding at that scale.
     """
     m = _as_square(m)
-    s = np.asarray(s, dtype=complex)
-    if length == 0.0:
-        return np.zeros_like(s)
-    s_scale = float(np.max(np.abs(s)))
-    if s_scale == 0.0:
-        return np.zeros_like(s)
-    try:
-        y = sla.solve_continuous_lyapunov(m, s)
-        if np.all(np.isfinite(y.view(float))):
-            resid = np.max(np.abs(m @ y + y @ m.conj().T - s))
-            if resid <= 1e-9 * s_scale:
-                t = matrix_exponential(m * length)
-                return t @ y @ t.conj().T - y
-    except (sla.LinAlgError, ValueError):
-        pass
-    return _quadrature_propagation_integral(m, s, length)
+    n = m.shape[0]
+    norm = float(np.linalg.norm(m, 1))
+    steps, h = 0, float(length)
+    while norm * abs(h) > 0.5:
+        steps += 1
+        h *= 0.5
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = m
+    block[:n, n:] = s
+    block[n:, n:] = -m.conj().T
+    f = matrix_exponential(block * h)
+    t = f[:n, :n]
+    integral = f[:n, n:] @ t.conj().T
+    for _ in range(steps):
+        integral = integral + t @ integral @ t.conj().T
+        t = t @ t
+    return t, integral
 
 
 def _quadrature_propagation_integral(m, s, length: float, panels: int = 8, order: int = 16) -> np.ndarray:
-    """Fixed high-order quadrature fallback for the propagation integral."""
+    """Composite Gauss-Legendre quadrature of the propagation integral.
+
+    Test oracle for propagation_integral; no program path calls it.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
     out = np.zeros_like(np.asarray(s, dtype=complex))
     h = length / panels

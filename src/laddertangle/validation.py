@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bloch, doppler, fluctuations
+from . import bloch, fluctuations
 from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
                     SystemParams)
 
@@ -64,10 +64,12 @@ def check_decoupled_limits() -> CheckResult:
 
 
 def check_steady_state_physicality(draws: int = 25, seed: int = 20240817) -> CheckResult:
-    """Random parameter sweeps: steady states keep unit trace, Hermitian
-    coherence pairs and populations in [0, 1]."""
+    """Random parameter sweeps: the reduced drift is dissipative, and
+    steady states keep unit trace, Hermitian coherence pairs and
+    populations in [0, 1]."""
     rng = np.random.default_rng(seed)
     worst_trace = worst_herm = worst_pop = 0.0
+    worst_drift = -math.inf
     for _ in range(draws):
         params = _fast_params(
             decay=DecayConfig(gamma1=rng.uniform(0.5, 6.0),
@@ -77,19 +79,22 @@ def check_steady_state_physicality(draws: int = 25, seed: int = 20240817) -> Che
                               alpha2=rng.uniform(0.1, 120.0),
                               delta2=rng.uniform(-300.0, 300.0)),
         )
-        shifted = doppler.ShiftedDetunings(d1=rng.uniform(-600.0, 600.0),
-                                           d2=params.field.delta2)
-        mean = bloch.steady_state(params, shifted)
-        worst_trace = max(worst_trace, mean.trace_error)
-        worst_herm = max(worst_herm, mean.hermiticity_error)
-        pops = mean.populations.real
-        worst_pop = max(worst_pop, float(np.max(np.maximum(-pops, pops - 1.0))))
-    ok = worst_trace <= 1e-10 and worst_herm <= 1e-10 and worst_pop <= 1e-10
+        g = bloch.generator_matrix(params, [rng.uniform(-600.0, 600.0)],
+                                   [params.field.delta2])
+        top = float(np.max(np.linalg.eigvals(bloch.reduce_generator(g)).real))
+        worst_drift = max(worst_drift, top)
+        trace, herm, pop = bloch.steady_state_errors(bloch.steady_state_batch(g))
+        worst_trace = max(worst_trace, trace)
+        worst_herm = max(worst_herm, herm)
+        worst_pop = max(worst_pop, pop)
+    ok = (worst_drift < 0.0 and worst_trace <= 1e-10 and worst_herm <= 1e-10
+          and worst_pop <= 1e-10)
     return CheckResult(
         "steady-state-physicality", ok,
-        f"trace {worst_trace:.2e}, hermiticity {worst_herm:.2e}, "
-        f"population bound {worst_pop:.2e}",
-        {"trace": worst_trace, "hermiticity": worst_herm, "population": worst_pop})
+        f"max drift eigenvalue {worst_drift:.2e}, trace {worst_trace:.2e}, "
+        f"hermiticity {worst_herm:.2e}, population bound {worst_pop:.2e}",
+        {"max_drift_eigenvalue": worst_drift, "trace": worst_trace,
+         "hermiticity": worst_herm, "population": worst_pop})
 
 
 def check_quadrature_convergence() -> CheckResult:
@@ -109,19 +114,16 @@ def check_quadrature_convergence() -> CheckResult:
 
 
 def check_weak_probe_oracle() -> CheckResult:
-    """Exact single-class steady state matches the analytic weak-probe
+    """Exact single-class steady states match the analytic weak-probe
     two-photon coherence ig1*a1 / (gamma12 + i d1 + (g2 a2)^2/(gamma13 + i(d1+d2)))."""
     params = _fast_params(field=FieldConfig(alpha1=1e-4, alpha2=50.0))
-    worst = 0.0
-    for d1 in (-40.0, -3.0, 0.0, 2.5, 60.0):
-        shifted = doppler.ShiftedDetunings(d1=d1, d2=0.0)
-        mean = bloch.steady_state(params, shifted)
-        o1 = params.rabi1
-        o2 = params.rabi2
-        denom = (params.coherence.gamma12 + 1j * d1
-                 + o2 ** 2 / (params.coherence.gamma13 + 1j * (d1 + 0.0)))
-        expected = 1j * o1 / denom
-        worst = max(worst, abs(mean.sigma(2, 1) - expected) / abs(expected))
+    d1 = np.array([-40.0, -3.0, 0.0, 2.5, 60.0])
+    g = bloch.generator_matrix(params, d1, np.zeros_like(d1))
+    rho21 = bloch.steady_state_batch(g)[:, bloch.IDX[2, 1]]
+    c = params.coherence
+    expected = 1j * params.rabi1 / (c.gamma12 + 1j * d1
+                                    + params.rabi2 ** 2 / (c.gamma13 + 1j * d1))
+    worst = float(np.max(np.abs(rho21 - expected) / np.abs(expected)))
     return CheckResult("weak-probe-oracle", worst <= 1e-6,
                        f"max relative error {worst:.3e}", {"relative_error": worst})
 

@@ -3,9 +3,10 @@ import pytest
 
 from laddertangle import bloch, doppler
 from laddertangle.bloch import IDX, LABELS, PROD
-from laddertangle.doppler import ShiftedDetunings
+from laddertangle.errors import NoSteadyStateError
 from laddertangle.experiments import baseline_params
-from laddertangle.model import DopplerConfig
+from laddertangle.model import (DecayConfig, DopplerConfig, FieldConfig,
+                                GeometryConfig, SystemParams)
 
 
 def op_matrix(label):
@@ -32,13 +33,18 @@ class TestOperatorAlgebra:
             assert IDX[label] == k
 
 
+def class_steady_states(params, d1, d2):
+    """Steady states of classes at atom-frame detunings d1, d2 (1-d arrays)."""
+    return bloch.steady_state_batch(bloch.generator_matrix(params, d1, d2))
+
+
 class TestSteadyState:
     def test_fields_off_ground_state(self, fast_params):
         params = fast_params(alpha1=0.0, alpha2=0.0)
-        state = bloch.steady_state(params, ShiftedDetunings(0.0, 0.0))
+        means = class_steady_states(params, [0.0], [0.0])
         expect = np.zeros(9)
         expect[IDX[1, 1]] = 1.0
-        assert np.allclose(state.vec, expect, atol=1e-12)
+        assert np.allclose(means[0], expect, atol=1e-12)
 
     def test_generator_annihilates_steady_state(self, fast_params, rng):
         params = fast_params(p=0.5)
@@ -52,22 +58,41 @@ class TestSteadyState:
 
     def test_trace_and_hermiticity(self, fast_params, rng):
         params = fast_params(p=6.0)
-        for _ in range(25):
-            d1, d2 = rng.uniform(-800, 800, size=2)
-            state = bloch.steady_state(params, ShiftedDetunings(d1, d2))
-            pops = [state.vec[IDX[k, k]] for k in (1, 2, 3)]
-            assert abs(sum(pops) - 1.0) < 1e-10
-            assert max(abs(np.imag(p)) for p in pops) < 1e-12
-            assert all(-1e-10 <= np.real(p) <= 1.0 + 1e-10 for p in pops)
-            for (i, j) in LABELS:
-                if i < j:
-                    assert abs(state.vec[IDX[i, j]] - np.conj(state.vec[IDX[j, i]])) < 1e-10
+        d1, d2 = rng.uniform(-800, 800, size=(2, 25))
+        means = class_steady_states(params, d1, d2)
+        trace_err, herm_err, pop_err = bloch.steady_state_errors(means)
+        assert trace_err < 1e-10
+        assert herm_err < 1e-10
+        assert pop_err <= 1e-10
+        assert np.max(np.abs(means[:, list(bloch.POPULATIONS)].imag)) < 1e-12
 
     def test_populations_vanish_without_fields(self, fast_params):
         params = fast_params(alpha1=1e-6, alpha2=1e-6)
-        state = bloch.steady_state(params, ShiftedDetunings(0.0, 0.0))
-        assert abs(state.vec[IDX[2, 2]]) < 1e-8
-        assert abs(state.vec[IDX[3, 3]]) < 1e-8
+        means = class_steady_states(params, [0.0], [0.0])
+        assert abs(means[0, IDX[2, 2]]) < 1e-8
+        assert abs(means[0, IDX[3, 3]]) < 1e-8
+
+    def test_errors_flag_unphysical_states(self):
+        state = np.zeros((2, 9), dtype=complex)
+        state[:, IDX[1, 1]] = 1.0
+        assert bloch.steady_state_errors(state) == (0.0, 0.0, 0.0)
+        state[1, IDX[1, 1]] = 1.5
+        state[1, IDX[2, 2]] = -0.5
+        state[1, IDX[2, 1]] = 0.25j
+        assert bloch.steady_state_errors(state) == (0.0, 0.25, 0.5)
+        state[1, IDX[3, 3]] = 0.125
+        assert bloch.steady_state_errors(state) == (0.125, 0.25, 0.5)
+
+    def test_undamped_drift_has_no_steady_state(self):
+        # no decay, no fields: every population is conserved, so the
+        # trace condition cannot pick one state
+        params = SystemParams(
+            decay=DecayConfig(gamma1=0.0, gamma2=0.0, p=0.0),
+            field=FieldConfig(alpha1=0.0, alpha2=0.0),
+            geometry=GeometryConfig(r=4.5e-4, L=0.06, n=8.5e15),
+            doppler=DopplerConfig(width=0.0, nodes=1, rule="trapezoid"))
+        with pytest.raises(NoSteadyStateError):
+            class_steady_states(params, [12.0], [0.0])
 
 
 class TestAbsorption:

@@ -119,6 +119,20 @@ class TestRun:
         assert code == 2
         assert "radiative floor" in capsys.readouterr().err
 
+    def test_undamped_atoms_exit_3(self, tmp_path, capsys):
+        # no decay, no fields and no Doppler spread leave the populations
+        # undetermined: a physics failure, not bad input
+        cfg = params_to_config(baseline_params(alpha1=0.0, alpha2=0.0))
+        cfg["decay"] = {"gamma1": 0.0, "gamma2": 0.0, "p": 0.0}
+        cfg["coherence"] = {"gamma12": 0.0, "gamma13": 0.0, "gamma23": 0.0}
+        cfg["doppler"]["width"] = 0.0
+        path = tmp_path / "undamped.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = _run(["run", "--config", path, "--out", tmp_path / "o", "--jobs", 1,
+                     "--delta1-min", -20, "--delta1-max", 20, "--delta1-points", 3])
+        assert code == 3
+        assert "steady-state solve failed" in capsys.readouterr().err
+
     def test_grid_on_pump_sweep_exit_2(self, tmp_path):
         code = _run(["run", "--scenario", "fig3", "--out", tmp_path / "o",
                      "--delta1-min", -20, "--delta1-max", 20,

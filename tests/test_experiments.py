@@ -1,6 +1,7 @@
 """Scenario catalog, pump-sweep transform and feature extraction tests."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,15 @@ from laddertangle import fluctuations as fl
 from laddertangle.doppler import build_classes
 from laddertangle.errors import ContractError
 from laddertangle.model import derive_coherence_rates
+
+
+def test_readme_api_imports():
+    # the README's Python API example starts from these package-level names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in readme.splitlines() if line.startswith("from laddertangle import")]
+    assert lines
+    for line in lines:
+        exec(line, {})
 
 
 class TestScenarioCatalog:

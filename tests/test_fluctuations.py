@@ -4,6 +4,7 @@ import pytest
 from laddertangle import bloch, fluctuations as fl
 from laddertangle.bloch import PROD
 from laddertangle.doppler import build_classes
+from laddertangle.errors import ResonanceError
 from laddertangle.experiments import baseline_params, pump_sweep_transform
 from laddertangle.model import C_M_MHZ, DopplerConfig
 
@@ -238,6 +239,14 @@ class TestAdiabaticElimination:
         assert rel_err(m, m_direct) < 1e-12
         assert rel_err(s, s_direct) < 1e-12
 
+    def test_singular_resolvent_raises(self):
+        # a drift eigenvalue at -i w makes the resolvent (-i w - B) singular
+        omega = 3.0
+        b = np.broadcast_to(-1j * omega * np.eye(8), (2, 8, 8))
+        with pytest.raises(ResonanceError):
+            fl._eliminate_batch(b, np.zeros((2, 8, 4)), np.zeros((2, 8, 8)),
+                                np.zeros((4, 8)), omega, 1.0)
+
     def test_field_generator_matches_finite_difference(self):
         # M at omega=0 is the Jacobian of the polarization source with
         # respect to the field amplitudes, probed here by independent
@@ -272,7 +281,6 @@ class TestAdiabaticElimination:
 class TestFieldCovariance:
     def test_decoupled_probe_stays_vacuum(self, fast_params):
         params = fast_params(alpha1=0.0)
-        sigma, *_ = fl.field_system_at(params, 12.0)
         tab, _ = fl.v12_spectrum(params, [12.0])
         assert tab.v12[0] == pytest.approx(4.0, abs=1e-9)
 

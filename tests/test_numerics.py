@@ -1,42 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from laddertangle import numerics
-from laddertangle.errors import (
-    ContractError,
-    SingularSystemError,
-    UnsupportedOrderError,
-)
-
-
-class TestSolveLinear:
-    def test_identity(self, rng):
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x, res = numerics.solve_linear(np.eye(4), b)
-        assert np.allclose(x, b)
-        assert res <= 1e-10 * (1.0 + np.max(np.abs(b)))
-
-    def test_diagonal(self):
-        x, _ = numerics.solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_random_residual(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            a += 8.0 * np.eye(8)  # keep it well conditioned
-            b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            x, res = numerics.solve_linear(a, b)
-            assert np.max(np.abs(a @ x - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
-            assert res <= 1e-10 * (1.0 + np.max(np.abs(b)))
-
-    def test_singular_raises(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularSystemError):
-            numerics.solve_linear(a, np.ones(2))
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ContractError):
-            numerics.solve_linear(np.ones((2, 3)), np.ones(2))
+from laddertangle.errors import ContractError, UnsupportedOrderError
 
 
 class TestMatrixExponential:
@@ -119,22 +86,35 @@ class TestGaussianTrapezoid:
             assert abs(a - b) < 1e-6
 
 
-class TestStabilityCheck:
-    def test_negative_identity(self):
-        assert numerics.stability_check(-np.eye(3)) == pytest.approx(-1.0)
-
-    def test_diagonal(self):
-        a = np.diag([-1.0, -2.0 + 3.0j])
-        assert numerics.stability_check(a) == pytest.approx(-1.0)
-
-
 class TestPropagationIntegral:
     def test_matches_quadrature(self, rng):
+        def noise():
+            s = rng.standard_normal((4, 4))
+            return s @ s.T + 1e-3 * np.eye(4)
+
+        cases = []
         for _ in range(5):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             m -= 3.0 * np.eye(4)
-            s = rng.standard_normal((4, 4))
-            s = s @ s.T + 1e-3 * np.eye(4)
-            direct = numerics.propagation_integral(m, s, 0.7)
+            cases.append((m, noise()))
+        # decoupled probe: the probe rows of M vanish, so M is singular
+        m = np.zeros((4, 4), dtype=complex)
+        m[2:, 2:] = rng.standard_normal((2, 2)) - 3.0 * np.eye(2)
+        cases.append((m, noise()))
+        # M = iH: each eigenvalue of M and its partner in -M^H sum to zero
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        cases.append((0.5j * (h + h.conj().T), noise()))
+        # optically thick: min Re eig(M L) = -91, which one block
+        # exponential over the whole cell resolves to no digits
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        m = q @ np.diag([-0.2 + 1j, -2.0 - 3j, -40.0 + 5j, -130.0]) @ q.conj().T
+        cases.append((m, noise()))
+        for m, s in cases:
+            t, direct = numerics.propagation_integral(m, s, 0.7)
             quad = numerics._quadrature_propagation_integral(m, s, 0.7)
             assert np.max(np.abs(direct - quad)) < 1e-8 * max(1.0, np.max(np.abs(direct)))
+            assert np.max(np.abs(t - sla.expm(0.7 * m))) < 1e-12
+
+    def test_nonsquare_rejected(self):
+        with pytest.raises(ContractError):
+            numerics.propagation_integral(np.ones((2, 3)), np.ones((2, 2)), 0.7)

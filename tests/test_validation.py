@@ -2,6 +2,9 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from laddertangle import validation
 
 
@@ -22,3 +25,15 @@ def test_results_serialize():
 def test_check_names_unique():
     names = [r.name for r in validation.run_all()]
     assert len(names) == len(set(names))
+
+
+def test_physicality_check_certifies_dissipative_drift(monkeypatch):
+    result = validation.check_steady_state_physicality(draws=3)
+    assert result.passed
+    assert result.metrics["max_drift_eigenvalue"] < 0.0
+    # a drift with a growing mode fails the check instead of raising
+    monkeypatch.setattr(validation.bloch, "reduce_generator",
+                        lambda g: 0.5 * np.eye(8)[None])
+    result = validation.check_steady_state_physicality(draws=3)
+    assert not result.passed
+    assert result.metrics["max_drift_eigenvalue"] == pytest.approx(0.5)
