@@ -33,15 +33,17 @@ EXIT_PHYSICS = 3
 
 
 def _default_jobs(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("LADDERTANGLE_JOBS")
-    if env:
+    if value is None:
+        env = os.environ.get("LADDERTANGLE_JOBS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as exc:
             raise ConfigError(f"LADDERTANGLE_JOBS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    if value < 1:
+        raise ConfigError(f"--jobs/LADDERTANGLE_JOBS must be at least 1, got {value}")
+    return value
 
 
 def _sha256(path: Path) -> str:

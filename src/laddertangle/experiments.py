@@ -8,17 +8,14 @@ ratios, and strong-pump / detuned-pump variants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import bloch
-from .errors import ContractError, ParameterError
+from .errors import ContractError
 from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
-                    RB_SATURATION_DENSITY, SystemParams, params_from_config,
-                    params_to_config)
-from .tables import PumpSweepTable, SpectrumTable
+                    RB_SATURATION_DENSITY, SystemParams)
+from .tables import PumpSweepTable
 
 # Velocity-class quadrature used by the shipped scenarios.  The averaged
 # response carries structure at the scale of gamma12 (a few MHz) inside a
@@ -70,22 +67,6 @@ class Scenario:
             raise ContractError(f"unknown scenario kind {self.kind!r}")
         if self.outputs not in ("v12", "absorption", "both"):
             raise ContractError(f"unknown outputs selector {self.outputs!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "outputs": self.outputs,
-            "grid": {"min": float(self.grid[0]), "max": float(self.grid[-1]),
-                     "points": int(len(self.grid))},
-            "config": params_to_config(self.base),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        grid = np.linspace(data["grid"]["min"], data["grid"]["max"], data["grid"]["points"])
-        return cls(name=data["name"], base=params_from_config(data["config"]),
-                   kind=data["kind"], grid=grid, outputs=data["outputs"])
 
 
 def fig2_scenarios() -> list[Scenario]:
@@ -151,48 +132,35 @@ def pump_sweep_transform(base: SystemParams, alpha2: float) -> SystemParams:
 
 def run_spectrum_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
                           collect: bool = False):
-    """Evaluate a delta1-sweep scenario; v12 columns are NaN-free only
-    when the fluctuation chain was requested."""
+    """Evaluate a delta1-sweep scenario; an absorption-only scenario skips
+    the fluctuation chain and leaves the v12 columns NaN."""
     from .fluctuations import v12_spectrum
 
     if scenario.kind != "spectrum":
         raise ContractError(f"scenario {scenario.name} is not a spectrum sweep")
-    if scenario.outputs == "absorption":
-        absorption = np.array([bloch.absorption_exact(scenario.base, d)
-                               for d in scenario.grid])
-        nan = np.full_like(absorption, np.nan)
-        return SpectrumTable(delta1=np.asarray(scenario.grid, dtype=float),
-                             v12=nan, du2=nan, dv2=nan, absorption=absorption), None
     return v12_spectrum(scenario.base, scenario.grid, omega=omega, jobs=jobs,
-                        collect=collect)
+                        collect=collect, v12=scenario.outputs != "absorption")
 
 
 def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
                             collect: bool = False):
     """Evaluate the pump-amplitude sweep for p = 0 and p = 20."""
-    from .fluctuations import PhysicalityReport, _spectrum_point
+    from .fluctuations import sweep_rows
 
     if scenario.kind != "pump-sweep":
         raise ContractError(f"scenario {scenario.name} is not a pump sweep")
-    columns = {}
-    report = PhysicalityReport() if collect else None
-    for p, suffix in ((0.0, "p0"), (20.0, "p20")):
-        d = scenario.base.decay
-        base = replace(scenario.base,
-                       decay=DecayConfig(gamma1=d.gamma1, gamma2=d.gamma2, p=p),
-                       coherence=None)
-        v12s, absorptions = [], []
-        for alpha2 in scenario.grid:
-            params = pump_sweep_transform(base, float(alpha2))
-            v12, _, _, absorption, rep = _spectrum_point(
-                params, params.field.delta1, omega, collect)
-            v12s.append(v12)
-            absorptions.append(absorption)
-            if collect:
-                report = report.merged(rep)
-        columns[f"v12_{suffix}"] = np.array(v12s)
-        columns[f"absorption_{suffix}"] = np.array(absorptions)
-    table = PumpSweepTable(alpha2=np.asarray(scenario.grid, dtype=float), **columns)
+    d = scenario.base.decay
+    bases = [replace(scenario.base, decay=DecayConfig(gamma1=d.gamma1, gamma2=d.gamma2, p=p),
+                     coherence=None)
+             for p in (0.0, 20.0)]
+    params = [pump_sweep_transform(base, float(alpha2))
+              for base in bases for alpha2 in scenario.grid]
+    v12, _, _, absorption, report = sweep_rows(
+        [(prm, prm.field.delta1) for prm in params], omega, jobs, collect)
+    n = len(scenario.grid)
+    table = PumpSweepTable(alpha2=np.asarray(scenario.grid, dtype=float),
+                           v12_p0=v12[:n], v12_p20=v12[n:],
+                           absorption_p0=absorption[:n], absorption_p20=absorption[n:])
     return table, report
 
 

@@ -22,14 +22,16 @@ coherent beams give the Duan combination (du)^2 + (dv)^2 = 4.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
 from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
-                    absorption_exact_batch, decay_generator, generator_matrix,
-                    reduce_generator, steady_state_batch, steady_state_errors)
+                    absorption_exact, absorption_exact_batch, decay_generator,
+                    generator_matrix, reduce_generator, steady_state_batch,
+                    steady_state_errors)
 from .doppler import average, build_classes
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
@@ -205,16 +207,13 @@ class PhysicalityReport:
 
     trace_error: float = 0.0
     hermiticity_error: float = 0.0
+    population_error: float = 0.0
     max_drift_eigenvalue: float = -np.inf
     covariance_error: float = 0.0
 
     def merged(self, other: "PhysicalityReport") -> "PhysicalityReport":
-        return PhysicalityReport(
-            trace_error=max(self.trace_error, other.trace_error),
-            hermiticity_error=max(self.hermiticity_error, other.hermiticity_error),
-            max_drift_eigenvalue=max(self.max_drift_eigenvalue, other.max_drift_eigenvalue),
-            covariance_error=max(self.covariance_error, other.covariance_error),
-        )
+        return PhysicalityReport(**{f.name: max(getattr(self, f.name), getattr(other, f.name))
+                                    for f in fields(self)})
 
 
 def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
@@ -237,60 +236,73 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     s_tot = average(sv, classes)
     report = None
     if collect:
-        trace_err, herm_err, _ = steady_state_errors(means)
+        trace_err, herm_err, pop_err = steady_state_errors(means)
         top = float(np.max(np.linalg.eigvals(b).real))
         report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
-                                   max_drift_eigenvalue=top)
+                                   population_error=pop_err, max_drift_eigenvalue=top)
     return m_tot, s_tot, absorption, report
 
 
-def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: bool):
+def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: bool,
+                    v12: bool = True):
+    """One sweep row: (v12, du2, dv2, absorption, report).  With v12 off
+    only the absorption is computed; the Duan columns are NaN and there
+    is no report."""
+    if not v12:
+        return np.nan, np.nan, np.nan, absorption_exact(params, delta1), None
     m_tot, s_tot, absorption, report = field_system_at(params, delta1, omega, collect)
     sigma = propagate(m_tot, s_tot, params.geometry.L, vacuum_covariance())
     duan = duan_v12(sigma)
     if report is not None:
-        report = PhysicalityReport(
-            trace_error=report.trace_error,
-            hermiticity_error=report.hermiticity_error,
-            max_drift_eigenvalue=report.max_drift_eigenvalue,
-            covariance_error=covariance_hermiticity_error(sigma),
-        )
+        report = replace(report, covariance_error=covariance_hermiticity_error(sigma))
     return duan.v12, duan.du2, duan.dv2, absorption, report
 
 
-def _spectrum_worker(args):
-    params, delta1, omega, collect = args
-    return _spectrum_point(params, delta1, omega, collect)
+def sweep_rows(rows, omega: float = 0.0, jobs: int = 1, collect: bool = False,
+               v12: bool = True):
+    """Evaluate independent sweep rows, each a (params, delta1) pair.
+
+    With jobs > 1 the rows are spread over at most jobs worker processes
+    in ordered chunks; results come back in row order, so they do not
+    depend on the parallelism degree.
+
+    Returns the v12, du2, dv2 and absorption columns and the merged
+    PhysicalityReport, which is None unless both collect and v12 are set.
+    """
+    params_list = [params for params, _ in rows]
+    delta1_list = [float(delta1) for _, delta1 in rows]
+    args = (_spectrum_point, params_list, delta1_list,
+            repeat(omega), repeat(collect), repeat(v12))
+    n = len(rows)
+    if jobs > 1 and n > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+            results = list(pool.map(*args, chunksize=max(1, n // (4 * jobs))))
+    else:
+        results = list(map(*args))
+    v12s, du2, dv2, absorption = (np.array([r[k] for r in results]) for k in range(4))
+    report = None
+    if collect and v12:
+        report = PhysicalityReport()
+        for r in results:
+            report = report.merged(r[4])
+    return v12s, du2, dv2, absorption, report
 
 
 def v12_spectrum(params: SystemParams, delta1_grid, omega: float = 0.0,
-                 jobs: int = 1, collect: bool = False):
+                 jobs: int = 1, collect: bool = False, v12: bool = True):
     """Sweep the probe detuning: correlation V12 and exact absorption.
 
     Rows are computed independently per detuning (each internally batched
     over velocity classes) and assembled in grid order, so results are
-    identical at any parallelism degree.
+    identical at any parallelism degree.  With v12 off only the
+    absorption column is computed and the Duan columns are NaN.
 
     Returns (SpectrumTable, PhysicalityReport | None).
     """
     grid = np.asarray(delta1_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ContractError("delta1 grid must be a non-empty 1-d array")
-    tasks = [(params, float(d), omega, collect) for d in grid]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_spectrum_worker, tasks,
-                                    chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        results = [_spectrum_worker(t) for t in tasks]
-    v12 = np.array([r[0] for r in results])
-    du2 = np.array([r[1] for r in results])
-    dv2 = np.array([r[2] for r in results])
-    absorption = np.array([r[3] for r in results])
-    report = None
-    if collect:
-        report = PhysicalityReport()
-        for r in results:
-            report = report.merged(r[4])
-    table = SpectrumTable(delta1=grid, v12=v12, du2=du2, dv2=dv2, absorption=absorption)
+    v12s, du2, dv2, absorption, report = sweep_rows(
+        [(params, d) for d in grid], omega, jobs, collect, v12)
+    table = SpectrumTable(delta1=grid, v12=v12s, du2=du2, dv2=dv2, absorption=absorption)
     return table, report

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from laddertangle import fluctuations
 from laddertangle.experiments import baseline_params
 from laddertangle.model import DopplerConfig
 
@@ -17,6 +18,29 @@ def fast_params(fast_doppler):
         kwargs.setdefault("doppler", fast_doppler)
         return baseline_params(**kwargs)
     return make
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the sweep's process pool by a serial stand-in; the list
+    returned collects the max_workers of every pool the sweep opens."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(fluctuations, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 @pytest.fixture

@@ -156,6 +156,19 @@ class TestRun:
                      "--delta1-points", 3])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+    def test_jobs_below_one_exit_2(self, tmp_path, fast_config, monkeypatch, capsys,
+                                   flag, env):
+        args = ["run", "--config", fast_config, "--out", tmp_path / "o",
+                "--delta1-min", -20, "--delta1-max", 20, "--delta1-points", 3]
+        if flag is not None:
+            args += ["--jobs", flag]
+        if env is not None:
+            monkeypatch.setenv("LADDERTANGLE_JOBS", env)
+        assert _run(args) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestValidate:
     def test_validate_passes_and_writes_report(self, tmp_path, capsys):

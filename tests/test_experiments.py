@@ -58,15 +58,6 @@ class TestScenarioCatalog:
         assert grid[0] == -800.0 and grid[-1] == 800.0
         assert np.allclose(np.diff(grid), 2.0)
 
-    def test_round_trip(self):
-        for scenario in ex.all_scenarios().values():
-            back = ex.Scenario.from_dict(scenario.to_dict())
-            assert back.name == scenario.name
-            assert back.kind == scenario.kind
-            assert back.outputs == scenario.outputs
-            assert np.allclose(back.grid, scenario.grid)
-            assert back.base == scenario.base
-
     def test_bad_grid_rejected(self):
         base = ex.baseline_params()
         with pytest.raises(ContractError):
@@ -168,7 +159,34 @@ class TestRunScenario:
             assert np.all(np.isfinite(getattr(table, col)))
         assert report is not None
         assert report.trace_error < 1e-9
+        assert report.population_error < 1e-9
         assert report.max_drift_eigenvalue < 0.0
+
+    @pytest.mark.parametrize("outputs", ["absorption", "pump-sweep"])
+    def test_jobs_do_not_change_bytes(self, outputs, fast_doppler, tmp_path):
+        scenario = _small_scenario(outputs, fast_doppler)
+        payloads = []
+        for jobs in (1, 2):
+            table, _ = ex.run_scenario(scenario, jobs=jobs)
+            path = tmp_path / f"jobs{jobs}.csv"
+            table.write_csv(path)
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
+    def test_every_kind_uses_the_pool(self, outputs, fast_doppler, recording_pool):
+        ex.run_scenario(_small_scenario(outputs, fast_doppler), jobs=2)
+        assert recording_pool == [2]
+
+
+def _small_scenario(outputs, doppler):
+    """A few-row spectrum with the given outputs, or a 3-point pump sweep."""
+    if outputs == "pump-sweep":
+        return ex.Scenario(name="t", base=ex.baseline_params(p=0.0, doppler=doppler),
+                           kind="pump-sweep", grid=np.array([1.0, 50.0, 150.0]),
+                           outputs="both")
+    return ex.Scenario(name="t", base=ex.baseline_params(p=0.5, doppler=doppler),
+                       kind="spectrum", grid=np.linspace(-30.0, 30.0, 5), outputs=outputs)
 
 
 def _voigt_like(axis, center, amp, width):

@@ -318,3 +318,33 @@ class TestFieldCovariance:
         b, _ = fl.v12_spectrum(params, grid, jobs=4)
         assert np.array_equal(a.v12, b.v12)
         assert np.array_equal(a.absorption, b.absorption)
+
+    def test_pool_sized_to_rows(self, fast_params, recording_pool):
+        params = fast_params(p=0.5)
+        fl.v12_spectrum(params, [-10.0, 0.0, 10.0], jobs=4)
+        assert recording_pool == [3]
+        fl.v12_spectrum(params, [0.0], jobs=4)
+        assert recording_pool == [3]
+
+
+class TestPhysicalityReport:
+    def test_population_error_reported(self, monkeypatch):
+        real = fl.steady_state_batch
+
+        def negative_population(g):
+            means = real(g)
+            means[:, bloch.POPULATIONS[2]] = -0.1
+            return means
+
+        monkeypatch.setattr(fl, "steady_state_batch", negative_population)
+        _, report = fl.v12_spectrum(stationary(), [0.0], collect=True)
+        assert report.population_error == 0.1
+
+    def test_merge_takes_worst_value(self):
+        a = fl.PhysicalityReport(trace_error=1e-12, population_error=0.2,
+                                 max_drift_eigenvalue=-3.0)
+        b = fl.PhysicalityReport(hermiticity_error=1e-11, population_error=0.1,
+                                 max_drift_eigenvalue=-1.0, covariance_error=1e-9)
+        assert a.merged(b) == fl.PhysicalityReport(
+            trace_error=1e-12, hermiticity_error=1e-11, population_error=0.2,
+            max_drift_eigenvalue=-1.0, covariance_error=1e-9)
