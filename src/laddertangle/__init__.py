@@ -11,8 +11,7 @@ from .errors import (ConfigError, ContractError, DivergenceError, LadderError,
 from .model import (CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
                     GeometryConfig, SystemParams, derive_coherence_rates,
                     derive_couplings, load_config, params_from_config,
-                    params_to_config, save_config, validate_regime,
-                    with_overrides)
+                    params_to_config, validate_regime)
 from .bloch import absorption_exact, absorption_perturbative, eq1_terms
 from .doppler import VelocityClasses, average, build_classes
 from .fluctuations import (DuanResult, PhysicalityReport, duan_v12,

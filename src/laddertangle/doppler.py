@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import SystemParams
-from .numerics import QuadratureRule, gauss_hermite_rule, gaussian_trapezoid_rule
+from .numerics import gauss_hermite_rule, gaussian_trapezoid_rule
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,12 @@ class VelocityClasses:
         return len(self.shifts)
 
 
-def maxwellian_rule(params: SystemParams) -> QuadratureRule:
+def maxwellian_rule(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Class shifts and normalized weights of the configured rule; a zero
+    Doppler width is one stationary class."""
     cfg = params.doppler
     if cfg.width == 0.0:
-        return QuadratureRule(np.zeros(1), np.ones(1))
+        return np.zeros(1), np.ones(1)
     if cfg.rule == "hermite":
         return gauss_hermite_rule(cfg.nodes, cfg.width)
     return gaussian_trapezoid_rule(cfg.nodes, cfg.width, cfg.span)
@@ -46,14 +48,13 @@ def build_classes(params: SystemParams, delta1: float, delta2: float) -> Velocit
     Probe: d1 = delta1 - s.  Counterpropagating pump: d2 = delta2 + s,
     with s scaled by k2/k1 unless the residual two-photon mismatch is off.
     """
-    rule = maxwellian_rule(params)
-    s = rule.nodes
+    s, weights = maxwellian_rule(params)
     ratio = 1.0
     if params.doppler.residual_mismatch:
         ratio = params.field.lambda1 / params.field.lambda2  # k2/k1
     return VelocityClasses(
         shifts=s,
-        weights=rule.weights,
+        weights=weights,
         d1=delta1 - s,
         d2=delta2 + ratio * s,
     )

@@ -13,15 +13,19 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ContractError
+from .fluctuations import sweep_rows, v12_spectrum
 from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
                     RB_SATURATION_DENSITY, SystemParams)
 from .tables import PumpSweepTable
 
-# Velocity-class quadrature used by the shipped scenarios.  The averaged
-# response carries structure at the scale of gamma12 (a few MHz) inside a
-# 530 MHz Maxwellian, so the uniform dense rule is required; Gauss-Hermite
-# node counts within the supported range cannot resolve it.
-SCENARIO_DOPPLER = DopplerConfig(width=530.0, nodes=2561, rule="trapezoid", span=3.0)
+# Velocity-class quadrature used by the shipped scenarios: the default rule.
+SCENARIO_DOPPLER = DopplerConfig()
+
+# Feature extraction: the background ring reaches this many half-widths
+# from the expected location, and a deviation is a feature when it exceeds
+# this fraction of the value range over that window.
+_FEATURE_BACKGROUND_FACTOR = 4.0
+_FEATURE_NOISE_FRACTION = 0.02
 
 DEFAULT_GRID_HALFSPAN = 800.0
 DEFAULT_GRID_POINTS = 801
@@ -33,13 +37,13 @@ def default_delta1_grid(halfspan: float = DEFAULT_GRID_HALFSPAN,
 
 
 def baseline_params(p: float = 0.0, alpha1: float = 10.0, alpha2: float = 50.0,
-                    delta2: float = 0.0, doppler: DopplerConfig | None = None) -> SystemParams:
+                    delta2: float = 0.0, doppler: DopplerConfig = SCENARIO_DOPPLER) -> SystemParams:
     """Room-temperature Rb ladder baseline used by all figure scenarios."""
     return SystemParams(
         decay=DecayConfig(gamma1=3.0, gamma2=0.5, p=p),
         field=FieldConfig(alpha1=alpha1, alpha2=alpha2, delta1=0.0, delta2=delta2),
         geometry=GeometryConfig(r=4.5e-4, L=0.06, n=RB_SATURATION_DENSITY),
-        doppler=doppler if doppler is not None else SCENARIO_DOPPLER,
+        doppler=doppler,
     )
 
 
@@ -130,23 +134,9 @@ def pump_sweep_transform(base: SystemParams, alpha2: float) -> SystemParams:
     )
 
 
-def run_spectrum_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
-                          collect: bool = False):
-    """Evaluate a delta1-sweep scenario; an absorption-only scenario skips
-    the fluctuation chain and leaves the v12 columns NaN."""
-    from .fluctuations import v12_spectrum
-
-    if scenario.kind != "spectrum":
-        raise ContractError(f"scenario {scenario.name} is not a spectrum sweep")
-    return v12_spectrum(scenario.base, scenario.grid, omega=omega, jobs=jobs,
-                        collect=collect, v12=scenario.outputs != "absorption")
-
-
 def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
                             collect: bool = False):
     """Evaluate the pump-amplitude sweep for p = 0 and p = 20."""
-    from .fluctuations import sweep_rows
-
     if scenario.kind != "pump-sweep":
         raise ContractError(f"scenario {scenario.name} is not a pump sweep")
     d = scenario.base.decay
@@ -166,9 +156,13 @@ def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.
 
 def run_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
                  collect: bool = False):
+    """Evaluate a scenario: (table, PhysicalityReport | None).  An
+    absorption-only spectrum skips the fluctuation chain and leaves the
+    v12 columns NaN."""
     if scenario.kind == "pump-sweep":
         return run_pump_sweep_scenario(scenario, jobs=jobs, omega=omega, collect=collect)
-    return run_spectrum_scenario(scenario, jobs=jobs, omega=omega, collect=collect)
+    return v12_spectrum(scenario.base, scenario.grid, omega=omega, jobs=jobs,
+                        collect=collect, v12=scenario.outputs != "absorption")
 
 
 def default_feature_half_width(params: SystemParams) -> float:
@@ -194,15 +188,16 @@ class FeatureReport:
                 "min_value": self.min_value, "argmin": self.argmin}
 
 
-def extract_feature(axis, values, expected_location: float, half_width: float,
-                    background_factor: float = 4.0,
-                    noise_floor: float | None = None) -> FeatureReport:
+def extract_feature(axis, values, expected_location: float,
+                    half_width: float) -> FeatureReport:
     """Classify the narrow feature around expected_location as dip or peak.
 
     The background at the expected location is estimated by a quadratic
-    fit over an outer window (background_factor * half_width wide on each
-    side) excluding the inner +-half_width region, which absorbs the slope
-    and curvature of the broad Maxwellian profile.
+    fit over an outer window (four half-widths on each side) excluding the
+    inner +-half_width region, which absorbs the slope and curvature of
+    the broad Maxwellian profile.  The deviation from that background is
+    a dip or a peak when it exceeds 2% of the value range over the outer
+    window.
     """
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -212,9 +207,9 @@ def extract_feature(axis, values, expected_location: float, half_width: float,
         raise ContractError("feature axis must be strictly increasing")
     if half_width <= 0.0:
         raise ContractError("half_width must be positive")
-    outer = background_factor * half_width
+    window = np.abs(axis - expected_location) <= _FEATURE_BACKGROUND_FACTOR * half_width
     inner_mask = np.abs(axis - expected_location) <= half_width
-    ring_mask = (np.abs(axis - expected_location) <= outer) & ~inner_mask
+    ring_mask = window & ~inner_mask
     if not inner_mask.any():
         raise ContractError("feature window lies outside the grid")
     if ring_mask.sum() < 3:
@@ -228,10 +223,8 @@ def extract_feature(axis, values, expected_location: float, half_width: float,
     extremum = float(inner_vals[k])
     location = float(inner_axis[k])
     deviation = float(inner_vals[k] - local_bg[k])
-    if noise_floor is None:
-        window_vals = values[np.abs(axis - expected_location) <= outer]
-        noise_floor = 0.02 * float(window_vals.max() - window_vals.min())
-        noise_floor = max(noise_floor, 1e-12)
+    spread = float(np.ptp(values[window]))
+    noise_floor = max(_FEATURE_NOISE_FRACTION * spread, 1e-12)
     if deviation > noise_floor:
         kind = "peak"
     elif deviation < -noise_floor:

@@ -106,17 +106,6 @@ def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.nd
     return (means @ dmap.reshape(9, 81)).reshape(-1, 9, 9)
 
 
-def symmetrized_diffusion_min_eig(d: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetrized noise kernel.
-
-    The physical (Hermitian) kernel couples F_mu to F_nu+, i.e. the
-    column index is conjugated before symmetrizing.
-    """
-    herm = 2.0 * d[:, list(REDUCED_CONJ)]
-    herm = 0.5 * (herm + herm.conj().T)
-    return float(np.min(np.linalg.eigvalsh(herm)))
-
-
 def _eliminate_batch(b, c, corr, kp, omega, n_atoms):
     """Per-class field generator M_v and noise density S_v at frequency w.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as _field, replace
+from dataclasses import asdict, dataclass, field as _field
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
@@ -166,17 +166,18 @@ class DopplerConfig:
     and is only valid while the two-photon Doppler width
     |lambda1/lambda2 - 1|*width stays well below gamma13 (for the Rb
     780/776 nm ladder that width is 2.9 MHz at width = 530 MHz).  rule
-    selects the velocity quadrature:
-    "hermite" (Gauss-Hermite, order nodes <= 512) or "trapezoid"
-    (uniform grid over +-span*width, any node count), the latter being
-    required when the averaged response carries structure much narrower
-    than the Doppler width.
+    selects the velocity quadrature: "trapezoid" (uniform grid over
+    +-span*width, any node count) or "hermite" (Gauss-Hermite, order
+    nodes <= 512).  The averaged response carries structure at the scale
+    of gamma12 (a few MHz) inside the Maxwellian, which Gauss-Hermite
+    orders in the supported range cannot resolve, so the default is the
+    dense uniform rule that the shipped scenarios use.
     """
 
     width: float = 530.0
-    nodes: int = 128
+    nodes: int = 2561
     residual_mismatch: bool = True
-    rule: str = "hermite"
+    rule: str = "trapezoid"
     span: float = 3.0
 
     def __post_init__(self):
@@ -252,16 +253,9 @@ class SystemParams:
 
 
 def validate_regime(params: SystemParams) -> list[str]:
-    """Soft checks for the no-depletion operating regime (warnings only)."""
+    """Soft checks of the operating regime (warnings only): the weak
+    probe must not be brighter than the pump."""
     warnings = []
-    g1, g2 = params.couplings
-    bound = math.sqrt(params.coherence.gamma12 * params.coherence.gamma13)
-    if g2 * params.field.alpha2 <= bound:
-        warnings.append(
-            "depletion risk: pump coupling g2*alpha2 = "
-            f"{g2 * params.field.alpha2:.6g} MHz does not exceed "
-            f"sqrt(gamma12*gamma13) = {bound:.6g} MHz"
-        )
     if params.field.alpha1 > params.field.alpha2:
         warnings.append(
             f"probe amplitude alpha1 = {params.field.alpha1:.6g} exceeds "
@@ -282,30 +276,27 @@ _SECTION_TYPES = {
     "doppler": DopplerConfig,
 }
 
-_FIELD_CASTS = {bool: bool, int: int, float: float, str: str}
+# JSON value types accepted for each declared field type; a bool is not a number
+_JSON_TYPES = {"float": (int, float), "float | None": (int, float, type(None)),
+               "int": (int,), "bool": (bool,), "str": (str,)}
 
 
 def _section_from_dict(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(data) - allowed
+    allowed = cls.__dataclass_fields__
+    unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
     kwargs = {}
     for key, value in data.items():
-        if value is None:
-            kwargs[key] = None
-        elif isinstance(value, bool):
-            kwargs[key] = bool(value)
-        elif isinstance(value, (int, float)):
-            kwargs[key] = float(value) if key != "nodes" else int(value)
-        elif isinstance(value, str):
-            if key != "rule":
-                raise ConfigError(f"{path}.{key}: expected a number, got a string")
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"{path}.{key}: unsupported value type {type(value).__name__}")
+        declared = allowed[key].type
+        if (isinstance(value, bool) != (declared == "bool")
+                or not isinstance(value, _JSON_TYPES[declared])):
+            raise ConfigError(f"{path}.{key}: expected {declared}, got {type(value).__name__}")
+        if declared.startswith("float") and value is not None:
+            value = float(value)
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except (ParameterError, TypeError) as exc:
@@ -330,10 +321,18 @@ def params_from_config(data: dict) -> SystemParams:
 
 
 def params_to_config(params: SystemParams) -> dict:
-    """Serialize SystemParams to the canonical configuration document."""
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc["decay"] = asdict(params.decay)
-    doc["coherence"] = asdict(params.coherence)
+    """Serialize SystemParams to the canonical configuration document.
+
+    Collisional and coherence rates are written only where they differ
+    from what p and the decay rates derive, so editing p or a decay rate
+    in the document moves every rate that follows from it.
+    """
+    d = params.decay
+    derived = {"gamma12p": d.p, "gamma23p": d.p, "gamma13p": d.gamma12p + d.gamma23p}
+    doc = {"schema_version": SCHEMA_VERSION,
+           "decay": {k: v for k, v in asdict(d).items() if derived.get(k) != v}}
+    if params.coherence != derive_coherence_rates(d):
+        doc["coherence"] = asdict(params.coherence)
     doc["field"] = asdict(params.field)
     doc["geometry"] = asdict(params.geometry)
     doc["doppler"] = asdict(params.doppler)
@@ -347,38 +346,3 @@ def load_config(path: str | Path) -> SystemParams:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return params_from_config(data)
-
-
-def save_config(params: SystemParams, path: str | Path):
-    Path(path).write_text(json.dumps(params_to_config(params), indent=2) + "\n")
-
-
-def with_overrides(params: SystemParams, **sections) -> SystemParams:
-    """Return a copy with sections replaced or partially updated.
-
-    Each keyword names a section and takes either a full section instance
-    or a dict of field overrides merged into the current values.  Replacing
-    the decay section re-derives the coherence rates unless an explicit
-    coherence override is also given; collision rates derived from ``p``
-    follow a new ``p`` unless overridden themselves.
-    """
-    resolved = {}
-    for name, value in sections.items():
-        cls = _SECTION_TYPES.get(name)
-        if cls is None:
-            raise ConfigError(f"{name}: unknown section")
-        if isinstance(value, dict):
-            base = asdict(getattr(params, name))
-            if cls is DecayConfig and "p" in value:
-                for derived in ("gamma12p", "gamma23p", "gamma13p"):
-                    if derived not in value:
-                        base[derived] = None
-            unknown = set(value) - set(base)
-            if unknown:
-                raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown field")
-            base.update(value)
-            value = cls(**base)
-        resolved[name] = value
-    if "decay" in resolved and "coherence" not in resolved:
-        resolved["coherence"] = None
-    return replace(params, **resolved)

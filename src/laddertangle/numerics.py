@@ -7,8 +7,6 @@ quadrature rules for the Doppler average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.hermite import hermgauss
@@ -36,52 +34,38 @@ def matrix_exponential(a) -> np.ndarray:
     return sla.expm(a)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and normalized weights approximating integral dv D(v) f(v)."""
+def gauss_hermite_rule(n: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and normalized weights of the Gauss-Hermite rule for the
+    Gaussian exp(-v^2/mu^2)/(sqrt(pi) mu).
 
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.nodes.shape != self.weights.shape:
-            raise ContractError("quadrature nodes/weights length mismatch")
-
-
-def gauss_hermite_rule(n: int, mu: float) -> QuadratureRule:
-    """Gauss-Hermite rule for the normalized Gaussian exp(-v^2/mu^2)/(sqrt(pi) mu).
-
-    Exact for f polynomial of degree <= 2n-1.  mu = 0 collapses to the
-    single stationary node.
+    Exact for f polynomial of degree <= 2n-1.
     """
     if n < 1:
         raise UnsupportedOrderError("quadrature order must be >= 1")
     if n > MAX_HERMITE_ORDER:
         raise UnsupportedOrderError(f"order {n} exceeds supported maximum {MAX_HERMITE_ORDER}")
-    if mu == 0.0 or n == 1:
-        return QuadratureRule(np.zeros(max(n, 1))[:1], np.ones(1))
     x, w = hermgauss(n)
     weights = w / np.sqrt(np.pi)
-    weights = weights / weights.sum()
-    return QuadratureRule(mu * x, weights)
+    return mu * x, weights / weights.sum()
 
 
-def gaussian_trapezoid_rule(n: int, mu: float, span: float = 3.0) -> QuadratureRule:
-    """Uniform-grid rule on [-span*mu, span*mu] weighted by the Maxwellian.
+def gaussian_trapezoid_rule(n: int, mu: float, span: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and normalized weights of the uniform grid on
+    [-span*mu, span*mu] weighted by the Maxwellian (mu > 0); one node is
+    the stationary class.
 
-    Dense fallback used when integrands carry structure much narrower than
-    the Doppler width; also the brute-force oracle in tests.
+    Dense rule for integrands that carry structure much narrower than the
+    Doppler width; also the brute-force oracle in tests.
     """
     if n < 1:
         raise UnsupportedOrderError("quadrature order must be >= 1")
-    if mu == 0.0 or n == 1:
-        return QuadratureRule(np.zeros(1), np.ones(1))
+    if n == 1:
+        return np.zeros(1), np.ones(1)
     nodes = np.linspace(-span * mu, span * mu, n)
     weights = np.exp(-((nodes / mu) ** 2))
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    weights = weights / weights.sum()
-    return QuadratureRule(nodes, weights)
+    return nodes, weights / weights.sum()
 
 
 def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:

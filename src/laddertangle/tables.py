@@ -46,8 +46,29 @@ def _read_columns(path: str | Path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
+class SweepTable:
+    """Base of the sweep tables: the dataclass fields are the columns, in
+    the order of the CSV HEADER, and the first one is the swept axis."""
+
+    HEADER: list[str]
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def write_csv(self, path: str | Path):
+        _write_rows(path, self.HEADER, [getattr(self, f.name) for f in fields(self)])
+
+    @classmethod
+    def read_csv(cls, path: str | Path):
+        cols = _read_columns(path)
+        missing = set(cls.HEADER) - set(cols)
+        if missing:
+            raise ContractError(f"{path}: missing columns {sorted(missing)}")
+        return cls(*(cols[name] for name in cls.HEADER))
+
+
 @dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(SweepTable):
     """Probe-detuning sweep: correlation, its quadrature parts, absorption."""
 
     delta1: np.ndarray
@@ -58,25 +79,9 @@ class SpectrumTable:
 
     HEADER = ["delta1_mhz", "v12", "du2", "dv2", "absorption"]
 
-    def __len__(self) -> int:
-        return len(self.delta1)
-
-    def write_csv(self, path: str | Path):
-        _write_rows(path, self.HEADER,
-                    [self.delta1, self.v12, self.du2, self.dv2, self.absorption])
-
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "SpectrumTable":
-        cols = _read_columns(path)
-        missing = set(cls.HEADER) - set(cols)
-        if missing:
-            raise ContractError(f"{path}: missing columns {sorted(missing)}")
-        return cls(cols["delta1_mhz"], cols["v12"], cols["du2"], cols["dv2"],
-                   cols["absorption"])
-
 
 @dataclass(frozen=True)
-class PumpSweepTable:
+class PumpSweepTable(SweepTable):
     """Pump-amplitude sweep at fixed detunings, for two collision rates."""
 
     alpha2: np.ndarray
@@ -86,20 +91,3 @@ class PumpSweepTable:
     absorption_p20: np.ndarray
 
     HEADER = ["alpha2", "v12_p0", "v12_p20", "absorption_p0", "absorption_p20"]
-
-    def __len__(self) -> int:
-        return len(self.alpha2)
-
-    def write_csv(self, path: str | Path):
-        _write_rows(path, self.HEADER,
-                    [self.alpha2, self.v12_p0, self.v12_p20,
-                     self.absorption_p0, self.absorption_p20])
-
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "PumpSweepTable":
-        cols = _read_columns(path)
-        missing = set(cls.HEADER) - set(cols)
-        if missing:
-            raise ContractError(f"{path}: missing columns {sorted(missing)}")
-        return cls(cols["alpha2"], cols["v12_p0"], cols["v12_p20"],
-                   cols["absorption_p0"], cols["absorption_p20"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from laddertangle import fluctuations
+from laddertangle.bloch import REDUCED_CONJ
 from laddertangle.experiments import baseline_params
 from laddertangle.model import DopplerConfig
 
@@ -41,6 +42,17 @@ def recording_pool(monkeypatch):
 
     monkeypatch.setattr(fluctuations, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+def symmetrized_diffusion_min_eig(d: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetrized noise kernel.
+
+    The physical (Hermitian) kernel couples F_mu to F_nu+, i.e. the
+    column index is conjugated before symmetrizing.
+    """
+    herm = 2.0 * d[:, list(REDUCED_CONJ)]
+    herm = 0.5 * (herm + herm.conj().T)
+    return float(np.min(np.linalg.eigvalsh(herm)))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -45,9 +46,9 @@ class TestRun:
 
     def test_manifest_records_regime_and_environment(self, tmp_path, fast_doppler,
                                                      monkeypatch, capsys):
-        params = baseline_params(p=0.5, alpha2=1.0, doppler=fast_doppler)
+        params = baseline_params(p=0.5, alpha2=1.0, doppler=fast_doppler)  # alpha1 = 10
         warnings = validate_regime(params)
-        assert any("depletion risk" in w for w in warnings)
+        assert any("exceeds pump amplitude" in w for w in warnings)
         path = tmp_path / "weak-pump.json"
         path.write_text(json.dumps(params_to_config(params)), encoding="utf-8")
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -111,8 +112,9 @@ class TestRun:
         assert code == 2
 
     def test_coherence_below_radiative_floor_exit_2(self, tmp_path, capsys):
-        cfg = params_to_config(baseline_params(p=0.0))
-        cfg["coherence"]["gamma12"] = 0.06   # gamma1 = 3 MHz
+        params = baseline_params(p=0.0)
+        cfg = params_to_config(params)
+        cfg["coherence"] = {**asdict(params.coherence), "gamma12": 0.06}   # gamma1 = 3 MHz
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg), encoding="utf-8")
         code = _run(["run", "--config", bad, "--out", tmp_path / "o"])

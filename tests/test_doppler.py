@@ -23,6 +23,12 @@ class TestBuildClasses:
         assert classes.d2[0] == pytest.approx(-3.0)
         assert classes.weights[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rule", ["hermite", "trapezoid"])
+    def test_one_node_is_stationary_class(self, rule):
+        classes = doppler.build_classes(make_params(rule=rule, nodes=1), 12.0, -3.0)
+        assert np.array_equal(classes.shifts, [0.0])
+        assert np.array_equal(classes.weights, [1.0])
+
     def test_two_photon_sum_is_doppler_free(self):
         params = make_params(residual_mismatch=False)
         classes = doppler.build_classes(params, 37.0, -200.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import symmetrized_diffusion_min_eig
 from laddertangle import bloch, fluctuations as fl
 from laddertangle.bloch import PROD
 from laddertangle.doppler import build_classes
@@ -185,7 +186,7 @@ class TestEinsteinDiffusion:
         for _ in range(10):
             d1, d2 = rng.uniform(-300, 300, size=2)
             _, _, _, corr = class_kernels(params, d1, d2)
-            assert fl.symmetrized_diffusion_min_eig(0.5 * corr) >= -1e-10
+            assert symmetrized_diffusion_min_eig(0.5 * corr) >= -1e-10
 
     @pytest.mark.parametrize("d1,p", [(0.0, 0.5), (2.0, 0.5), (-7.0, 0.5), (0.0, 6.0)])
     def test_regression_identity(self, d1, p):

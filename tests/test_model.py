@@ -1,13 +1,14 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
-import numpy as np
 import pytest
 
-from laddertangle import model
+from laddertangle import cli, model
 from laddertangle.errors import ConfigError, ParameterError
-from laddertangle.experiments import baseline_params
+from laddertangle.experiments import (all_scenarios, baseline_params, fig3_scenario,
+                                      pump_sweep_transform)
+from laddertangle.fluctuations import v12_spectrum
 
 
 class TestDecayConfig:
@@ -56,18 +57,24 @@ class TestCouplings:
         assert o2 == pytest.approx(1.75, rel=0.02)
 
     def test_validate_regime_flags_weak_pump(self):
-        params = baseline_params(p=0.0, alpha2=0.01)
+        params = baseline_params(p=0.0, alpha2=0.01)  # alpha1 = 10
         warnings = model.validate_regime(params)
-        assert warnings  # no-depletion assumption no longer safe
+        assert len(warnings) == 1
+        assert "exceeds pump amplitude" in warnings[0]
+
+    def test_shipped_scenarios_raise_no_regime_warning(self):
+        for name, scenario in all_scenarios().items():
+            assert model.validate_regime(scenario.base) == [], name
 
 
 class TestConfigSchema:
     def test_round_trip(self, tmp_path):
         params = baseline_params(p=0.5, alpha2=37.0, delta2=-200.0)
         path = tmp_path / "cfg.json"
-        model.save_config(params, path)
+        path.write_text(json.dumps(model.params_to_config(params)), encoding="utf-8")
         loaded = model.load_config(path)
         assert model.params_to_config(loaded) == model.params_to_config(params)
+        assert loaded == params
 
     def test_rejects_unknown_keys(self):
         cfg = model.params_to_config(baseline_params())
@@ -91,17 +98,66 @@ class TestConfigSchema:
         cfg = model.params_to_config(baseline_params(p=6.0))
         json.dumps(cfg)  # must not raise
 
-    def test_with_overrides(self):
+    def test_field_edit_in_config(self):
         params = baseline_params(p=0.0)
-        out = model.with_overrides(params, field={"alpha2": 300.0})
+        cfg = model.params_to_config(params)
+        cfg["field"]["alpha2"] = 300.0
+        out = model.params_from_config(cfg)
         assert out.field.alpha2 == 300.0
         assert out.field.alpha1 == params.field.alpha1
 
     def test_coherence_follows_decay_override(self):
-        params = baseline_params(p=0.0)
-        out = model.with_overrides(params, decay={"p": 20.0})
+        cfg = model.params_to_config(baseline_params(p=0.5))
+        assert "coherence" not in cfg
+        assert set(cfg["decay"]) == {"gamma1", "gamma2", "p"}
+        cfg["decay"]["p"] = 20.0
+        out = model.params_from_config(cfg)
+        assert out.decay.gamma13p == pytest.approx(40.0)
         assert out.coherence.gamma12 == pytest.approx(23.0)
         assert out.coherence.gamma13 == pytest.approx(40.5)
+
+    def test_explicit_rates_written_and_kept(self):
+        decay = model.DecayConfig(gamma1=3.0, gamma2=0.5, p=1.0, gamma23p=2.0)
+        coherence = model.CoherenceRates(gamma12=5.0, gamma13=4.0, gamma23=7.0)
+        params = replace(baseline_params(), decay=decay, coherence=coherence)
+        cfg = model.params_to_config(params)
+        assert cfg["decay"] == {"gamma1": 3.0, "gamma2": 0.5, "p": 1.0, "gamma23p": 2.0}
+        assert cfg["coherence"] == asdict(coherence)
+        assert model.params_from_config(cfg) == params
+
+    def test_every_shipped_parameter_set_round_trips(self):
+        bases = [s.base for s in all_scenarios().values()]
+        fig3 = [pump_sweep_transform(baseline_params(p=p), float(alpha2))
+                for p in (0.0, 20.0) for alpha2 in fig3_scenario().grid]
+        for params in bases + fig3:
+            cfg = model.params_to_config(params)
+            assert model.params_from_config(cfg) == params
+            assert model.params_from_config(json.loads(json.dumps(cfg))) == params
+
+    def test_missing_doppler_section_is_the_shipped_rule(self):
+        cfg = model.params_to_config(baseline_params())
+        del cfg["doppler"]
+        params = model.params_from_config(cfg)
+        assert params == baseline_params()
+        row, _ = v12_spectrum(params, [0.0])
+        shipped, _ = v12_spectrum(baseline_params(), [0.0])
+        assert (row.v12[0], row.absorption[0]) == (shipped.v12[0], shipped.absorption[0])
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("doppler", "nodes", 12.7),
+        ("field", "alpha1", True),
+        ("doppler", "residual_mismatch", 1),
+    ])
+    def test_values_checked_against_declared_type(self, section, key, value, tmp_path,
+                                                  capsys):
+        cfg = model.params_to_config(baseline_params())
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            model.params_from_config(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{key}: expected" in capsys.readouterr().err
 
 
 class TestSystemParams:
