@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .doppler import average, build_classes
+from .doppler import average, build_classes, pump_shift_ratio
 from .errors import NoSteadyStateError, ParameterError
 from .model import SystemParams
+from .numerics import shifted_inverse
 
 LABELS = ((1, 1), (2, 2), (3, 3), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
 IDX = {lab: k for k, lab in enumerate(LABELS)}
@@ -125,6 +126,40 @@ def steady_state_batch(g: np.ndarray) -> np.ndarray:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
 
 
+def drift_pencil(params: SystemParams, delta1: float):
+    """Reduced drift B0 and source h of the stationary class, and the
+    velocity diagonal e.
+
+    A class with probe shift s sees d1 = delta1 - s and d1 + d2 =
+    delta1 + delta2 + (k2/k1 - 1) s, and both detunings enter the drift
+    through diagonal superoperators, so its reduced drift is
+    B(s) = B0 - s diag(e) and its steady state solves B(s) x = -h.
+    """
+    g0 = generator_matrix(params, [delta1], [params.field.delta2])[0]
+    ratio = pump_shift_ratio(params)
+    e = np.diag(SOP_D1 - (ratio - 1.0) * SOP_DSUM)[1:]
+    return reduce_generator(g0), g0[1:, 0], e
+
+
+def pencil_steady_states(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts):
+    """Steady states of the classes with the given probe shifts, from one
+    factorization of the drift pencil (see drift_pencil and
+    numerics.shifted_inverse): the reduced state of class s is
+    V (y / (1 - s theta)) with y = (B0 V)^-1 (-h), and
+    rho11 = 1 - rho22 - rho33.
+
+    Returns the (K, 9) steady states and the eigenvector condition number.
+    """
+    try:
+        v, left, factors, cond = shifted_inverse(b0, e, shifts)
+    except np.linalg.LinAlgError as exc:
+        raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
+    lift = np.vstack([-(v[0] + v[1]), v])      # reduced -> full components
+    means = (factors * (left @ -h)) @ lift.T
+    means[:, 0] += 1.0
+    return means, cond
+
+
 def steady_state_errors(means: np.ndarray) -> tuple[float, float, float]:
     """Worst trace, hermiticity and population-range errors over a stack
     of steady states; all three are zero for physical density matrices."""
@@ -201,6 +236,5 @@ def absorption_exact(params: SystemParams, delta1: float) -> float:
     """Exact-steady-state probe absorption, same normalization convention
     as the perturbative expression."""
     classes = build_classes(params, delta1, params.field.delta2)
-    g = generator_matrix(params, classes.d1, classes.d2)
-    means = steady_state_batch(g)
+    means, _ = pencil_steady_states(*drift_pencil(params, delta1), classes.shifts)
     return absorption_exact_batch(params, means, classes)

@@ -123,6 +123,8 @@ def _resolve_scenario(args) -> Scenario:
         scenario = catalog[args.scenario]
         if args.config is not None:
             scenario = replace(scenario, base=load_config(args.config))
+            if scenario.kind == "pump-sweep":
+                experiments.check_pump_sweep_base(scenario.base)
         if grid is not None:
             if scenario.kind != "spectrum":
                 raise ConfigError("explicit detuning grid applies only to spectrum sweeps")

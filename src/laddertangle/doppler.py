@@ -42,6 +42,14 @@ def maxwellian_rule(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     return gaussian_trapezoid_rule(cfg.nodes, cfg.width, cfg.span)
 
 
+def pump_shift_ratio(params: SystemParams) -> float:
+    """Pump Doppler shift per unit probe shift: k2/k1, or 1 with the
+    residual two-photon mismatch off."""
+    if params.doppler.residual_mismatch:
+        return params.field.lambda1 / params.field.lambda2
+    return 1.0
+
+
 def build_classes(params: SystemParams, delta1: float, delta2: float) -> VelocityClasses:
     """Velocity classes with Doppler-shifted detunings for given lab detunings.
 
@@ -49,14 +57,11 @@ def build_classes(params: SystemParams, delta1: float, delta2: float) -> Velocit
     with s scaled by k2/k1 unless the residual two-photon mismatch is off.
     """
     s, weights = maxwellian_rule(params)
-    ratio = 1.0
-    if params.doppler.residual_mismatch:
-        ratio = params.field.lambda1 / params.field.lambda2  # k2/k1
     return VelocityClasses(
         shifts=s,
         weights=weights,
         d1=delta1 - s,
-        d2=delta2 + ratio * s,
+        d2=delta2 + pump_shift_ratio(params) * s,
     )
 
 

@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .fluctuations import sweep_rows, v12_spectrum
 from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
-                    RB_SATURATION_DENSITY, SystemParams)
+                    RB_SATURATION_DENSITY, SystemParams, derive_coherence_rates)
 from .tables import PumpSweepTable
 
 # Velocity-class quadrature used by the shipped scenarios: the default rule.
@@ -134,11 +134,31 @@ def pump_sweep_transform(base: SystemParams, alpha2: float) -> SystemParams:
     )
 
 
+def check_pump_sweep_base(base: SystemParams):
+    """Raise ConfigError when the pump sweep would discard part of base.
+
+    The sweep builds its own p = 0 and p = 20 bases from gamma1 and
+    gamma2 alone, with derived collisional and coherence rates, so a
+    base's p, collisional rates or explicit coherence rates that differ
+    from those are not used.
+    """
+    d = base.decay
+    swept = DecayConfig(gamma1=d.gamma1, gamma2=d.gamma2)
+    names = [f"decay.{k}" for k in ("p", "gamma12p", "gamma23p", "gamma13p")
+             if getattr(d, k) != getattr(swept, k)]
+    if base.coherence != derive_coherence_rates(d):
+        names.append("coherence")
+    if names:
+        raise ConfigError(f"the pump sweep runs its own p = 0 and p = 20 bases and would "
+                          f"discard {', '.join(names)}")
+
+
 def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
                             collect: bool = False):
     """Evaluate the pump-amplitude sweep for p = 0 and p = 20."""
     if scenario.kind != "pump-sweep":
         raise ContractError(f"scenario {scenario.name} is not a pump sweep")
+    check_pump_sweep_base(scenario.base)
     d = scenario.base.decay
     bases = [replace(scenario.base, decay=DecayConfig(gamma1=d.gamma1, gamma2=d.gamma2, p=p),
                      coherence=None)

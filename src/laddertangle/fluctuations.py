@@ -12,7 +12,9 @@ correlators <F_mu F_nu> = 2 D_mu_nu follow from the generalized Einstein
 relation.  Solving algebraically at Fourier frequency w and substituting
 into the field propagation equations gives the 4x4 spatial generator M(w)
 and noise spectral density S(w); both are Maxwellian-averaged before the
-medium is traversed in closed form.
+medium is traversed in closed form.  The class shift enters B only
+through a diagonal, so each average runs through one eigendecomposition
+per row instead of a solve per class (see _eliminate).
 
 Covariances are stored as Sigma_ij = <dA_i dA_j+> in shot-noise units, so
 vacuum/coherent inputs give Sigma = diag(1, 0, 1, 0) and two uncorrelated
@@ -21,24 +23,32 @@ coherent beams give the Duan combination (du)^2 + (dv)^2 = 4.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
 
-from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,
+# generator_matrix is not called here; the alias stays because
+# perfbench's tracer test wraps the drift builder through it
+from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,  # noqa: F401
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
                     absorption_exact, absorption_exact_batch, decay_generator,
-                    generator_matrix, reduce_generator, steady_state_batch,
+                    drift_pencil, generator_matrix, pencil_steady_states,
                     steady_state_errors)
 from .doppler import average, build_classes
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
-from .numerics import propagation_integral
+from .numerics import propagation_integral, shifted_inverse
 from .tables import SpectrumTable
 
 RIDX = {lab: k for k, lab in enumerate(REDUCED_LABELS)}
+
+# C entry points that set the OpenBLAS thread count: a plain build, and the
+# symbol-prefixed builds that numpy (64-bit integer) and scipy wheels bundle
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
+                        "scipy_openblas_set_num_threads64_")
 
 # field pairing involution (a1 <-> a1+, a2 <-> a2+)
 FIELD_CONJ = (1, 0, 3, 2)
@@ -75,20 +85,23 @@ def _source_projection(params: SystemParams) -> np.ndarray:
     return kp
 
 
-def coupling_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
-    """Field-coupling matrix C per class: Jacobian of the drift with
-    respect to (da1, da1+, da2, da2+) at the steady state.
-
-    C is linear in the steady state, so it is one product with a 9x32 map.
-    """
+def _coupling_map(params: SystemParams) -> np.ndarray:
+    """Field-coupling matrix C as a linear map of the steady state:
+    C = sum_m means[m] * map[m], shape (9, 8, 4).  C is the Jacobian of
+    the drift with respect to (da1, da1+, da2, da2+)."""
     g1, g2 = params.couplings
-    cmap = (_FIELD_SOPS * np.array([g1, g1, g2, g2])).reshape(9, 32)
-    return (means @ cmap).reshape(-1, 8, 4)
+    return _FIELD_SOPS * np.array([g1, g1, g2, g2])
 
 
-def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
-    """Langevin correlators 2*D per class from the generalized Einstein
-    relation, in the full 9-component basis.
+def coupling_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
+    """Field-coupling matrix C per class: one product with the 9x32 map."""
+    return (means @ _coupling_map(params).reshape(9, 32)).reshape(-1, 8, 4)
+
+
+def _diffusion_map(params: SystemParams) -> np.ndarray:
+    """Langevin correlators 2*D from the generalized Einstein relation, as
+    a linear map of the steady state in the full 9-component basis:
+    2 D = sum_m means[m] * map[m], shape (9, 9, 9).
 
     With Gdec the relaxation part of the drift,
 
@@ -96,43 +109,56 @@ def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.nd
 
     where x_[ab] is the component of x at the product sigma_a sigma_b, or
     zero when that product vanishes.  Hamiltonian drift terms are derivations
-    of the operator algebra and cancel identically.  Every term is linear
-    in the steady state, so the kernel is one product with a 9x81 map.
+    of the operator algebra and cancel identically.
     """
     gdec = decay_generator(params)
-    dmap = (np.einsum("kab,kj->jab", _PROD_ONEHOT, gdec)
+    return (np.einsum("kab,kj->jab", _PROD_ONEHOT, gdec)
             - np.einsum("al,jlb->jab", gdec, _PROD_ONEHOT)
             - np.einsum("bl,jal->jab", gdec, _PROD_ONEHOT))
-    return (means @ dmap.reshape(9, 81)).reshape(-1, 9, 9)
 
 
-def _eliminate_batch(b, c, corr, kp, omega, n_atoms):
-    """Per-class field generator M_v and noise density S_v at frequency w.
+def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
+    """Langevin correlators 2*D per class: one product with the 9x81 map."""
+    return (means @ _diffusion_map(params).reshape(9, 81)).reshape(-1, 9, 9)
 
-    With T = kp (-i w - B)^-1 the source response to the atomic
+
+def _eliminate(params: SystemParams, b0, e, means, classes, omega: float):
+    """Class-averaged field generator M and noise density S at frequency w.
+
+    Per class, T = kp (-i w - B)^-1 is the source response to the atomic
     fluctuations, M_v = T C and S_v = T <F F+> T+, where <F_mu F_nu+> is
-    the correlator with its column index conjugated.  T is solved in
-    transposed form, T^T = (B + i w)^-T (-kp^T), so the solve reads B
-    through a transposed view and needs no conjugate copies; the
-    conjugation of the noise column index becomes a row permutation of
-    T^T.
+    the correlator with its column index conjugated.  With
+    B = B0 - s diag(e), numerics.shifted_inverse factors every class as
+    T^T = V diag(r) W with W = (A V)^-1 (-kp^T), A = (B0 + i w)^T and
+    r = 1 / (1 - s theta).  The maps C and 2D are linear in the steady
+    state, so they are composed with V once, and only r and the steady
+    state vary over the classes:
+
+        M = W^T <r * (means @ V^T C)>,
+        S = W^T <r r^* * (means @ V^T 2D conj(V[conj]))> conj(W),
+
+    each class average one weight-vector product.  Returns M, S and the
+    condition number of V.
     """
-    resolvent_t = b.transpose(0, 2, 1)
-    if omega != 0.0:
-        resolvent_t = resolvent_t + (1j * omega) * np.eye(8)
+    a = b0.T + (1j * omega) * np.eye(8)
     try:
-        t_t = np.linalg.solve(resolvent_t, -kp.T)          # (K,8,4) = T^T
+        v, left, factors, cond = shifted_inverse(a, e, classes.shifts)
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
-    t = t_t.transpose(0, 2, 1)
-    scale = n_atoms / C_M_MHZ
-    mv = t @ c
-    mv *= scale
-    t_perm = t_t[:, list(REDUCED_CONJ), :]
-    np.conjugate(t_perm, out=t_perm)
-    sv = (t @ corr) @ t_perm
-    sv *= scale
-    return mv, sv
+    w = left @ -_source_projection(params).T                       # (8,4)
+    n = len(classes)
+    cv = np.einsum("mif,ij->mjf", _coupling_map(params), v).reshape(9, 32)
+    dv = np.einsum("mil,ij,lk->mjk", _diffusion_map(params)[:, 1:, 1:], v,
+                   np.conj(v[list(REDUCED_CONJ)])).reshape(9, 64)
+    q = (means @ cv).reshape(n, 8, 4)
+    q *= factors[:, :, None]
+    d = (means @ dv).reshape(n, 8, 8)
+    d *= factors[:, :, None]
+    d *= np.conj(factors)[:, None, :]
+    scale = params.geometry.N / C_M_MHZ
+    m = scale * (w.T @ average(q, classes))
+    s = scale * (w.T @ average(d, classes) @ np.conj(w))
+    return m, s, cond
 
 
 def propagate(m: np.ndarray, s: np.ndarray, length: float, sigma_in: np.ndarray) -> np.ndarray:
@@ -199,6 +225,9 @@ class PhysicalityReport:
     population_error: float = 0.0
     max_drift_eigenvalue: float = -np.inf
     covariance_error: float = 0.0
+    # larger condition number of the two eigenvector bases that factor
+    # the class dependence (numerics.shifted_inverse)
+    eigenvector_condition: float = 0.0
 
     def merged(self, other: "PhysicalityReport") -> "PhysicalityReport":
         return PhysicalityReport(**{f.name: max(getattr(self, f.name), getattr(other, f.name))
@@ -210,25 +239,19 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     """Maxwellian-averaged field generator M(w) and noise density S(w)
     at one probe detuning, plus exact absorption and diagnostics."""
     classes = build_classes(params, delta1, params.field.delta2)
-    g = generator_matrix(params, classes.d1, classes.d2)
-    means = steady_state_batch(g)
+    b0, h, e = drift_pencil(params, delta1)
+    means, cond_ss = pencil_steady_states(b0, h, e, classes.shifts)
     absorption = absorption_exact_batch(params, means, classes)
-    b = reduce_generator(g)
-    # free the 9x9 drift stack before the noise kernels allocate, so they
-    # can reuse its memory instead of faulting in fresh pages
-    del g
-    c = coupling_batch(params, means)
-    corr = diffusion_correlator_batch(params, means)[:, 1:, 1:]
-    kp = _source_projection(params)
-    mv, sv = _eliminate_batch(b, c, corr, kp, omega, params.geometry.N)
-    m_tot = average(mv, classes) + (1j * omega / C_M_MHZ) * np.eye(4)
-    s_tot = average(sv, classes)
+    m, s_tot, cond_el = _eliminate(params, b0, e, means, classes, omega)
+    m_tot = m + (1j * omega / C_M_MHZ) * np.eye(4)
     report = None
     if collect:
         trace_err, herm_err, pop_err = steady_state_errors(means)
+        b = b0 - classes.shifts[:, None, None] * np.diag(e)
         top = float(np.max(np.linalg.eigvals(b).real))
         report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
-                                   population_error=pop_err, max_drift_eigenvalue=top)
+                                   population_error=pop_err, max_drift_eigenvalue=top,
+                                   eigenvector_condition=max(cond_ss, cond_el))
     return m_tot, s_tot, absorption, report
 
 
@@ -247,13 +270,40 @@ def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: 
     return duan.v12, duan.du2, duan.dv2, absorption, report
 
 
+def _single_blas_thread():
+    """Pool-worker initializer: run every loaded OpenBLAS on one thread.
+
+    The rows are already spread over the worker processes, so BLAS
+    threads in each worker only compete for the same cores.  Libraries
+    are found in the process's memory map; where there is none (not
+    Linux), the workers keep the inherited setting.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6 and "openblas" in parts[5].lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def sweep_rows(rows, omega: float = 0.0, jobs: int = 1, collect: bool = False,
                v12: bool = True):
     """Evaluate independent sweep rows, each a (params, delta1) pair.
 
     With jobs > 1 the rows are spread over at most jobs worker processes
-    in ordered chunks; results come back in row order, so they do not
-    depend on the parallelism degree.
+    in ordered chunks, each worker on one BLAS thread; results come back
+    in row order, so they do not depend on the parallelism degree.
 
     Returns the v12, du2, dv2 and absorption columns and the merged
     PhysicalityReport, which is None unless both collect and v12 are set.
@@ -264,7 +314,8 @@ def sweep_rows(rows, omega: float = 0.0, jobs: int = 1, collect: bool = False,
             repeat(omega), repeat(collect), repeat(v12))
     n = len(rows)
     if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n),
+                                 initializer=_single_blas_thread) as pool:
             results = list(pool.map(*args, chunksize=max(1, n // (4 * jobs))))
     else:
         results = list(map(*args))

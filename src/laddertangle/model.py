@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field as _field
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
+from .numerics import MAX_HERMITE_ORDER
 
 SCHEMA_VERSION = 1
 
@@ -186,6 +187,8 @@ class DopplerConfig:
         _require(self.span > 0.0, "doppler.span must be > 0")
         if self.rule not in DOPPLER_RULES:
             raise ParameterError(f"doppler.rule must be one of {DOPPLER_RULES}")
+        _require(self.rule != "hermite" or self.nodes <= MAX_HERMITE_ORDER,
+                 f"doppler.nodes must be <= {MAX_HERMITE_ORDER} with rule 'hermite'")
 
 
 def derive_couplings(field_cfg: FieldConfig, geometry: GeometryConfig) -> tuple[float, float]:

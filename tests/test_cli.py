@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import package_env
 from laddertangle import cli
 from laddertangle.experiments import baseline_params
 from laddertangle.model import params_to_config, validate_regime
@@ -158,6 +161,40 @@ class TestRun:
                      "--delta1-points", 3])
         assert code == 2
 
+    def test_hermite_order_above_cap_exit_2(self, tmp_path, capsys):
+        cfg = params_to_config(baseline_params())
+        cfg["doppler"].update(rule="hermite", nodes=1000)
+        path = tmp_path / "hermite.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = _run(["run", "--config", path, "--out", tmp_path / "o", "--jobs", 1])
+        assert code == 2
+        assert "doppler.nodes must be <= 512" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pump_sweep_config_fields_not_dropped(self, tmp_path, fast_doppler, capsys):
+        # fig3 sweeps its own p = 0 and p = 20 bases: a config asking for
+        # another collision rate is refused, not silently replaced
+        path = tmp_path / "p6.json"
+        path.write_text(json.dumps(params_to_config(baseline_params(p=6.0))),
+                        encoding="utf-8")
+        code = _run(["run", "--scenario", "fig3", "--config", path,
+                     "--out", tmp_path / "o", "--jobs", 1])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "discard decay.p, decay.gamma12p, decay.gamma23p, decay.gamma13p" in err
+        assert not (tmp_path / "o").exists()
+        cfg = params_to_config(baseline_params(p=0.0))
+        cfg["coherence"] = {"gamma12": 4.0, "gamma13": 0.5, "gamma23": 3.5}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert _run(["run", "--scenario", "fig3", "--config", path,
+                     "--out", tmp_path / "o", "--jobs", 1]) == 2
+        assert "discard coherence" in capsys.readouterr().err
+        # a base the sweep keeps as it is runs
+        path.write_text(json.dumps(params_to_config(baseline_params(p=0.0, doppler=fast_doppler))),
+                        encoding="utf-8")
+        assert _run(["run", "--scenario", "fig3", "--config", path,
+                     "--out", tmp_path / "o", "--jobs", 1]) == 0
+
     @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
     def test_jobs_below_one_exit_2(self, tmp_path, fast_config, monkeypatch, capsys,
                                    flag, env):
@@ -170,6 +207,26 @@ class TestRun:
         assert _run(args) == 2
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("scenario, grid", [
+        ("fig2-c", ["--delta1-min", "-40", "--delta1-max", "40", "--delta1-points", "9"]),
+        ("fig4-c", ["--delta1-min", "190", "--delta1-max", "210", "--delta1-points", "9"]),
+        ("fig3", [])])
+    def test_bytes_independent_of_blas_threads_and_jobs(self, tmp_path, scenario, grid):
+        # each run is a fresh process, so the BLAS thread count applies
+        # from the start; jobs=2 runs its rows in pool workers
+        payloads = {}
+        for threads in ("1", "2"):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"t{threads}-j{jobs}"
+                subprocess.run([sys.executable, "-m", "laddertangle.cli", "run",
+                                "--scenario", scenario, "--out", str(out), "--jobs", jobs,
+                                *grid], env=package_env(OPENBLAS_NUM_THREADS=threads),
+                               check=True, capture_output=True)
+                payloads[threads, jobs] = (out / f"{scenario}.csv").read_bytes()
+        assert len(set(payloads.values())) == 1
 
 
 class TestValidate:

@@ -11,7 +11,7 @@ from laddertangle import bloch
 from laddertangle import experiments as ex
 from laddertangle import fluctuations as fl
 from laddertangle.doppler import build_classes
-from laddertangle.errors import ContractError
+from laddertangle.errors import ConfigError, ContractError
 from laddertangle.model import derive_coherence_rates
 
 
@@ -74,6 +74,12 @@ class TestScenarioCatalog:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ContractError):
             ex.run_pump_sweep_scenario(ex.fig2_scenarios()[0])
+
+    def test_pump_sweep_refuses_a_base_it_would_discard(self):
+        # the sweep runs its own p = 0 and p = 20 bases
+        scenario = replace(ex.fig3_scenario(), base=ex.baseline_params(p=6.0))
+        with pytest.raises(ConfigError, match="discard decay.p"):
+            ex.run_pump_sweep_scenario(scenario)
 
 
 class TestPumpSweepTransform:

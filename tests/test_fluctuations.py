@@ -1,13 +1,19 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import symmetrized_diffusion_min_eig
-from laddertangle import bloch, fluctuations as fl
+from conftest import package_env, per_class_field_system, symmetrized_diffusion_min_eig
+from laddertangle import bloch, fluctuations as fl, numerics
 from laddertangle.bloch import PROD
 from laddertangle.doppler import build_classes
-from laddertangle.errors import ResonanceError
-from laddertangle.experiments import baseline_params, pump_sweep_transform
-from laddertangle.model import C_M_MHZ, DopplerConfig
+from laddertangle.errors import NoSteadyStateError, ResonanceError
+from laddertangle.experiments import all_scenarios, baseline_params, pump_sweep_transform
+from laddertangle.model import (C_M_MHZ, DecayConfig, DopplerConfig, FieldConfig,
+                                GeometryConfig, SystemParams)
 
 
 def stationary(**kwargs):
@@ -226,27 +232,25 @@ class TestAdiabaticElimination:
                 assert np.max(np.abs(stacked[k] - single[0])) <= 1e-13 * np.max(np.abs(single))
 
     @pytest.mark.parametrize("omega", [0.0, 3.0])
-    def test_matches_direct_inverse(self, omega):
-        # M = kp (-i w - B)^-1 C + i w / c and S = T <F F+> T+ with the
-        # resolvent inverted explicitly and the conjugation as a matrix
-        params = stationary(p=0.5)
-        _, b, c, corr = class_kernels(params, 3.0, params.field.delta2)
-        m, s, _, _ = fl.field_system_at(params, 3.0, omega=omega)
-        scale = params.geometry.N / C_M_MHZ
-        t = fl._source_projection(params) @ np.linalg.inv(-1j * omega * np.eye(8) - b)
-        conj = np.eye(8)[list(fl.REDUCED_CONJ)]
-        m_direct = scale * t @ c + (1j * omega / C_M_MHZ) * np.eye(4)
-        s_direct = scale * t @ corr @ conj @ t.conj().T
-        assert rel_err(m, m_direct) < 1e-12
-        assert rel_err(s, s_direct) < 1e-12
+    def test_matches_direct_inverse(self, omega, fast_params):
+        # the factored class average against the oracle that inverts the
+        # resolvent (-i w - B) of every class explicitly, for one
+        # stationary class and for a Doppler-broadened row
+        for params in (stationary(p=0.5), fast_params(p=0.5)):
+            m, s, absorption, _ = fl.field_system_at(params, 3.0, omega=omega)
+            m_direct, s_direct, abs_direct = per_class_field_system(params, 3.0, omega)
+            assert rel_err(m, m_direct) < 1e-12
+            assert rel_err(s, s_direct) < 1e-12
+            assert absorption == pytest.approx(abs_direct, rel=1e-12)
 
-    def test_singular_resolvent_raises(self):
+    def test_singular_resolvent_raises(self, fast_params):
         # a drift eigenvalue at -i w makes the resolvent (-i w - B) singular
         omega = 3.0
-        b = np.broadcast_to(-1j * omega * np.eye(8), (2, 8, 8))
-        with pytest.raises(ResonanceError):
-            fl._eliminate_batch(b, np.zeros((2, 8, 4)), np.zeros((2, 8, 8)),
-                                np.zeros((4, 8)), omega, 1.0)
+        params = fast_params()
+        classes = build_classes(params, 0.0, 0.0)
+        means = np.zeros((len(classes), 9), dtype=complex)
+        with pytest.raises(ResonanceError, match="singular atomic resolvent"):
+            fl._eliminate(params, -1j * omega * np.eye(8), np.ones(8), means, classes, omega)
 
     def test_field_generator_matches_finite_difference(self):
         # M at omega=0 is the Jacobian of the polarization source with
@@ -277,6 +281,62 @@ class TestAdiabaticElimination:
         fd_col1 = (source(o1, o1 + g1 * h) - source(o1, o1 - g1 * h)) / (2.0 * h)
         assert np.max(np.abs(fd_col0 - mv[:, 0])) < 1e-5 * max(1.0, np.max(np.abs(mv)))
         assert np.max(np.abs(fd_col1 - mv[:, 1])) < 1e-5 * max(1.0, np.max(np.abs(mv)))
+
+
+def oracle_cases():
+    """One parameter set per distinct shipped spectrum base, fig3 rows at
+    the ends of the alpha2 range for both collision rates, and a
+    Gauss-Hermite rule."""
+    cases = {}
+    for scenario in all_scenarios().values():
+        if scenario.kind == "spectrum" and scenario.base not in cases.values():
+            cases[scenario.name] = scenario.base
+    for p in (0.0, 20.0):
+        for alpha2 in (1.0, 150.0):
+            cases[f"fig3-p{p:g}-alpha2-{alpha2:g}"] = pump_sweep_transform(
+                baseline_params(p=p), alpha2)
+    cases["hermite-128"] = baseline_params(
+        p=6.0, doppler=DopplerConfig(width=530.0, nodes=128, rule="hermite"))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+class TestFactoredAverage:
+    @pytest.mark.parametrize("omega", [0.0, 3.0])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_per_class_oracle(self, case, omega):
+        params = ORACLE_CASES[case]
+        for delta1 in (params.field.delta1, 35.0):
+            m, s, absorption, report = fl.field_system_at(params, delta1, omega, collect=True)
+            m_ref, s_ref, abs_ref = per_class_field_system(params, delta1, omega)
+            assert rel_err(m, m_ref) <= 1e-10
+            assert rel_err(s, s_ref) <= 1e-10
+            assert abs(absorption - abs_ref) <= 1e-10 * abs(abs_ref)
+            assert bloch.absorption_exact(params, delta1) == absorption
+            assert 1.0 <= report.eigenvector_condition < 1e3
+
+    def test_singular_drift_has_no_steady_state(self):
+        # no decay, no fields: the populations are conserved and the
+        # reduced drift B0 is singular
+        params = SystemParams(
+            decay=DecayConfig(gamma1=0.0, gamma2=0.0, p=0.0),
+            field=FieldConfig(alpha1=0.0, alpha2=0.0),
+            geometry=GeometryConfig(r=4.5e-4, L=0.06, n=8.5e15),
+            doppler=DopplerConfig(width=530.0, nodes=41, rule="trapezoid"))
+        with pytest.raises(NoSteadyStateError, match="steady-state solve failed"):
+            fl.field_system_at(params, 12.0)
+        with pytest.raises(NoSteadyStateError):
+            bloch.absorption_exact(params, 12.0)
+
+    def test_ill_conditioned_factor_raises(self, fast_params, monkeypatch):
+        # every eigenvector basis has condition number >= 1
+        monkeypatch.setattr(numerics, "MAX_EIGENVECTOR_CONDITION", 0.5)
+        with pytest.raises(ResonanceError, match="condition number"):
+            fl.field_system_at(fast_params(), 0.0)
+        with pytest.raises(ResonanceError, match="condition number"):
+            bloch.absorption_exact(fast_params(), 0.0)
 
 
 class TestFieldCovariance:
@@ -328,24 +388,64 @@ class TestFieldCovariance:
         assert recording_pool == [3]
 
 
+# Prints the thread count of every loaded OpenBLAS before and after the
+# pool-worker initializer runs.
+_BLAS_THREADS_SCRIPT = """
+import ctypes
+import json
+from laddertangle import fluctuations as fl
+
+def counts():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                        if "openblas" in line})
+    out = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
+                     "scipy_openblas_get_num_threads64_"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                out.append(getter())
+                break
+    return out
+
+before = counts()
+fl._single_blas_thread()
+print(json.dumps([before, counts()]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs a process memory map")
+def test_pool_worker_initializer_pins_blas_to_one_thread():
+    # run in a fresh process so this one keeps its BLAS setting
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+                         env=package_env(OPENBLAS_NUM_THREADS="2"),
+                         check=True, capture_output=True, text=True).stdout
+    before, after = json.loads(out)
+    assert before and set(before) == {2}
+    assert after == [1] * len(before)
+
+
 class TestPhysicalityReport:
     def test_population_error_reported(self, monkeypatch):
-        real = fl.steady_state_batch
+        real = fl.pencil_steady_states
 
-        def negative_population(g):
-            means = real(g)
+        def negative_population(*args):
+            means, cond = real(*args)
             means[:, bloch.POPULATIONS[2]] = -0.1
-            return means
+            return means, cond
 
-        monkeypatch.setattr(fl, "steady_state_batch", negative_population)
+        monkeypatch.setattr(fl, "pencil_steady_states", negative_population)
         _, report = fl.v12_spectrum(stationary(), [0.0], collect=True)
         assert report.population_error == 0.1
 
     def test_merge_takes_worst_value(self):
         a = fl.PhysicalityReport(trace_error=1e-12, population_error=0.2,
-                                 max_drift_eigenvalue=-3.0)
+                                 max_drift_eigenvalue=-3.0, eigenvector_condition=40.0)
         b = fl.PhysicalityReport(hermiticity_error=1e-11, population_error=0.1,
-                                 max_drift_eigenvalue=-1.0, covariance_error=1e-9)
+                                 max_drift_eigenvalue=-1.0, covariance_error=1e-9,
+                                 eigenvector_condition=3.0)
         assert a.merged(b) == fl.PhysicalityReport(
             trace_error=1e-12, hermiticity_error=1e-11, population_error=0.2,
-            max_drift_eigenvalue=-1.0, covariance_error=1e-9)
+            max_drift_eigenvalue=-1.0, covariance_error=1e-9, eigenvector_condition=40.0)

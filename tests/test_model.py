@@ -183,3 +183,9 @@ class TestSystemParams:
     def test_doppler_rule_validated(self):
         with pytest.raises(ParameterError):
             model.DopplerConfig(width=530.0, nodes=128, rule="simpson")
+
+    def test_hermite_order_checked_at_construction(self):
+        model.DopplerConfig(nodes=512, rule="hermite")
+        model.DopplerConfig(nodes=4097, rule="trapezoid")
+        with pytest.raises(ParameterError, match="<= 512"):
+            model.DopplerConfig(nodes=513, rule="hermite")

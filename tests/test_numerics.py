@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from laddertangle import numerics
-from laddertangle.errors import ContractError, UnsupportedOrderError
+from laddertangle.errors import ContractError, ResonanceError, UnsupportedOrderError
 
 
 class TestMatrixExponential:
@@ -118,3 +118,34 @@ class TestPropagationIntegral:
     def test_nonsquare_rejected(self):
         with pytest.raises(ContractError):
             numerics.propagation_integral(np.ones((2, 3)), np.ones((2, 2)), 0.7)
+
+
+class TestShiftedInverse:
+    def test_matches_direct_inverse(self, rng):
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
+        e = np.array([0.0, 0.0, 1.0j, -1.0j, 2.0j, 0.3j])   # zero on two components
+        shifts = np.linspace(-50.0, 50.0, 11)
+        v, left, factors, cond = numerics.shifted_inverse(a, e, shifts)
+        assert factors.shape == (11, 6)
+        assert cond >= 1.0
+        for s, r in zip(shifts, factors):
+            direct = np.linalg.inv(a - s * np.diag(e))
+            assert np.max(np.abs(v @ np.diag(r) @ left - direct)) < 1e-12 * np.max(np.abs(direct))
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            numerics.shifted_inverse(np.zeros((3, 3)), np.ones(3), [0.0])
+
+    def test_shift_on_a_pole_raises(self):
+        # 1 - s theta = 0 at s = 0.5 for A = 1, e = 2
+        with pytest.raises(np.linalg.LinAlgError, match="pole"):
+            numerics.shifted_inverse(np.eye(1), [2.0], [0.0, 0.5])
+
+    def test_nearly_defective_pencil_raises(self):
+        # K = A^-1 diag(e) = [[1, 1 + d], [0, 1 + d]]: two eigenvectors at
+        # an angle of order d, so V has condition number of order 1/d
+        a = np.array([[1.0, -1.0], [0.0, 1.0]])
+        with pytest.raises(ResonanceError, match="condition number"):
+            numerics.shifted_inverse(a, [1.0, 1.0 + 1e-9], [0.0])
+        *_, cond = numerics.shifted_inverse(a, [1.0, 1.5], [0.0])
+        assert cond < numerics.MAX_EIGENVECTOR_CONDITION
