@@ -14,6 +14,7 @@ and O2 = g2*alpha2 (undepleted pump and probe).
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 from .doppler import average, build_classes, pump_shift_ratio
 from .errors import NoSteadyStateError, ParameterError
@@ -28,6 +29,10 @@ POPULATIONS = (IDX[1, 1], IDX[2, 2], IDX[3, 3])
 REDUCED_LABELS = LABELS[1:]
 # conjugate-partner permutation on the reduced basis
 REDUCED_CONJ = tuple(REDUCED_LABELS.index((j, i)) for (i, j) in REDUCED_LABELS)
+# reduced -> full components of a traceless vector: rho11 = -rho22 - rho33
+LIFT = np.vstack([-np.eye(8)[:2].sum(axis=0), np.eye(8)])
+# Hilbert-Schmidt inner product of traceless vectors in the reduced basis
+HS_METRIC = LIFT.T @ LIFT
 
 
 def _elementary(i: int, j: int) -> np.ndarray:
@@ -148,16 +153,37 @@ def pencil_steady_states(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts):
     V (y / (1 - s theta)) with y = (B0 V)^-1 (-h), and
     rho11 = 1 - rho22 - rho33.
 
-    Returns the (K, 9) steady states and the eigenvector condition number.
+    Returns the (K, 9) steady states and the factorization
+    (V, (B0 V)^-1, factors, condition number) of shifted_inverse, which
+    the atomic elimination at w = 0 reuses.
     """
     try:
-        v, left, factors, cond = shifted_inverse(b0, e, shifts)
+        pencil = shifted_inverse(b0, e, shifts)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
-    lift = np.vstack([-(v[0] + v[1]), v])      # reduced -> full components
-    means = (factors * (left @ -h)) @ lift.T
+    v, left, factors, _ = pencil
+    means = (factors * (left @ -h)) @ (LIFT @ v).T
     means[:, 0] += 1.0
-    return means, cond
+    return means, pencil
+
+
+def drift_bound(b0: np.ndarray, e: np.ndarray, shifts) -> float:
+    """Upper bound on the real parts of the eigenvalues of the reduced
+    drifts B0 - s diag(e) of the classes with the given probe shifts.
+
+    The Hamiltonian part of the drift, detunings and velocity shift
+    included, is skew in the Hilbert-Schmidt metric P = LIFT^T LIFT.  So
+    for every class and every detuning, Re(lambda) is at most the largest
+    eigenvalue mu of Herm(P B0) y = mu P y, the logarithmic norm of B0 in
+    that metric.  When mu >= 0 it certifies nothing, and the largest real
+    part over the classes is computed from their eigenvalues instead.
+    """
+    pb = HS_METRIC @ b0
+    top = float(sla.eigh(0.5 * (pb + pb.conj().T), HS_METRIC, eigvals_only=True)[-1])
+    if top < 0.0:
+        return top
+    b = b0 - np.asarray(shifts, dtype=float)[:, None, None] * np.diag(e)
+    return float(np.max(np.linalg.eigvals(b).real))
 
 
 def steady_state_errors(means: np.ndarray) -> tuple[float, float, float]:

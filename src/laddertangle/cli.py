@@ -14,7 +14,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +123,6 @@ def _resolve_scenario(args) -> Scenario:
         scenario = catalog[args.scenario]
         if args.config is not None:
             scenario = replace(scenario, base=load_config(args.config))
-            if scenario.kind == "pump-sweep":
-                experiments.check_pump_sweep_base(scenario.base)
         if grid is not None:
             if scenario.kind != "spectrum":
                 raise ConfigError("explicit detuning grid applies only to spectrum sweeps")
@@ -143,11 +141,12 @@ def cmd_run(args) -> int:
     regime_warnings = validate_regime(scenario.base)
     for warning in regime_warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    start = time.monotonic()
+    table, report = experiments.run_scenario(scenario, jobs=jobs, omega=args.omega,
+                                             collect=True)
+    wall = time.monotonic() - start
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.monotonic()
-    table, _ = experiments.run_scenario(scenario, jobs=jobs, omega=args.omega)
-    wall = time.monotonic() - start
     csv_path = out_dir / f"{scenario.name}.csv"
     table.write_csv(csv_path)
     manifest = {
@@ -163,6 +162,7 @@ def cmd_run(args) -> int:
         "jobs": jobs,
         "wall_time_s": wall,
         "regime_warnings": regime_warnings,
+        "physicality": None if report is None else asdict(report),
         "environment": _environment(),
         "files": {csv_path.name: _sha256(csv_path)},
     }

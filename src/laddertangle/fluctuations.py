@@ -35,8 +35,8 @@ import numpy as np
 from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,  # noqa: F401
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
                     absorption_exact, absorption_exact_batch, decay_generator,
-                    drift_pencil, generator_matrix, pencil_steady_states,
-                    steady_state_errors)
+                    drift_bound, drift_pencil, generator_matrix,
+                    pencil_steady_states, steady_state_errors)
 from .doppler import average, build_classes
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
@@ -122,42 +122,47 @@ def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.nd
     return (means @ _diffusion_map(params).reshape(9, 81)).reshape(-1, 9, 9)
 
 
-def _eliminate(params: SystemParams, b0, e, means, classes, omega: float):
+def _eliminate(params: SystemParams, b0, e, means, classes, omega: float, pencil):
     """Class-averaged field generator M and noise density S at frequency w.
 
     Per class, T = kp (-i w - B)^-1 is the source response to the atomic
     fluctuations, M_v = T C and S_v = T <F F+> T+, where <F_mu F_nu+> is
     the correlator with its column index conjugated.  With
     B = B0 - s diag(e), numerics.shifted_inverse factors every class as
-    T^T = V diag(r) W with W = (A V)^-1 (-kp^T), A = (B0 + i w)^T and
-    r = 1 / (1 - s theta).  The maps C and 2D are linear in the steady
-    state, so they are composed with V once, and only r and the steady
-    state vary over the classes:
+    (B + i w)^-1 = V diag(r) L with L = ((B0 + i w) V)^-1 and
+    r = 1 / (1 - s theta), so T = -(kp V) diag(r) L.  The maps C and 2D
+    are linear in the steady state, so they are composed with L once, and
+    only r and the steady state vary over the classes:
 
-        M = W^T <r * (means @ V^T C)>,
-        S = W^T <r r^* * (means @ V^T 2D conj(V[conj]))> conj(W),
+        M = -(kp V) <r * (means @ L C)>,
+        S = (kp V) <r r^* * (means @ L 2D L^H)> (kp V)^H,
 
-    each class average one weight-vector product.  Returns M, S and the
-    condition number of V.
+    each class average one weight-vector product.  At w = 0 the
+    factorization is `pencil`, the one pencil_steady_states made of B0;
+    otherwise B0 + i w is factored here.  Returns M, S and the condition
+    number of V.
     """
-    a = b0.T + (1j * omega) * np.eye(8)
-    try:
-        v, left, factors, cond = shifted_inverse(a, e, classes.shifts)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
-    w = left @ -_source_projection(params).T                       # (8,4)
+    if omega == 0.0:
+        v, left, factors, cond = pencil
+    else:
+        try:
+            v, left, factors, cond = shifted_inverse(b0 + (1j * omega) * np.eye(8), e,
+                                                     classes.shifts)
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
+    kv = _source_projection(params) @ v                            # (4,8)
     n = len(classes)
-    cv = np.einsum("mif,ij->mjf", _coupling_map(params), v).reshape(9, 32)
-    dv = np.einsum("mil,ij,lk->mjk", _diffusion_map(params)[:, 1:, 1:], v,
-                   np.conj(v[list(REDUCED_CONJ)])).reshape(9, 64)
-    q = (means @ cv).reshape(n, 8, 4)
+    lc = np.einsum("ij,mjf->mif", left, _coupling_map(params)).reshape(9, 32)
+    corr = _diffusion_map(params)[:, 1:, 1:][:, :, list(REDUCED_CONJ)]
+    ld = np.einsum("ij,mjl,kl->mik", left, corr, np.conj(left)).reshape(9, 64)
+    q = (means @ lc).reshape(n, 8, 4)
     q *= factors[:, :, None]
-    d = (means @ dv).reshape(n, 8, 8)
+    d = (means @ ld).reshape(n, 8, 8)
     d *= factors[:, :, None]
     d *= np.conj(factors)[:, None, :]
     scale = params.geometry.N / C_M_MHZ
-    m = scale * (w.T @ average(q, classes))
-    s = scale * (w.T @ average(d, classes) @ np.conj(w))
+    m = -scale * (kv @ average(q, classes))
+    s = scale * (kv @ average(d, classes) @ kv.conj().T)
     return m, s, cond
 
 
@@ -218,15 +223,20 @@ def quadrature_variances(sigma: np.ndarray) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class PhysicalityReport:
-    """Worst-case physicality diagnostics over a computed sweep."""
+    """Worst-case physicality diagnostics over a computed sweep.
+
+    max_drift_eigenvalue is an upper bound on the real part of every
+    class's reduced drift eigenvalues (bloch.drift_bound), not their
+    maximum; a value < 0 still certifies that every class is dissipative.
+    """
 
     trace_error: float = 0.0
     hermiticity_error: float = 0.0
     population_error: float = 0.0
     max_drift_eigenvalue: float = -np.inf
     covariance_error: float = 0.0
-    # larger condition number of the two eigenvector bases that factor
-    # the class dependence (numerics.shifted_inverse)
+    # largest condition number of the eigenvector bases that factor the
+    # class dependence (numerics.shifted_inverse)
     eigenvector_condition: float = 0.0
 
     def merged(self, other: "PhysicalityReport") -> "PhysicalityReport":
@@ -240,18 +250,17 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     at one probe detuning, plus exact absorption and diagnostics."""
     classes = build_classes(params, delta1, params.field.delta2)
     b0, h, e = drift_pencil(params, delta1)
-    means, cond_ss = pencil_steady_states(b0, h, e, classes.shifts)
+    means, pencil = pencil_steady_states(b0, h, e, classes.shifts)
     absorption = absorption_exact_batch(params, means, classes)
-    m, s_tot, cond_el = _eliminate(params, b0, e, means, classes, omega)
+    m, s_tot, cond_el = _eliminate(params, b0, e, means, classes, omega, pencil)
     m_tot = m + (1j * omega / C_M_MHZ) * np.eye(4)
     report = None
     if collect:
         trace_err, herm_err, pop_err = steady_state_errors(means)
-        b = b0 - classes.shifts[:, None, None] * np.diag(e)
-        top = float(np.max(np.linalg.eigvals(b).real))
         report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
-                                   population_error=pop_err, max_drift_eigenvalue=top,
-                                   eigenvector_condition=max(cond_ss, cond_el))
+                                   population_error=pop_err,
+                                   max_drift_eigenvalue=drift_bound(b0, e, classes.shifts),
+                                   eigenvector_condition=max(pencil[3], cond_el))
     return m_tot, s_tot, absorption, report
 
 

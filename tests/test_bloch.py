@@ -95,6 +95,40 @@ class TestSteadyState:
             class_steady_states(params, [12.0], [0.0])
 
 
+def class_drift_max(b0, e, shifts):
+    """Oracle: largest real part over the eigenvalues of every class drift."""
+    b = b0 - np.asarray(shifts)[:, None, None] * np.diag(e)
+    return float(np.max(np.linalg.eigvals(b).real))
+
+
+class TestDriftBound:
+    def test_bounds_every_class_on_random_draws(self, rng):
+        # the validation suite's parameter ranges, on a 41-node Doppler rule:
+        # every class of every draw is dissipative, and the bound says so
+        for _ in range(300):
+            params = SystemParams(
+                decay=DecayConfig(gamma1=rng.uniform(0.5, 6.0), gamma2=rng.uniform(0.1, 2.0),
+                                  p=rng.uniform(0.0, 25.0)),
+                field=FieldConfig(alpha1=rng.uniform(0.1, 30.0), alpha2=rng.uniform(0.1, 120.0),
+                                  delta2=rng.uniform(-300.0, 300.0)),
+                doppler=DopplerConfig(width=530.0, nodes=41, rule="trapezoid"))
+            b0, _, e = bloch.drift_pencil(params, rng.uniform(-600.0, 600.0))
+            shifts, _ = doppler.maxwellian_rule(params)
+            bound = bloch.drift_bound(b0, e, shifts)
+            assert class_drift_max(b0, e, shifts) - 1e-12 <= bound < 0.0
+
+    def test_falls_back_to_class_eigenvalues(self, fast_doppler):
+        # at gamma1/gamma2 = 10.9 the metric bound is not negative, so the
+        # bound is the largest real part of the class eigenvalues itself
+        params = SystemParams(decay=DecayConfig(gamma1=5.45, gamma2=0.5),
+                              doppler=fast_doppler)
+        b0, _, e = bloch.drift_pencil(params, 20.0)
+        shifts, _ = doppler.maxwellian_rule(params)
+        exact = class_drift_max(b0, e, shifts)
+        assert exact < 0.0
+        assert bloch.drift_bound(b0, e, shifts) == exact
+
+
 class TestAbsorption:
     def test_weak_probe_pump_off_lorentzian(self):
         # pump off, stationary atoms: Im<rho21> reduces to the bare Lorentzian

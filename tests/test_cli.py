@@ -4,7 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from conftest import package_env
 from laddertangle import cli
 from laddertangle.experiments import baseline_params
+from laddertangle.fluctuations import PhysicalityReport
 from laddertangle.model import params_to_config, validate_regime
 from laddertangle.tables import SpectrumTable
 
@@ -68,6 +69,22 @@ class TestRun:
         assert set(env) == {"python", "numpy", "scipy", "laddertangle",
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["OMP_NUM_THREADS"] == "3"
+
+    def test_manifest_records_physicality(self, tmp_path, fast_config):
+        # a V12 sweep records its merged physicality report; an
+        # absorption-only spectrum computes no fluctuations and records null
+        grid = ["--delta1-min", -20, "--delta1-max", 20, "--delta1-points", 3]
+        assert _run(["run", "--config", fast_config, "--out", tmp_path / "v12",
+                     "--jobs", 1, *grid]) == 0
+        manifest = json.loads((tmp_path / "v12" / "custom.manifest.json").read_text())
+        report = manifest["physicality"]
+        assert set(report) == {f.name for f in fields(PhysicalityReport)}
+        assert report["max_drift_eigenvalue"] < 0.0
+        assert report["trace_error"] < 1e-10
+        assert _run(["run", "--scenario", "fig2-g", "--out", tmp_path / "abs",
+                     "--jobs", 1, *grid]) == 0
+        manifest = json.loads((tmp_path / "abs" / "fig2-g.manifest.json").read_text())
+        assert manifest["physicality"] is None
 
     def test_csv_round_trips_exactly(self, tmp_path, fast_config):
         out = tmp_path / "out"
@@ -137,6 +154,7 @@ class TestRun:
                      "--delta1-min", -20, "--delta1-max", 20, "--delta1-points", 3])
         assert code == 3
         assert "steady-state solve failed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_grid_on_pump_sweep_exit_2(self, tmp_path):
         code = _run(["run", "--scenario", "fig3", "--out", tmp_path / "o",

@@ -250,7 +250,24 @@ class TestAdiabaticElimination:
         classes = build_classes(params, 0.0, 0.0)
         means = np.zeros((len(classes), 9), dtype=complex)
         with pytest.raises(ResonanceError, match="singular atomic resolvent"):
-            fl._eliminate(params, -1j * omega * np.eye(8), np.ones(8), means, classes, omega)
+            fl._eliminate(params, -1j * omega * np.eye(8), np.ones(8), means, classes, omega,
+                          None)
+
+    @pytest.mark.parametrize("omega,per_row", [(0.0, 1), (3.0, 2)])
+    def test_zero_frequency_reuses_steady_state_factorization(self, omega, per_row,
+                                                              fast_params, monkeypatch):
+        # at w = 0 the resolvent is the steady-state pencil itself, so a
+        # row factors it once; any other w factors B0 + i w once more
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return numerics.shifted_inverse(*args)
+
+        monkeypatch.setattr(bloch, "shifted_inverse", counting)
+        monkeypatch.setattr(fl, "shifted_inverse", counting)
+        fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], omega=omega, collect=True)
+        assert len(calls) == 3 * per_row
 
     def test_field_generator_matches_finite_difference(self):
         # M at omega=0 is the Jacobian of the polarization source with
@@ -432,9 +449,9 @@ class TestPhysicalityReport:
         real = fl.pencil_steady_states
 
         def negative_population(*args):
-            means, cond = real(*args)
+            means, pencil = real(*args)
             means[:, bloch.POPULATIONS[2]] = -0.1
-            return means, cond
+            return means, pencil
 
         monkeypatch.setattr(fl, "pencil_steady_states", negative_population)
         _, report = fl.v12_spectrum(stationary(), [0.0], collect=True)
