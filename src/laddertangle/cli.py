@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -63,6 +64,16 @@ def _environment() -> dict:
     return env
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laddertangle",
@@ -78,10 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, required=True, help="output directory")
     run.add_argument("--jobs", type=int, default=None,
                      help="worker processes (default: LADDERTANGLE_JOBS or all cores)")
-    run.add_argument("--delta1-min", type=float, default=None)
-    run.add_argument("--delta1-max", type=float, default=None)
+    run.add_argument("--delta1-min", type=_finite_float, default=None)
+    run.add_argument("--delta1-max", type=_finite_float, default=None)
     run.add_argument("--delta1-points", type=int, default=None)
-    run.add_argument("--omega", type=float, default=0.0,
+    run.add_argument("--omega", type=_finite_float, default=0.0,
                      help="analysis Fourier frequency in MHz (default 0)")
 
     val = sub.add_parser("validate", help="run the physics invariant suite")
@@ -91,11 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     feat = sub.add_parser("feature-report",
                           help="classify the narrow feature in a spectrum CSV")
     feat.add_argument("csv", type=Path)
-    feat.add_argument("--location", type=float, default=0.0,
+    feat.add_argument("--location", type=_finite_float, default=0.0,
                       help="expected feature position in MHz (default 0)")
     feat.add_argument("--column", default="v12",
                       choices=["v12", "du2", "dv2", "absorption"])
-    feat.add_argument("--half-width", type=float, default=10.0,
+    feat.add_argument("--half-width", type=_finite_float, default=10.0,
                       help="feature window half-width in MHz")
 
     sub.add_parser("list-scenarios", help="print available scenario names")
@@ -202,7 +213,11 @@ def cmd_feature_report(args) -> int:
         print(f"error: column {args.column} has missing values in {args.csv}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = extract_feature(table.delta1, values, args.location, args.half_width)
+    try:
+        report = extract_feature(table.delta1, values, args.location, args.half_width)
+    except ContractError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 

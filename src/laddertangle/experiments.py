@@ -12,11 +12,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .bloch import absorption_exact
 from .errors import ConfigError, ContractError
-from .fluctuations import sweep_rows, v12_spectrum
+from .fluctuations import _spectrum_point, spectrum_columns, sweep_rows, v12_spectrum
 from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
                     RB_SATURATION_DENSITY, SystemParams, derive_coherence_rates)
-from .tables import PumpSweepTable
+from .tables import PumpSweepTable, SpectrumTable
 
 # Velocity-class quadrature used by the shipped scenarios: the default rule.
 SCENARIO_DOPPLER = DopplerConfig()
@@ -165,8 +166,8 @@ def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.
              for p in (0.0, 20.0)]
     params = [pump_sweep_transform(base, float(alpha2))
               for base in bases for alpha2 in scenario.grid]
-    v12, _, _, absorption, report = sweep_rows(
-        [(prm, prm.field.delta1) for prm in params], omega, jobs, collect)
+    v12, _, _, absorption, report = spectrum_columns(sweep_rows(
+        _spectrum_point, [(prm, prm.field.delta1, omega, collect) for prm in params], jobs))
     n = len(scenario.grid)
     table = PumpSweepTable(alpha2=np.asarray(scenario.grid, dtype=float),
                            v12_p0=v12[:n], v12_p20=v12[n:],
@@ -181,8 +182,12 @@ def run_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
     v12 columns NaN."""
     if scenario.kind == "pump-sweep":
         return run_pump_sweep_scenario(scenario, jobs=jobs, omega=omega, collect=collect)
-    return v12_spectrum(scenario.base, scenario.grid, omega=omega, jobs=jobs,
-                        collect=collect, v12=scenario.outputs != "absorption")
+    if scenario.outputs != "absorption":
+        return v12_spectrum(scenario.base, scenario.grid, omega, jobs, collect)
+    grid = np.asarray(scenario.grid, dtype=float)
+    nan = np.full(len(grid), np.nan)
+    absorption = sweep_rows(absorption_exact, [(scenario.base, float(d)) for d in grid], jobs)
+    return SpectrumTable(grid, nan, nan, nan, np.array(absorption)), None
 
 
 def default_feature_half_width(params: SystemParams) -> float:

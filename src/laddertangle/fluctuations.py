@@ -26,6 +26,7 @@ from __future__ import annotations
 import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cache, reduce
 from itertools import repeat
 
 import numpy as np
@@ -34,9 +35,9 @@ import numpy as np
 # perfbench's tracer test wraps the drift builder through it
 from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,  # noqa: F401
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
-                    absorption_exact, absorption_exact_batch, decay_generator,
-                    drift_bound, drift_pencil, generator_matrix,
-                    pencil_steady_states, steady_state_errors)
+                    absorption_exact_batch, decay_generator, drift_bound,
+                    drift_pencil, generator_matrix, pencil_steady_states,
+                    steady_state_errors)
 from .doppler import average, build_classes
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
@@ -45,10 +46,10 @@ from .tables import SpectrumTable
 
 RIDX = {lab: k for k, lab in enumerate(REDUCED_LABELS)}
 
-# C entry points that set the OpenBLAS thread count: a plain build, and the
-# symbol-prefixed builds that numpy (64-bit integer) and scipy wheels bundle
-_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
-                        "scipy_openblas_set_num_threads64_")
+# C entry points that get and set the OpenBLAS thread count: a plain build, and
+# the symbol-prefixed builds that scipy and numpy (64-bit integer) wheels bundle
+_BLAS_THREAD_CALLS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads",
+                      "scipy_openblas_{}_num_threads64_")
 
 # field pairing involution (a1 <-> a1+, a2 <-> a2+)
 FIELD_CONJ = (1, 0, 3, 2)
@@ -264,13 +265,8 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     return m_tot, s_tot, absorption, report
 
 
-def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: bool,
-                    v12: bool = True):
-    """One sweep row: (v12, du2, dv2, absorption, report).  With v12 off
-    only the absorption is computed; the Duan columns are NaN and there
-    is no report."""
-    if not v12:
-        return np.nan, np.nan, np.nan, absorption_exact(params, delta1), None
+def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: bool):
+    """One V12 sweep row: (v12, du2, dv2, absorption, report)."""
     m_tot, s_tot, absorption, report = field_system_at(params, delta1, omega, collect)
     sigma = propagate(m_tot, s_tot, params.geometry.L, vacuum_covariance())
     duan = duan_v12(sigma)
@@ -279,79 +275,88 @@ def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: 
     return duan.v12, duan.du2, duan.dv2, absorption, report
 
 
-def _single_blas_thread():
-    """Pool-worker initializer: run every loaded OpenBLAS on one thread.
-
-    The rows are already spread over the worker processes, so BLAS
-    threads in each worker only compete for the same cores.  Libraries
-    are found in the process's memory map; where there is none (not
-    Linux), the workers keep the inherited setting.
-    """
+@cache
+def _blas_thread_controls():
+    """(get, set) thread-count entry points of every loaded OpenBLAS, found
+    once per process in its memory map; none where there is no map (not
+    Linux), and rows then run on the inherited setting."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
                      if len(parts) == 6 and "openblas" in parts[5].lower()}
     except OSError:
-        return
+        return ()
+    controls = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
+        for name in _BLAS_THREAD_CALLS:
+            getter, setter = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+                controls.append((getter, setter))
                 break
+    return tuple(controls)
 
 
-def sweep_rows(rows, omega: float = 0.0, jobs: int = 1, collect: bool = False,
-               v12: bool = True):
-    """Evaluate independent sweep rows, each a (params, delta1) pair.
+def _set_blas_threads(counts=None):
+    """Set every loaded OpenBLAS to its entry of counts (default: one
+    thread each) and return the previous counts; the pool-worker
+    initializer.  At the 8x8 sizes of a row, BLAS threads only add
+    synchronization, and pool workers already share out the cores."""
+    controls = _blas_thread_controls()
+    previous = [getter() for getter, _ in controls]
+    for (_, setter), count in zip(controls, counts or repeat(1)):
+        setter(count)
+    return previous
 
-    With jobs > 1 the rows are spread over at most jobs worker processes
-    in ordered chunks, each worker on one BLAS thread; results come back
-    in row order, so they do not depend on the parallelism degree.
 
-    Returns the v12, du2, dv2 and absorption columns and the merged
-    PhysicalityReport, which is None unless both collect and v12 are set.
+def sweep_rows(point, rows, jobs: int = 1):
+    """Ordered map of the picklable row function point over argument tuples.
+
+    Rows run with every loaded OpenBLAS at one thread: in at most jobs
+    worker processes, in ordered chunks, when jobs > 1; otherwise here,
+    with the caller's thread counts restored afterwards.  Results come
+    back in row order, so they do not depend on the parallelism degree.
     """
-    params_list = [params for params, _ in rows]
-    delta1_list = [float(delta1) for _, delta1 in rows]
-    args = (_spectrum_point, params_list, delta1_list,
-            repeat(omega), repeat(collect), repeat(v12))
+    args = (point, *zip(*rows))
     n = len(rows)
     if jobs > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, n),
-                                 initializer=_single_blas_thread) as pool:
-            results = list(pool.map(*args, chunksize=max(1, n // (4 * jobs))))
-    else:
-        results = list(map(*args))
-    v12s, du2, dv2, absorption = (np.array([r[k] for r in results]) for k in range(4))
-    report = None
-    if collect and v12:
-        report = PhysicalityReport()
-        for r in results:
-            report = report.merged(r[4])
-    return v12s, du2, dv2, absorption, report
+                                 initializer=_set_blas_threads) as pool:
+            return list(pool.map(*args, chunksize=max(1, n // (4 * jobs))))
+    counts = _set_blas_threads()
+    try:
+        return list(map(*args))
+    finally:
+        _set_blas_threads(counts)
+
+
+def spectrum_columns(results):
+    """The v12, du2, dv2 and absorption columns of _spectrum_point rows and
+    their merged PhysicalityReport, which is None unless collected."""
+    *columns, reports = zip(*results)
+    report = reduce(PhysicalityReport.merged, reports, PhysicalityReport()) if reports[0] else None
+    return (*(np.array(c) for c in columns), report)
 
 
 def v12_spectrum(params: SystemParams, delta1_grid, omega: float = 0.0,
-                 jobs: int = 1, collect: bool = False, v12: bool = True):
+                 jobs: int = 1, collect: bool = False):
     """Sweep the probe detuning: correlation V12 and exact absorption.
 
     Rows are computed independently per detuning (each internally batched
     over velocity classes) and assembled in grid order, so results are
-    identical at any parallelism degree.  With v12 off only the
-    absorption column is computed and the Duan columns are NaN.
+    identical at any parallelism degree.
 
     Returns (SpectrumTable, PhysicalityReport | None).
     """
     grid = np.asarray(delta1_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ContractError("delta1 grid must be a non-empty 1-d array")
-    v12s, du2, dv2, absorption, report = sweep_rows(
-        [(params, d) for d in grid], omega, jobs, collect, v12)
+    v12s, du2, dv2, absorption, report = spectrum_columns(sweep_rows(
+        _spectrum_point, [(params, float(d), omega, collect) for d in grid], jobs))
     table = SpectrumTable(delta1=grid, v12=v12s, du2=du2, dv2=dv2, absorption=absorption)
     return table, report

@@ -299,6 +299,8 @@ def _section_from_dict(cls, data: dict, path: str):
             raise ConfigError(f"{path}.{key}: expected {declared}, got {type(value).__name__}")
         if declared.startswith("float") and value is not None:
             value = float(value)
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}.{key}: expected a finite number, got {value}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

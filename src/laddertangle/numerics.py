@@ -7,6 +7,8 @@ quadrature rules for the Doppler average.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.hermite import hermgauss
@@ -77,9 +79,19 @@ def gauss_hermite_rule(n: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
         raise UnsupportedOrderError("quadrature order must be >= 1")
     if n > MAX_HERMITE_ORDER:
         raise UnsupportedOrderError(f"order {n} exceeds supported maximum {MAX_HERMITE_ORDER}")
+    x, weights = _unit_hermite_rule(n)
+    return mu * x, weights
+
+
+@cache
+def _unit_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only unit-width Gauss-Hermite nodes and normalized weights,
+    built once per order."""
     x, w = hermgauss(n)
     weights = w / np.sqrt(np.pi)
-    return mu * x, weights / weights.sum()
+    weights = weights / weights.sum()
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
 
 
 def gaussian_trapezoid_rule(n: int, mu: float, span: float = 3.0) -> tuple[np.ndarray, np.ndarray]:

@@ -29,12 +29,14 @@ def fast_params(fast_doppler):
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replace the sweep's process pool by a serial stand-in; the list
-    returned collects the max_workers of every pool the sweep opens."""
-    sizes = []
+    returned collects (max_workers, initializer) of every pool the sweep
+    opens.  The stand-in does not run the initializer, so this process
+    keeps its BLAS setting."""
+    pools = []
 
     class RecordingPool:
         def __init__(self, max_workers, initializer=None):
-            sizes.append(max_workers)
+            pools.append((max_workers, initializer))
 
         def __enter__(self):
             return self
@@ -46,7 +48,7 @@ def recording_pool(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(fluctuations, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    return pools
 
 
 def per_class_field_system(params, delta1, omega=0.0):

@@ -227,6 +227,67 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
 
+# `run` flags after the explicit grid override it
+_RUN_GRID = ["--jobs", "1", "--delta1-min", "-20", "--delta1-max", "20", "--delta1-points", "3"]
+
+
+def _exit_code(args):
+    """Exit code of the CLI, whether main returns it or argparse exits."""
+    try:
+        return _run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _feature_csv(path):
+    """A small dip on a +-40 MHz grid, a valid feature-report input."""
+    axis = np.linspace(-40.0, 40.0, 81)
+    ones = np.ones_like(axis)
+    SpectrumTable(delta1=axis, v12=ones - 0.5 / (1.0 + axis ** 2), du2=ones, dv2=ones,
+                  absorption=ones).write_csv(path)
+    return path
+
+
+class TestBadInput:
+    # a list is extra flags; a dotted name is a config field set to Infinity,
+    # which json.loads accepts
+    @pytest.mark.parametrize("command, change", [
+        ("run", ["--omega", "nan"]),
+        ("run", ["--omega", "inf"]),
+        ("run", ["--delta1-min", "nan"]),
+        ("run", ["--delta1-max", "inf"]),
+        ("run", "field.alpha1"),
+        ("run", "geometry.L"),
+        ("run", "doppler.width"),
+        ("feature-report", ["--half-width", "-1"]),
+        ("feature-report", ["--half-width", "nan"]),
+        ("feature-report", ["--half-width", "1000"]),
+        ("feature-report", ["--location", "500"]),
+    ])
+    def test_exit_2(self, tmp_path, fast_config, capsys, command, change):
+        out = tmp_path / "out"
+        if command == "feature-report":
+            args = [command, _feature_csv(tmp_path / "spec.csv"), *change]
+        elif isinstance(change, str):
+            section, key = change.split(".")
+            doc = json.loads(fast_config.read_text(encoding="utf-8"))
+            doc[section][key] = float("inf")
+            config = tmp_path / "infinite.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            assert "Infinity" in config.read_text(encoding="utf-8")
+            args = [command, "--config", config, "--out", out, *_RUN_GRID]
+        else:
+            args = [command, "--config", fast_config, "--out", out, *_RUN_GRID, *change]
+        assert _exit_code(args) == 2
+        assert "physics error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_valid_feature_input_passes(self, tmp_path, capsys):
+        # the inputs above fail only through the changed flag
+        assert _run(["feature-report", _feature_csv(tmp_path / "spec.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "dip"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scenario, grid", [
         ("fig2-c", ["--delta1-min", "-40", "--delta1-max", "40", "--delta1-points", "9"]),

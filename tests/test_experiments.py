@@ -18,7 +18,7 @@ from laddertangle.model import derive_coherence_rates
 def test_readme_api_imports():
     # the README's Python API example starts from these package-level names
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    lines = [line for line in readme.splitlines() if line.startswith("from laddertangle import")]
+    lines = [line for line in readme.splitlines() if line.startswith("from laddertangle")]
     assert lines
     for line in lines:
         exec(line, {})
@@ -181,7 +181,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
     def test_every_kind_uses_the_pool(self, outputs, fast_doppler, recording_pool):
         ex.run_scenario(_small_scenario(outputs, fast_doppler), jobs=2)
-        assert recording_pool == [2]
+        assert recording_pool == [(2, fl._set_blas_threads)]
 
 
 def _small_scenario(outputs, doppler):

@@ -106,6 +106,19 @@ def class_means(params, delta1=0.0):
     return bloch.steady_state_batch(bloch.generator_matrix(params, classes.d1, classes.d2))
 
 
+def steady_state_covariance(m):
+    """Cov_ab = <sigma_a sigma_b+> - <sigma_a><sigma_b>^* over the reduced
+    components, from the product table applied to the steady state m."""
+    second = np.zeros((9, 9), dtype=complex)  # <sigma_a sigma_b>
+    for a in range(9):
+        for c in range(9):
+            k = PROD[a, c]
+            if k >= 0:
+                second[a, c] = m[k]
+    m8 = m[1:]
+    return second[1:, 1:][:, list(fl.REDUCED_CONJ)] - np.outer(m8, np.conj(m8))
+
+
 def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -201,20 +214,26 @@ class TestEinsteinDiffusion:
         # tying the diffusion matrix to the drift
         params = stationary(p=p)
         m, b, _, corr = class_kernels(params, d1, 0.0)
-
-        second = np.zeros((9, 9), dtype=complex)  # <sigma_a sigma_b>
-        for a in range(9):
-            for c in range(9):
-                k = PROD[a, c]
-                if k >= 0:
-                    second[a, c] = m[k]
-        conj = list(fl.REDUCED_CONJ)
-        red = second[1:, 1:]
-        m8 = m[1:]
-        cov = red[:, conj] - np.outer(m8, np.conj(m8))
-        noise = corr[:, conj]
+        cov = steady_state_covariance(m)
+        noise = corr[:, list(fl.REDUCED_CONJ)]
         residual = b @ cov + cov @ b.conj().T + noise
         assert np.max(np.abs(residual)) < 1e-12
+
+    @pytest.mark.parametrize("d1,p,omega", [(0.0, 0.5, 1.0), (2.0, 0.5, 3.0),
+                                            (-7.0, 6.0, 30.0)])
+    def test_regression_theorem_at_nonzero_frequency(self, d1, p, omega):
+        # with G = (-i w - B)^-1 the identity above gives
+        # G <F F+> G+ = G Cov + Cov G+ at every w (quantum regression
+        # theorem), so the noise density of one class follows from its
+        # covariance alone, without the diffusion map
+        params = stationary(p=p)
+        m, b, _, _ = class_kernels(params, d1, 0.0)
+        cov = steady_state_covariance(m)
+        g = np.linalg.inv(-1j * omega * np.eye(8) - b)
+        kp = fl._source_projection(params)
+        want = (params.geometry.N / C_M_MHZ) * kp @ (g @ cov + cov @ g.conj().T) @ kp.conj().T
+        _, s, _, _ = fl.field_system_at(params, d1, omega)
+        assert rel_err(s, want) < 1e-12
 
 
 class TestAdiabaticElimination:
@@ -400,17 +419,21 @@ class TestFieldCovariance:
     def test_pool_sized_to_rows(self, fast_params, recording_pool):
         params = fast_params(p=0.5)
         fl.v12_spectrum(params, [-10.0, 0.0, 10.0], jobs=4)
-        assert recording_pool == [3]
+        assert recording_pool == [(3, fl._set_blas_threads)]
         fl.v12_spectrum(params, [0.0], jobs=4)
-        assert recording_pool == [3]
+        assert recording_pool == [(3, fl._set_blas_threads)]
 
 
-# Prints the thread count of every loaded OpenBLAS before and after the
-# pool-worker initializer runs.
+# Reads the thread count of every loaded OpenBLAS, independently of the
+# program's own lookup: before a serial sweep, inside its rows, after it,
+# and after the pool-worker initializer.  Counts the library loads of the
+# program's lookup over two sweeps.
 _BLAS_THREADS_SCRIPT = """
 import ctypes
 import json
 from laddertangle import fluctuations as fl
+
+real_cdll = ctypes.CDLL
 
 def counts():
     with open("/proc/self/maps") as fh:
@@ -418,7 +441,7 @@ def counts():
                         if "openblas" in line})
     out = []
     for path in paths:
-        lib = ctypes.CDLL(path)
+        lib = real_cdll(path)
         for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
                      "scipy_openblas_get_num_threads64_"):
             getter = getattr(lib, name, None)
@@ -427,21 +450,46 @@ def counts():
                 break
     return out
 
+loads = []
+def counting_cdll(path, *args, **kwargs):
+    loads.append(path)
+    return real_cdll(path, *args, **kwargs)
+
 before = counts()
-fl._single_blas_thread()
-print(json.dumps([before, counts()]))
+fl.ctypes.CDLL = counting_cdll
+inside = fl.sweep_rows(lambda k: counts(), [(0,), (1,)], jobs=1)
+fl.sweep_rows(lambda k: None, [(0,)], jobs=1)
+fl.ctypes.CDLL = real_cdll
+after = counts()
+fl._set_blas_threads()
+print(json.dumps({"before": before, "inside": inside, "after": after,
+                  "initialized": counts(), "loads": len(loads)}))
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs a process memory map")
-def test_pool_worker_initializer_pins_blas_to_one_thread():
-    # run in a fresh process so this one keeps its BLAS setting
+@pytest.fixture(scope="module")
+def blas_threads():
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs a process memory map")
+    # a fresh process, so this one keeps its BLAS setting
     out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT],
                          env=package_env(OPENBLAS_NUM_THREADS="2"),
                          check=True, capture_output=True, text=True).stdout
-    before, after = json.loads(out)
-    assert before and set(before) == {2}
-    assert after == [1] * len(before)
+    counts = json.loads(out)
+    assert counts["before"] and set(counts["before"]) == {2}
+    return counts
+
+
+def test_serial_sweep_rows_run_on_one_blas_thread(blas_threads):
+    n = len(blas_threads["before"])
+    assert blas_threads["inside"] == [[1] * n, [1] * n]
+    assert blas_threads["after"] == blas_threads["before"]
+    # the libraries are looked up once per process, not once per sweep
+    assert blas_threads["loads"] == n
+
+
+def test_pool_worker_initializer_pins_blas_to_one_thread(blas_threads):
+    assert blas_threads["initialized"] == [1] * len(blas_threads["before"])
 
 
 class TestPhysicalityReport:

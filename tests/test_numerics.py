@@ -57,6 +57,17 @@ class TestGaussHermite:
         with pytest.raises(UnsupportedOrderError):
             numerics.gauss_hermite_rule(513, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 64, 128])
+    def test_cached_rule_is_bitwise_the_direct_one(self, n):
+        # the unit rule is built once per order and scaled per call
+        x, w = np.polynomial.hermite.hermgauss(n)
+        w = w / np.sqrt(np.pi)
+        for mu in (530.0, 2.0, 530.0):
+            nodes, weights = numerics.gauss_hermite_rule(n, mu)
+            assert np.array_equal(nodes, mu * x)
+            assert np.array_equal(weights, w / w.sum())
+            assert not weights.flags.writeable
+
     def test_lorentzian_vs_trapezoid(self):
         # broad Lorentzian is smooth on the Gaussian scale, so 128 nodes suffice
         mu = 1.0
