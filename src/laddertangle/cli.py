@@ -190,7 +190,7 @@ def cmd_validate(args) -> int:
     results = run_all()
     report = {"schema_version": SCHEMA_VERSION,
               "passed": all(r.passed for r in results),
-              "checks": [r.to_dict() for r in results]}
+              "checks": [asdict(r) for r in results]}
     text = json.dumps(report, indent=2) + "\n"
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -218,7 +218,7 @@ def cmd_feature_report(args) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return EXIT_OK
 
 

@@ -207,11 +207,6 @@ class FeatureReport:
     min_value: float     # minimum over the full grid
     argmin: float
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "location": self.location,
-                "extremum": self.extremum, "background": self.background,
-                "min_value": self.min_value, "argmin": self.argmin}
-
 
 def extract_feature(axis, values, expected_location: float,
                     half_width: float) -> FeatureReport:

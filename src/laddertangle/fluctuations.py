@@ -113,9 +113,8 @@ def _diffusion_map(params: SystemParams) -> np.ndarray:
     of the operator algebra and cancel identically.
     """
     gdec = decay_generator(params)
-    return (np.einsum("kab,kj->jab", _PROD_ONEHOT, gdec)
-            - np.einsum("al,jlb->jab", gdec, _PROD_ONEHOT)
-            - np.einsum("bl,jal->jab", gdec, _PROD_ONEHOT))
+    return ((gdec.T @ _PROD_ONEHOT.reshape(9, 81)).reshape(9, 9, 9)
+            - gdec @ _PROD_ONEHOT - _PROD_ONEHOT @ gdec.T)
 
 
 def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
@@ -123,14 +122,14 @@ def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.nd
     return (means @ _diffusion_map(params).reshape(9, 81)).reshape(-1, 9, 9)
 
 
-def _eliminate(params: SystemParams, b0, e, means, classes, omega: float, pencil):
+def _eliminate(params: SystemParams, means, classes, resolvent):
     """Class-averaged field generator M and noise density S at frequency w.
 
     Per class, T = kp (-i w - B)^-1 is the source response to the atomic
     fluctuations, M_v = T C and S_v = T <F F+> T+, where <F_mu F_nu+> is
-    the correlator with its column index conjugated.  With
-    B = B0 - s diag(e), numerics.shifted_inverse factors every class as
-    (B + i w)^-1 = V diag(r) L with L = ((B0 + i w) V)^-1 and
+    the correlator with its column index conjugated.  With B = B0 - s diag(e),
+    resolvent, the numerics.shifted_inverse factorization of B0 + i w, gives
+    every class (B + i w)^-1 = V diag(r) L with L = ((B0 + i w) V)^-1 and
     r = 1 / (1 - s theta), so T = -(kp V) diag(r) L.  The maps C and 2D
     are linear in the steady state, so they are composed with L once, and
     only r and the steady state vary over the classes:
@@ -138,33 +137,22 @@ def _eliminate(params: SystemParams, b0, e, means, classes, omega: float, pencil
         M = -(kp V) <r * (means @ L C)>,
         S = (kp V) <r r^* * (means @ L 2D L^H)> (kp V)^H,
 
-    each class average one weight-vector product.  At w = 0 the
-    factorization is `pencil`, the one pencil_steady_states made of B0;
-    otherwise B0 + i w is factored here.  Returns M, S and the condition
-    number of V.
+    each class average one weight-vector product.  Returns M and S.
     """
-    if omega == 0.0:
-        v, left, factors, cond = pencil
-    else:
-        try:
-            v, left, factors, cond = shifted_inverse(b0 + (1j * omega) * np.eye(8), e,
-                                                     classes.shifts)
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
+    v, left, factors, _ = resolvent
     kv = _source_projection(params) @ v                            # (4,8)
-    n = len(classes)
-    lc = np.einsum("ij,mjf->mif", left, _coupling_map(params)).reshape(9, 32)
+    lc = (left @ _coupling_map(params)).reshape(9, 32)
     corr = _diffusion_map(params)[:, 1:, 1:][:, :, list(REDUCED_CONJ)]
-    ld = np.einsum("ij,mjl,kl->mik", left, corr, np.conj(left)).reshape(9, 64)
-    q = (means @ lc).reshape(n, 8, 4)
+    ld = (left @ corr @ left.conj().T).reshape(9, 64)
+    q = (means @ lc).reshape(-1, 8, 4)
     q *= factors[:, :, None]
-    d = (means @ ld).reshape(n, 8, 8)
+    d = (means @ ld).reshape(-1, 8, 8)
     d *= factors[:, :, None]
     d *= np.conj(factors)[:, None, :]
     scale = params.geometry.N / C_M_MHZ
     m = -scale * (kv @ average(q, classes))
     s = scale * (kv @ average(d, classes) @ kv.conj().T)
-    return m, s, cond
+    return m, s
 
 
 def propagate(m: np.ndarray, s: np.ndarray, length: float, sigma_in: np.ndarray) -> np.ndarray:
@@ -253,7 +241,13 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     b0, h, e = drift_pencil(params, delta1)
     means, pencil = pencil_steady_states(b0, h, e, classes.shifts)
     absorption = absorption_exact_batch(params, means, classes)
-    m, s_tot, cond_el = _eliminate(params, b0, e, means, classes, omega, pencil)
+    resolvent = pencil   # at w = 0 the resolvent is the steady-state pencil
+    if omega != 0.0:
+        try:
+            resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), e, classes.shifts)
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
+    m, s_tot = _eliminate(params, means, classes, resolvent)
     m_tot = m + (1j * omega / C_M_MHZ) * np.eye(4)
     report = None
     if collect:
@@ -261,7 +255,7 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
         report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
                                    population_error=pop_err,
                                    max_drift_eigenvalue=drift_bound(b0, e, classes.shifts),
-                                   eigenvector_condition=max(pencil[3], cond_el))
+                                   eigenvector_condition=max(pencil[3], resolvent[3]))
     return m_tot, s_tot, absorption, report
 
 

@@ -298,7 +298,10 @@ def _section_from_dict(cls, data: dict, path: str):
                 or not isinstance(value, _JSON_TYPES[declared])):
             raise ConfigError(f"{path}.{key}: expected {declared}, got {type(value).__name__}")
         if declared.startswith("float") and value is not None:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:   # an integer literal beyond the float range
+                value = math.inf if value > 0 else -math.inf
             if not math.isfinite(value):
                 raise ConfigError(f"{path}.{key}: expected a finite number, got {value}")
         kwargs[key] = value
@@ -347,7 +350,9 @@ def params_to_config(params: SystemParams) -> dict:
 def load_config(path: str | Path) -> SystemParams:
     """Read and validate a JSON configuration file."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:   # unreadable, not UTF-8, or an overlong integer
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     return params_from_config(data)

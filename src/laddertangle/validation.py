@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bloch, fluctuations
+from .experiments import baseline_params
 from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
                     SystemParams)
 
@@ -20,14 +21,8 @@ _FAST_DOPPLER = DopplerConfig(width=530.0, nodes=401, rule="trapezoid", span=3.0
 
 
 def _fast_params(**kwargs) -> SystemParams:
-    defaults = dict(
-        decay=DecayConfig(gamma1=3.0, gamma2=0.5, p=0.0),
-        field=FieldConfig(alpha1=10.0, alpha2=50.0),
-        geometry=GeometryConfig(r=4.5e-4, L=0.06, n=8.5e15),
-        doppler=_FAST_DOPPLER,
-    )
-    defaults.update(kwargs)
-    return SystemParams(**defaults)
+    # coherence=None re-derives the coherence rates from an overridden decay
+    return replace(baseline_params(doppler=_FAST_DOPPLER), coherence=None, **kwargs)
 
 
 @dataclass
@@ -36,10 +31,6 @@ class CheckResult:
     passed: bool
     detail: str
     metrics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "detail": self.detail, "metrics": self.metrics}
 
 
 def check_decoupled_limits() -> CheckResult:

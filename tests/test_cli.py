@@ -248,9 +248,23 @@ def _feature_csv(path):
     return path
 
 
+def huge_integer_config(doc, path):
+    doc["field"]["alpha1"] = 10**400   # an integer literal beyond the float range
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def missing_config(doc, path):
+    pass
+
+
+def utf16_config(doc, path):
+    path.write_bytes(json.dumps(doc).encode("utf-16"))
+
+
 class TestBadInput:
     # a list is extra flags; a dotted name is a config field set to Infinity,
-    # which json.loads accepts
+    # which json.loads accepts; a function writes (or not) the config file
+    # from the valid document
     @pytest.mark.parametrize("command, change", [
         ("run", ["--omega", "nan"]),
         ("run", ["--omega", "inf"]),
@@ -263,11 +277,18 @@ class TestBadInput:
         ("feature-report", ["--half-width", "nan"]),
         ("feature-report", ["--half-width", "1000"]),
         ("feature-report", ["--location", "500"]),
+        ("run", huge_integer_config),
+        ("run", missing_config),
+        ("run", utf16_config),
     ])
     def test_exit_2(self, tmp_path, fast_config, capsys, command, change):
         out = tmp_path / "out"
         if command == "feature-report":
             args = [command, _feature_csv(tmp_path / "spec.csv"), *change]
+        elif callable(change):
+            config = tmp_path / "bad.json"
+            change(json.loads(fast_config.read_text(encoding="utf-8")), config)
+            args = [command, "--config", config, "--out", out, *_RUN_GRID]
         elif isinstance(change, str):
             section, key = change.split(".")
             doc = json.loads(fast_config.read_text(encoding="utf-8"))

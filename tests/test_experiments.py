@@ -1,6 +1,6 @@
 """Scenario catalog, pump-sweep transform and feature extraction tests."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +255,7 @@ class TestExtractFeature:
         axis = np.linspace(-100.0, 100.0, 801)
         values = 5.0 - _voigt_like(axis, 0.0, 1.0, 3.0)
         rep = ex.extract_feature(axis, values, 0.0, half_width=10.0)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["kind"] == "dip"
         assert set(d) == {"kind", "location", "extremum", "background",
                           "min_value", "argmin"}

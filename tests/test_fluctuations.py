@@ -262,15 +262,14 @@ class TestAdiabaticElimination:
             assert rel_err(s, s_direct) < 1e-12
             assert absorption == pytest.approx(abs_direct, rel=1e-12)
 
-    def test_singular_resolvent_raises(self, fast_params):
-        # a drift eigenvalue at -i w makes the resolvent (-i w - B) singular
+    def test_singular_resolvent_raises(self, fast_params, monkeypatch):
+        # B0 = -i w makes B0 + i w, and so the resolvent (-i w - B) of the
+        # stationary class, singular while the steady-state pencil is not
         omega = 3.0
-        params = fast_params()
-        classes = build_classes(params, 0.0, 0.0)
-        means = np.zeros((len(classes), 9), dtype=complex)
-        with pytest.raises(ResonanceError, match="singular atomic resolvent"):
-            fl._eliminate(params, -1j * omega * np.eye(8), np.ones(8), means, classes, omega,
-                          None)
+        monkeypatch.setattr(fl, "drift_pencil", lambda params, delta1: (
+            -1j * omega * np.eye(8), np.ones(8), np.ones(8)))
+        with pytest.raises(ResonanceError, match=f"singular atomic resolvent at omega={omega}"):
+            fl.field_system_at(fast_params(), 0.0, omega)
 
     @pytest.mark.parametrize("omega,per_row", [(0.0, 1), (3.0, 2)])
     def test_zero_frequency_reuses_steady_state_factorization(self, omega, per_row,
@@ -344,7 +343,7 @@ class TestFactoredAverage:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_per_class_oracle(self, case, omega):
         params = ORACLE_CASES[case]
-        for delta1 in (params.field.delta1, 35.0):
+        for delta1 in (params.field.delta1, 35.0, 200.0):
             m, s, absorption, report = fl.field_system_at(params, delta1, omega, collect=True)
             m_ref, s_ref, abs_ref = per_class_field_system(params, delta1, omega)
             assert rel_err(m, m_ref) <= 1e-10

@@ -1,9 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from laddertangle import numerics
+from laddertangle.bloch import drift_pencil
+from laddertangle.doppler import build_classes
 from laddertangle.errors import ContractError, ResonanceError, UnsupportedOrderError
+from laddertangle.experiments import baseline_params, pump_sweep_transform
 
 
 class TestMatrixExponential:
@@ -142,6 +146,23 @@ class TestShiftedInverse:
         for s, r in zip(shifts, factors):
             direct = np.linalg.inv(a - s * np.diag(e))
             assert np.max(np.abs(v @ np.diag(r) @ left - direct)) < 1e-12 * np.max(np.abs(direct))
+
+    def test_matches_extended_precision_near_a_narrow_pole(self):
+        # fig3 at alpha2 = 1, p = 0, delta1 = 200: a pole 0.06 MHz wide
+        # next to class nodes 1.24 MHz apart, and |theta| spanning 3e5.
+        # The classes with the largest factors are checked against
+        # 40-digit inverses of B0 - s diag(e).
+        params = pump_sweep_transform(baseline_params(p=0.0), 1.0)
+        classes = build_classes(params, 200.0, params.field.delta2)
+        b0, _, e = drift_pencil(params, 200.0)
+        v, left, factors, _ = numerics.shifted_inverse(b0, e, classes.shifts)
+        with mpmath.workdps(40):
+            a, diag_e = mpmath.matrix(b0.tolist()), mpmath.diag(e.tolist())
+            for k in np.argsort(np.max(np.abs(factors), axis=1))[-16:]:
+                pencil = a - float(classes.shifts[k]) * diag_e
+                exact = np.array((pencil ** -1).tolist(), dtype=complex)
+                got = v @ np.diag(factors[k]) @ left
+                assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):

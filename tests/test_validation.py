@@ -1,6 +1,7 @@
 """The installed package must pass its own invariant suite."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ def test_run_all_passes():
 
 def test_results_serialize():
     for result in validation.run_all():
-        d = result.to_dict()
+        d = asdict(result)
         assert set(d) == {"name", "passed", "detail", "metrics"}
         json.dumps(d)
 
