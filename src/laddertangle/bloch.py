@@ -73,7 +73,7 @@ def decay_generator(params: SystemParams) -> np.ndarray:
     """Field-independent relaxation part of the component drift matrix."""
     g = np.zeros((9, 9), dtype=complex)
     d = params.decay
-    c = params.coherence
+    c = params.rates
     g[IDX[1, 1], IDX[2, 2]] += 2.0 * d.gamma1
     g[IDX[2, 2], IDX[2, 2]] -= 2.0 * d.gamma1
     g[IDX[2, 2], IDX[3, 3]] += 2.0 * d.gamma2
@@ -208,7 +208,7 @@ def eq1_terms(params: SystemParams, d1, d2):
     (destructive, the transparency route); term3: two-step two-photon
     excitation (constructive, fifth order in the fields).
     """
-    c = params.coherence
+    c = params.rates
     o1 = params.rabi1
     o2 = params.rabi2
     d1 = np.asarray(d1, dtype=float)
@@ -239,7 +239,7 @@ def absorption_perturbative(params: SystemParams, delta1: float) -> float:
     """
     if params.decay.gamma1 <= 0.0 or params.decay.gamma2 <= 0.0:
         raise ParameterError("perturbative absorption requires gamma1, gamma2 > 0")
-    c = params.coherence
+    c = params.rates
     o2 = params.rabi2
     classes = build_classes(params, delta1, params.field.delta2)
     d1, d2 = classes.d1, classes.d2
@@ -254,7 +254,7 @@ def absorption_exact_batch(params: SystemParams, mean_vecs: np.ndarray, classes)
     o1 = params.rabi1
     if o1 == 0.0:
         return 0.0
-    vals = params.coherence.gamma12 / o1 * mean_vecs[:, IDX[2, 1]].imag
+    vals = params.rates.gamma12 / o1 * mean_vecs[:, IDX[2, 1]].imag
     return float(average(vals, classes))
 
 

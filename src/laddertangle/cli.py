@@ -169,7 +169,6 @@ def cmd_run(args) -> int:
         "params": params_to_config(scenario.base),
         "grid": {"min": float(scenario.grid[0]), "max": float(scenario.grid[-1]),
                  "points": int(len(scenario.grid))},
-        "velocity_nodes": scenario.base.doppler.nodes,
         "jobs": jobs,
         "wall_time_s": wall,
         "regime_warnings": regime_warnings,

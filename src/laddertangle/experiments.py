@@ -15,8 +15,8 @@ import numpy as np
 from .bloch import absorption_exact
 from .errors import ConfigError, ContractError
 from .fluctuations import _spectrum_point, spectrum_columns, sweep_rows, v12_spectrum
-from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
-                    RB_SATURATION_DENSITY, SystemParams, derive_coherence_rates)
+from .model import (CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
+                    GeometryConfig, RB_SATURATION_DENSITY, SystemParams)
 from .tables import PumpSweepTable, SpectrumTable
 
 # Velocity-class quadrature used by the shipped scenarios: the default rule.
@@ -54,8 +54,10 @@ class Scenario:
 
     kind "spectrum" sweeps the probe detuning delta1; kind "pump-sweep"
     sweeps alpha2 while holding alpha2/alpha1, n/alpha1 and the decay
-    rates / alpha1 ratios fixed: the population decay rates gamma1, gamma2
-    scale together with the collisional and total coherence rates.
+    rates / alpha1 ratios fixed: gamma1, gamma2 and p scale together, and
+    so do the total coherence rates they derive.  The pump sweep runs its
+    own p = 0 and p = 20 bases, so its base must have p = 0 and no
+    explicit coherence rates.
     """
 
     name: str
@@ -119,36 +121,28 @@ def all_scenarios() -> dict[str, Scenario]:
 
 def pump_sweep_transform(base: SystemParams, alpha2: float) -> SystemParams:
     """Scale probe/pump/density/decay together: alpha1 = alpha2/5, and the
-    base density and every base decay rate (gamma1, gamma2, p and the
-    collisional rates) scaled by alpha1/10, so the total coherence rates
+    base density, every decay rate (gamma1, gamma2, p) and any explicit
+    coherence rates scaled by alpha1/10, so the total coherence rates
     scale by alpha1/10 and never fall below their radiative floor.
-    alpha2 = 50 returns the shipped baseline unchanged."""
+    alpha2 = 50 returns the base unchanged."""
     alpha1 = alpha2 / 5.0
     scale = alpha1 / 10.0
-    decay = DecayConfig(**{k: v * scale for k, v in asdict(base.decay).items()})
+    coherence = None if base.coherence is None else CoherenceRates(
+        **{k: v * scale for k, v in asdict(base.coherence).items()})
     return replace(
         base,
-        decay=decay,
+        decay=DecayConfig(**{k: v * scale for k, v in asdict(base.decay).items()}),
         field=replace(base.field, alpha1=alpha1, alpha2=alpha2),
         geometry=replace(base.geometry, n=base.geometry.n * scale),
-        coherence=None,
+        coherence=coherence,
     )
 
 
 def check_pump_sweep_base(base: SystemParams):
-    """Raise ConfigError when the pump sweep would discard part of base.
-
-    The sweep builds its own p = 0 and p = 20 bases from gamma1 and
-    gamma2 alone, with derived collisional and coherence rates, so a
-    base's p, collisional rates or explicit coherence rates that differ
-    from those are not used.
-    """
-    d = base.decay
-    swept = DecayConfig(gamma1=d.gamma1, gamma2=d.gamma2)
-    names = [f"decay.{k}" for k in ("p", "gamma12p", "gamma23p", "gamma13p")
-             if getattr(d, k) != getattr(swept, k)]
-    if base.coherence != derive_coherence_rates(d):
-        names.append("coherence")
+    """Raise ConfigError when the pump sweep would discard part of base: it
+    sets p itself and derives the coherence rates from the decay rates."""
+    names = [name for name, given in (("decay.p", base.decay.p != 0.0),
+                                      ("coherence", base.coherence is not None)) if given]
     if names:
         raise ConfigError(f"the pump sweep runs its own p = 0 and p = 20 bases and would "
                           f"discard {', '.join(names)}")
@@ -160,10 +154,8 @@ def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.
     if scenario.kind != "pump-sweep":
         raise ContractError(f"scenario {scenario.name} is not a pump sweep")
     check_pump_sweep_base(scenario.base)
-    d = scenario.base.decay
-    bases = [replace(scenario.base, decay=DecayConfig(gamma1=d.gamma1, gamma2=d.gamma2, p=p),
-                     coherence=None)
-             for p in (0.0, 20.0)]
+    base = scenario.base
+    bases = [replace(base, decay=replace(base.decay, p=p)) for p in (0.0, 20.0)]
     params = [pump_sweep_transform(base, float(alpha2))
               for base in bases for alpha2 in scenario.grid]
     v12, _, _, absorption, report = spectrum_columns(sweep_rows(
@@ -193,7 +185,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
 def default_feature_half_width(params: SystemParams) -> float:
     """Window half-width covering the narrow two-photon feature: five times
     the larger of gamma12 and a tenth of the pump coupling."""
-    return 5.0 * max(params.coherence.gamma12, params.rabi2 / 10.0)
+    return 5.0 * max(params.rates.gamma12, params.rabi2 / 10.0)
 
 
 @dataclass(frozen=True)

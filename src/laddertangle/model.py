@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field as _field
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .numerics import MAX_HERMITE_ORDER
+from .numerics import MAX_HERMITE_ORDER, MAX_TRAPEZOID_NODES, MAX_TRAPEZOID_SPAN
 
 SCHEMA_VERSION = 1
 
@@ -49,28 +49,20 @@ def _require(cond: bool, msg: str):
 
 @dataclass(frozen=True)
 class DecayConfig:
-    """Population decay and collisional coherence decay rates (MHz).
+    """Population decay and collisional dephasing rates (MHz).
 
-    gamma1/gamma2 are half the 2->1 and 3->2 population decay rates.
-    The collisional rates default to the standard collision model
-    gamma12p = gamma23p = p, gamma13p = gamma12p + gamma23p = 2p.
+    gamma1/gamma2 are half the 2->1 and 3->2 population decay rates.  p is
+    the collisional dephasing rate of the standard collision model, which
+    adds p to gamma12 and gamma23 and 2p to gamma13.  Any other split of
+    the collisional rates is given as explicit SystemParams.coherence.
     """
 
     gamma1: float = 3.0
     gamma2: float = 0.5
     p: float = 0.0
-    gamma12p: float | None = None
-    gamma23p: float | None = None
-    gamma13p: float | None = None
 
     def __post_init__(self):
-        if self.gamma12p is None:
-            object.__setattr__(self, "gamma12p", float(self.p))
-        if self.gamma23p is None:
-            object.__setattr__(self, "gamma23p", float(self.p))
-        if self.gamma13p is None:
-            object.__setattr__(self, "gamma13p", float(self.gamma12p) + float(self.gamma23p))
-        for name in ("gamma1", "gamma2", "p", "gamma12p", "gamma23p", "gamma13p"):
+        for name in ("gamma1", "gamma2", "p"):
             _require(getattr(self, name) >= 0.0, f"decay.{name} must be >= 0")
 
 
@@ -94,9 +86,9 @@ def derive_coherence_rates(decay: DecayConfig) -> CoherenceRates:
     Gamma_1 = 0, Gamma_2 = 2*gamma1, Gamma_3 = 2*gamma2.
     """
     return CoherenceRates(
-        gamma12=decay.gamma1 + decay.gamma12p,
-        gamma13=decay.gamma2 + decay.gamma13p,
-        gamma23=decay.gamma1 + decay.gamma2 + decay.gamma23p,
+        gamma12=decay.gamma1 + decay.p,
+        gamma13=decay.gamma2 + 2.0 * decay.p,
+        gamma23=decay.gamma1 + decay.gamma2 + decay.p,
     )
 
 
@@ -168,9 +160,9 @@ class DopplerConfig:
     |lambda1/lambda2 - 1|*width stays well below gamma13 (for the Rb
     780/776 nm ladder that width is 2.9 MHz at width = 530 MHz).  rule
     selects the velocity quadrature: "trapezoid" (uniform grid over
-    +-span*width, any node count) or "hermite" (Gauss-Hermite, order
-    nodes <= 512).  The averaged response carries structure at the scale
-    of gamma12 (a few MHz) inside the Maxwellian, which Gauss-Hermite
+    +-span*width, span <= 20, nodes <= 131073) or "hermite" (Gauss-Hermite,
+    order nodes <= 512).  The averaged response carries structure at the
+    scale of gamma12 (a few MHz) inside the Maxwellian, which Gauss-Hermite
     orders in the supported range cannot resolve, so the default is the
     dense uniform rule that the shipped scenarios use.
     """
@@ -184,11 +176,12 @@ class DopplerConfig:
     def __post_init__(self):
         _require(self.width >= 0.0, "doppler.width must be >= 0")
         _require(self.nodes >= 1, "doppler.nodes must be >= 1")
-        _require(self.span > 0.0, "doppler.span must be > 0")
+        _require(0.0 < self.span <= MAX_TRAPEZOID_SPAN,
+                 f"doppler.span must be > 0 and <= {MAX_TRAPEZOID_SPAN:g}")
         if self.rule not in DOPPLER_RULES:
             raise ParameterError(f"doppler.rule must be one of {DOPPLER_RULES}")
-        _require(self.rule != "hermite" or self.nodes <= MAX_HERMITE_ORDER,
-                 f"doppler.nodes must be <= {MAX_HERMITE_ORDER} with rule 'hermite'")
+        most = MAX_HERMITE_ORDER if self.rule == "hermite" else MAX_TRAPEZOID_NODES
+        _require(self.nodes <= most, f"doppler.nodes must be <= {most} with rule {self.rule!r}")
 
 
 def derive_couplings(field_cfg: FieldConfig, geometry: GeometryConfig) -> tuple[float, float]:
@@ -218,24 +211,31 @@ def derive_couplings(field_cfg: FieldConfig, geometry: GeometryConfig) -> tuple[
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Complete, validated parameter set of the driven ladder medium."""
+    """Complete, validated parameter set of the driven ladder medium.
+
+    coherence holds explicit total coherence rates when they were given
+    and None otherwise.  rates is what the engine reads: coherence, or the
+    rates derived from decay, resolved on every construction (including
+    dataclasses.replace), so it always follows decay.
+    """
 
     decay: DecayConfig = _field(default_factory=DecayConfig)
     field: FieldConfig = _field(default_factory=FieldConfig)
     geometry: GeometryConfig = _field(default_factory=GeometryConfig)
     doppler: DopplerConfig = _field(default_factory=DopplerConfig)
     coherence: CoherenceRates | None = None
+    rates: CoherenceRates = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.coherence is None:
-            object.__setattr__(self, "coherence", derive_coherence_rates(self.decay))
+        rates = derive_coherence_rates(self.decay) if self.coherence is None else self.coherence
+        object.__setattr__(self, "rates", rates)
         # Below the radiative floor the master equation is not of Lindblad
         # form and its Einstein noise kernel is not positive.
         d = self.decay
         floor = CoherenceRates(gamma12=d.gamma1, gamma13=d.gamma2,
                                gamma23=d.gamma1 + d.gamma2)
         for name in ("gamma12", "gamma13", "gamma23"):
-            rate, least = getattr(self.coherence, name), getattr(floor, name)
+            rate, least = getattr(rates, name), getattr(floor, name)
             _require(rate >= least * (1.0 - RADIATIVE_FLOOR_RTOL),
                      f"coherence.{name} = {rate:.6g} MHz is below its radiative "
                      f"floor {least:.6g} MHz set by gamma1/gamma2")
@@ -331,15 +331,12 @@ def params_from_config(data: dict) -> SystemParams:
 def params_to_config(params: SystemParams) -> dict:
     """Serialize SystemParams to the canonical configuration document.
 
-    Collisional and coherence rates are written only where they differ
-    from what p and the decay rates derive, so editing p or a decay rate
-    in the document moves every rate that follows from it.
+    Coherence rates are written only when they were given explicitly, so
+    editing p or a decay rate in the document moves every rate that
+    follows from it.
     """
-    d = params.decay
-    derived = {"gamma12p": d.p, "gamma23p": d.p, "gamma13p": d.gamma12p + d.gamma23p}
-    doc = {"schema_version": SCHEMA_VERSION,
-           "decay": {k: v for k, v in asdict(d).items() if derived.get(k) != v}}
-    if params.coherence != derive_coherence_rates(d):
+    doc = {"schema_version": SCHEMA_VERSION, "decay": asdict(params.decay)}
+    if params.coherence is not None:
         doc["coherence"] = asdict(params.coherence)
     doc["field"] = asdict(params.field)
     doc["geometry"] = asdict(params.geometry)

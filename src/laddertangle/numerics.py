@@ -17,6 +17,11 @@ from .errors import ContractError, ResonanceError, UnsupportedOrderError
 
 MAX_DIM = 16
 MAX_HERMITE_ORDER = 512
+# Trapezoid rule bounds: twice the densest rule convergence studies use
+# (65537 nodes), and a half-span whose edge weight exp(-span^2) >= exp(-400)
+# stays far from underflow (exp(-745)), where normalization gives NaN.
+MAX_TRAPEZOID_NODES = 131073
+MAX_TRAPEZOID_SPAN = 20.0
 # Largest eigenvector condition number shifted_inverse accepts.  Its
 # factored inverses lose about log10(cond) digits against a direct solve;
 # the shipped scenarios stay below 100.

@@ -21,8 +21,7 @@ _FAST_DOPPLER = DopplerConfig(width=530.0, nodes=401, rule="trapezoid", span=3.0
 
 
 def _fast_params(**kwargs) -> SystemParams:
-    # coherence=None re-derives the coherence rates from an overridden decay
-    return replace(baseline_params(doppler=_FAST_DOPPLER), coherence=None, **kwargs)
+    return replace(baseline_params(doppler=_FAST_DOPPLER), **kwargs)
 
 
 @dataclass
@@ -112,7 +111,7 @@ def check_weak_probe_oracle() -> CheckResult:
     for k, d in enumerate(d1):
         means, _ = bloch.pencil_steady_states(*bloch.drift_pencil(params, d), [0.0])
         rho21[k] = means[0, bloch.IDX[2, 1]]
-    c = params.coherence
+    c = params.rates
     expected = 1j * params.rabi1 / (c.gamma12 + 1j * d1
                                     + params.rabi2 ** 2 / (c.gamma13 + 1j * d1))
     worst = float(np.max(np.abs(rho21 - expected) / np.abs(expected)))

@@ -137,7 +137,7 @@ class TestAbsorption:
             doppler=DopplerConfig(width=0.0, nodes=1, rule="trapezoid"),
         )
         got = [bloch.absorption_exact(params, d1) for d1 in (0.0, 3.0, -9.0)]
-        g12 = params.coherence.gamma12
+        g12 = params.rates.gamma12
         want = [g12**2 / (g12**2 + d1**2) for d1 in (0.0, 3.0, -9.0)]
         assert np.allclose(got, want, atol=1e-7)
 
@@ -148,7 +148,7 @@ class TestAbsorption:
             doppler=DopplerConfig(width=0.0, nodes=1, rule="trapezoid"),
         )
         o2 = params.rabi2
-        c = params.coherence
+        c = params.rates
         for d1 in (0.0, 1.0, -4.0, 25.0):
             denom = (c.gamma12 + 1j * d1) + o2**2 / (c.gamma13 + 1j * d1)
             want = c.gamma12 * np.real(1.0 / denom)

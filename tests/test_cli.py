@@ -134,7 +134,7 @@ class TestRun:
     def test_coherence_below_radiative_floor_exit_2(self, tmp_path, capsys):
         params = baseline_params(p=0.0)
         cfg = params_to_config(params)
-        cfg["coherence"] = {**asdict(params.coherence), "gamma12": 0.06}   # gamma1 = 3 MHz
+        cfg["coherence"] = {**asdict(params.rates), "gamma12": 0.06}   # gamma1 = 3 MHz
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg), encoding="utf-8")
         code = _run(["run", "--config", bad, "--out", tmp_path / "o"])
@@ -199,7 +199,7 @@ class TestRun:
                      "--out", tmp_path / "o", "--jobs", 1])
         assert code == 2
         err = capsys.readouterr().err
-        assert "discard decay.p, decay.gamma12p, decay.gamma23p, decay.gamma13p" in err
+        assert "discard decay.p" in err
         assert not (tmp_path / "o").exists()
         cfg = params_to_config(baseline_params(p=0.0))
         cfg["coherence"] = {"gamma12": 4.0, "gamma13": 0.5, "gamma23": 3.5}
@@ -261,10 +261,27 @@ def utf16_config(doc, path):
     path.write_bytes(json.dumps(doc).encode("utf-16"))
 
 
+def trapezoid_nodes_config(doc, path):
+    # refused at load: building this rule would exhaust memory first
+    doc["doppler"].update(rule="trapezoid", nodes=10**12)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def wide_span_config(doc, path):
+    # two nodes at +-40 widths: both weights underflow to 0, normalized NaN
+    doc["doppler"].update(rule="trapezoid", nodes=2, span=40.0)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def wide_span_absorption_config(doc, path):
+    wide_span_config(doc, path)
+    return ["--scenario", "fig2-g"]
+
+
 class TestBadInput:
     # a list is extra flags; a dotted name is a config field set to Infinity,
     # which json.loads accepts; a function writes (or not) the config file
-    # from the valid document
+    # from the valid document and may return extra flags
     @pytest.mark.parametrize("command, change", [
         ("run", ["--omega", "nan"]),
         ("run", ["--omega", "inf"]),
@@ -280,6 +297,9 @@ class TestBadInput:
         ("run", huge_integer_config),
         ("run", missing_config),
         ("run", utf16_config),
+        ("run", trapezoid_nodes_config),
+        ("run", wide_span_config),
+        ("run", wide_span_absorption_config),
     ])
     def test_exit_2(self, tmp_path, fast_config, capsys, command, change):
         out = tmp_path / "out"
@@ -287,8 +307,8 @@ class TestBadInput:
             args = [command, _feature_csv(tmp_path / "spec.csv"), *change]
         elif callable(change):
             config = tmp_path / "bad.json"
-            change(json.loads(fast_config.read_text(encoding="utf-8")), config)
-            args = [command, "--config", config, "--out", out, *_RUN_GRID]
+            flags = change(json.loads(fast_config.read_text(encoding="utf-8")), config)
+            args = [command, "--config", config, "--out", out, *_RUN_GRID, *(flags or [])]
         elif isinstance(change, str):
             section, key = change.split(".")
             doc = json.loads(fast_config.read_text(encoding="utf-8"))

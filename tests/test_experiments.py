@@ -12,7 +12,7 @@ from laddertangle import experiments as ex
 from laddertangle import fluctuations as fl
 from laddertangle.doppler import build_classes
 from laddertangle.errors import ConfigError, ContractError
-from laddertangle.model import derive_coherence_rates
+from laddertangle.model import CoherenceRates, derive_coherence_rates
 
 
 def test_readme_api_imports():
@@ -92,9 +92,9 @@ class TestPumpSweepTransform:
         scale = params.field.alpha1 / 10.0
         assert params.geometry.n == pytest.approx(base.geometry.n * scale)
         coh0 = derive_coherence_rates(base.decay)
-        assert params.coherence.gamma12 == pytest.approx(coh0.gamma12 * scale)
-        assert params.coherence.gamma13 == pytest.approx(coh0.gamma13 * scale)
-        assert params.coherence.gamma23 == pytest.approx(coh0.gamma23 * scale)
+        assert params.rates.gamma12 == pytest.approx(coh0.gamma12 * scale)
+        assert params.rates.gamma13 == pytest.approx(coh0.gamma13 * scale)
+        assert params.rates.gamma23 == pytest.approx(coh0.gamma23 * scale)
 
     @pytest.mark.parametrize("p", [0.0, 20.0])
     @pytest.mark.parametrize("alpha2", [1.0, 25.0, 50.0, 150.0])
@@ -105,7 +105,7 @@ class TestPumpSweepTransform:
         assert params.decay.gamma1 == pytest.approx(base.decay.gamma1 * scale)
         assert params.decay.gamma2 == pytest.approx(base.decay.gamma2 * scale)
         assert params.decay.p == pytest.approx(base.decay.p * scale)
-        assert params.coherence == derive_coherence_rates(params.decay)
+        assert params.rates == derive_coherence_rates(params.decay)
 
     def test_custom_density_scaled(self):
         base = ex.baseline_params(p=0.0)
@@ -117,7 +117,7 @@ class TestPumpSweepTransform:
     @pytest.mark.parametrize("alpha2", [1.0, 150.0])
     def test_rows_meet_radiative_floor(self, alpha2, p):
         params = ex.pump_sweep_transform(ex.baseline_params(p=p), alpha2)
-        c, d = params.coherence, params.decay
+        c, d = params.rates, params.decay
         assert c.gamma12 >= d.gamma1
         assert c.gamma13 >= d.gamma2
         assert c.gamma23 >= d.gamma1 + d.gamma2
@@ -138,8 +138,19 @@ class TestPumpSweepTransform:
         params = ex.pump_sweep_transform(base, 50.0)
         assert params.field.alpha1 == base.field.alpha1
         assert params.geometry.n == base.geometry.n
-        assert params.coherence == derive_coherence_rates(base.decay)
+        assert params.rates == derive_coherence_rates(base.decay)
         assert params == base
+
+    @pytest.mark.parametrize("alpha2", [5.0, 50.0, 150.0])
+    def test_explicit_coherence_scaled(self, alpha2):
+        coherence = CoherenceRates(gamma12=5.0, gamma13=4.0, gamma23=7.0)
+        base = replace(ex.baseline_params(p=1.0), coherence=coherence)
+        params = ex.pump_sweep_transform(base, alpha2)
+        scale = params.field.alpha1 / 10.0
+        assert params.coherence == params.rates
+        assert params.rates.gamma12 == pytest.approx(5.0 * scale)
+        assert params.rates.gamma13 == pytest.approx(4.0 * scale)
+        assert params.rates.gamma23 == pytest.approx(7.0 * scale)
 
 
 class TestRunScenario:
@@ -264,4 +275,4 @@ class TestExtractFeature:
         params = ex.baseline_params(p=6.0)
         hw = ex.default_feature_half_width(params)
         assert hw > 0.0
-        assert hw >= 5.0 * params.coherence.gamma12
+        assert hw >= 5.0 * params.rates.gamma12

@@ -182,7 +182,7 @@ class TestLinearizedSystem:
         expect[fl.RIDX[1, 2], 1] = -1j * g1
         assert np.allclose(c, expect, atol=1e-12)
         diag = b[fl.RIDX[2, 1], fl.RIDX[2, 1]]
-        assert diag == pytest.approx(-(params.coherence.gamma12 + 1j * 5.0))
+        assert diag == pytest.approx(-(params.rates.gamma12 + 1j * 5.0))
 
 
 class TestEinsteinDiffusion:
@@ -193,8 +193,8 @@ class TestEinsteinDiffusion:
         r31, r13 = fl.RIDX[3, 1], fl.RIDX[1, 3]
         # vacuum noise on the two coherences anchored to the populated
         # ground state: <F21 F12> = 2 gamma12, <F31 F13> = 2 gamma13
-        assert corr[r21, r12] == pytest.approx(2.0 * params.coherence.gamma12)
-        assert corr[r31, r13] == pytest.approx(2.0 * params.coherence.gamma13)
+        assert corr[r21, r12] == pytest.approx(2.0 * params.rates.gamma12)
+        assert corr[r31, r13] == pytest.approx(2.0 * params.rates.gamma13)
         rest = corr.copy()
         rest[r21, r12] = 0.0
         rest[r31, r13] = 0.0

@@ -1,10 +1,10 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
-from laddertangle import cli, model
+from laddertangle import bloch, cli, model
 from laddertangle.errors import ConfigError, ParameterError
 from laddertangle.experiments import (all_scenarios, baseline_params, fig3_scenario,
                                       pump_sweep_transform)
@@ -14,9 +14,9 @@ from laddertangle.fluctuations import v12_spectrum
 class TestDecayConfig:
     def test_collision_rates_derived(self):
         d = model.DecayConfig(gamma1=3.0, gamma2=0.5, p=6.0)
-        assert d.gamma12p == 6.0
-        assert d.gamma23p == 6.0
-        assert d.gamma13p == 12.0
+        assert [f.name for f in fields(d)] == ["gamma1", "gamma2", "p"]
+        assert model.SystemParams(decay=d).rates == model.CoherenceRates(
+            gamma12=9.0, gamma13=12.5, gamma23=9.5)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ParameterError):
@@ -52,7 +52,7 @@ class TestCouplings:
         # pump Rabi coupling must exceed sqrt(gamma12 * gamma13) at baseline
         params = baseline_params(p=0.0)
         o2 = params.rabi2
-        bound = math.sqrt(params.coherence.gamma12 * params.coherence.gamma13)
+        bound = math.sqrt(params.rates.gamma12 * params.rates.gamma13)
         assert o2 > bound
         assert o2 == pytest.approx(1.75, rel=0.02)
 
@@ -94,6 +94,17 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             model.params_from_config(cfg)
 
+    @pytest.mark.parametrize("key", ["gamma12p", "gamma23p", "gamma13p"])
+    def test_per_channel_collision_rates_are_unknown(self, key, tmp_path, capsys):
+        # a per-channel collision model is written as explicit coherence rates
+        cfg = model.params_to_config(baseline_params())
+        cfg["decay"][key] = 1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"decay.{key}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_json_serializable(self):
         cfg = model.params_to_config(baseline_params(p=6.0))
         json.dumps(cfg)  # must not raise
@@ -112,18 +123,28 @@ class TestConfigSchema:
         assert set(cfg["decay"]) == {"gamma1", "gamma2", "p"}
         cfg["decay"]["p"] = 20.0
         out = model.params_from_config(cfg)
-        assert out.decay.gamma13p == pytest.approx(40.0)
-        assert out.coherence.gamma12 == pytest.approx(23.0)
-        assert out.coherence.gamma13 == pytest.approx(40.5)
+        assert out.coherence is None
+        assert out.rates.gamma12 == pytest.approx(23.0)
+        assert out.rates.gamma13 == pytest.approx(40.5)
 
     def test_explicit_rates_written_and_kept(self):
-        decay = model.DecayConfig(gamma1=3.0, gamma2=0.5, p=1.0, gamma23p=2.0)
+        decay = model.DecayConfig(gamma1=3.0, gamma2=0.5, p=1.0)
         coherence = model.CoherenceRates(gamma12=5.0, gamma13=4.0, gamma23=7.0)
         params = replace(baseline_params(), decay=decay, coherence=coherence)
+        assert params.rates == coherence
         cfg = model.params_to_config(params)
-        assert cfg["decay"] == {"gamma1": 3.0, "gamma2": 0.5, "p": 1.0, "gamma23p": 2.0}
+        assert cfg["decay"] == {"gamma1": 3.0, "gamma2": 0.5, "p": 1.0}
         assert cfg["coherence"] == asdict(coherence)
-        assert model.params_from_config(cfg) == params
+        out = model.params_from_config(cfg)
+        assert out == params and out.rates == coherence
+
+    def test_replace_decay_moves_the_derived_rates(self):
+        p0 = baseline_params(p=0.0)
+        moved = replace(p0, decay=replace(p0.decay, p=20.0))
+        fresh = baseline_params(p=20.0)
+        assert moved == fresh
+        assert moved.rates == fresh.rates
+        assert bloch.absorption_exact(moved, 0.0) == bloch.absorption_exact(fresh, 0.0)
 
     def test_every_shipped_parameter_set_round_trips(self):
         bases = [s.base for s in all_scenarios().values()]
