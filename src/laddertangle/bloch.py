@@ -13,13 +13,15 @@ and O2 = g2*alpha2 (undepleted pump and probe).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg as sla
 
-from .doppler import average, build_classes, pump_shift_ratio
+from .doppler import average, build_classes, pump_shift_ratio, resolvent_taylor
 from .errors import NoSteadyStateError, ParameterError
 from .model import SystemParams
-from .numerics import shifted_inverse
+from .numerics import conjugate_closed, shifted_inverse
 
 LABELS = ((1, 1), (2, 2), (3, 3), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
 IDX = {lab: k for k, lab in enumerate(LABELS)}
@@ -146,25 +148,44 @@ def drift_pencil(params: SystemParams, delta1: float):
     return reduce_generator(g0), g0[1:, 0], e
 
 
-def pencil_steady_states(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts):
-    """Steady states of the classes with the given probe shifts, from one
-    factorization of the drift pencil (see drift_pencil and
-    numerics.shifted_inverse): the reduced state of class s is
-    V (y / (1 - s theta)) with y = (B0 V)^-1 (-h), and
-    rho11 = 1 - rho22 - rho33.
+class SteadyPencil(NamedTuple):
+    """Steady states of a row's velocity classes, affine in the pencil
+    factors.
 
-    Returns the (K, 9) steady states and the factorization
-    (V, (B0 V)^-1, factors, condition number) of shifted_inverse, which
-    the atomic elimination at w = 0 reuses.
+    The reduced state of class s is V (y / (1 - s theta)) with
+    y = (B0 V)^-1 (-h) (see drift_pencil and numerics.shifted_inverse), and
+    rho11 = 1 - rho22 - rho33.  So with the points (0, theta) and the
+    factors r(s) = 1 / (1 - s points), the full state is states @ r(s).
+    The theta come in conjugate pairs, made exact (numerics.conjugate_closed):
+    points[partner] == points.conj().  resolvent is the factorization
+    (V, (B0 V)^-1, theta, cond(V)), which the atomic elimination at w = 0
+    reuses.
     """
+
+    points: np.ndarray       # (9,)
+    partner: np.ndarray      # (9,) int
+    states: np.ndarray       # (9, 9)
+    resolvent: tuple
+
+
+def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) -> SteadyPencil:
+    """Factor the drift pencil of the classes with the given probe shifts."""
     try:
-        pencil = shifted_inverse(b0, e, shifts)
+        v, left, theta, cond = shifted_inverse(b0, e, shifts)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
-    v, left, factors, _ = pencil
-    means = (factors * (left @ -h)) @ (LIFT @ v).T
-    means[:, 0] += 1.0
-    return means, pencil
+    theta, partner = conjugate_closed(theta)
+    states = np.zeros((9, 9), dtype=complex)
+    states[0, 0] = 1.0
+    states[:, 1:] = LIFT @ v * (left @ -h)
+    return SteadyPencil(np.concatenate([[0.0], theta]), np.concatenate([[0], 1 + partner]),
+                        states, (v, left, theta, cond))
+
+
+def class_steady_states(pencil: SteadyPencil, shifts) -> np.ndarray:
+    """The (K, 9) steady states of the classes with the given probe shifts."""
+    factors = 1.0 / (1.0 - np.asarray(shifts, dtype=float)[:, None] * pencil.points)
+    return factors @ pencil.states.T
 
 
 def drift_bound(b0: np.ndarray, e: np.ndarray, shifts) -> float:
@@ -250,7 +271,8 @@ def absorption_perturbative(params: SystemParams, delta1: float) -> float:
 
 
 def absorption_exact_batch(params: SystemParams, mean_vecs: np.ndarray, classes) -> float:
-    """Doppler average of (gamma12/(g1 alpha1)) Im rho21 from steady states."""
+    """Doppler average of (gamma12/(g1 alpha1)) Im rho21 from per-class
+    steady states."""
     o1 = params.rabi1
     if o1 == 0.0:
         return 0.0
@@ -258,9 +280,24 @@ def absorption_exact_batch(params: SystemParams, mean_vecs: np.ndarray, classes)
     return float(average(vals, classes))
 
 
+def averaged_absorption(params: SystemParams, pencil: SteadyPencil, classes) -> float:
+    """Doppler average of (gamma12/(g1 alpha1)) Im rho21 from the class
+    averages <1 / (1 - s t)> at the points of the pencil alone, taken once
+    per conjugate pair."""
+    o1 = params.rabi1
+    if o1 == 0.0:
+        return 0.0
+    # a point 0 has the factor 1
+    own = (pencil.partner >= np.arange(len(pencil.partner))) & (pencil.points != 0.0)
+    factors = np.ones(len(own), dtype=complex)
+    factors[own] = resolvent_taylor(classes, pencil.points[own], 0)[0]
+    factors[~own] = factors[pencil.partner[~own]].conj()
+    return float(params.rates.gamma12 / o1 * (pencil.states[IDX[2, 1]] @ factors).imag)
+
+
 def absorption_exact(params: SystemParams, delta1: float) -> float:
     """Exact-steady-state probe absorption, same normalization convention
     as the perturbative expression."""
     classes = build_classes(params, delta1, params.field.delta2)
-    means, _ = pencil_steady_states(*drift_pencil(params, delta1), classes.shifts)
-    return absorption_exact_batch(params, means, classes)
+    pencil = steady_state_pencil(*drift_pencil(params, delta1), classes.shifts)
+    return averaged_absorption(params, pencil, classes)

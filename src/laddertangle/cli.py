@@ -32,6 +32,10 @@ EXIT_VALIDATION_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_PHYSICS = 3
 
+# Most detuning grid points a run accepts: 125 times the 801-point default,
+# minutes of sweeping, where a larger count would first die allocating
+MAX_DELTA1_POINTS = 100_001
+
 
 def _default_jobs(value: int | None) -> int:
     if value is None:
@@ -121,6 +125,8 @@ def _explicit_grid(args) -> np.ndarray | None:
         raise ConfigError("--delta1-min/--delta1-max/--delta1-points must be given together")
     if args.delta1_points < 2 or args.delta1_max <= args.delta1_min:
         raise ConfigError("detuning grid must be increasing with at least 2 points")
+    if args.delta1_points > MAX_DELTA1_POINTS:
+        raise ConfigError(f"--delta1-points {args.delta1_points} exceeds {MAX_DELTA1_POINTS}")
     return np.linspace(args.delta1_min, args.delta1_max, args.delta1_points)
 
 

@@ -10,17 +10,19 @@ it velocity independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ContractError
 from .model import SystemParams
-from .numerics import gauss_hermite_rule, gaussian_trapezoid_rule
+from .numerics import gauss_hermite_rule, gaussian_trapezoid_rule, product_moments
 
 
 @dataclass(frozen=True)
 class VelocityClasses:
-    """Velocity-class grid as parallel arrays (one entry per class)."""
+    """Velocity-class grid as parallel arrays (one entry per class, by
+    ascending shift)."""
 
     shifts: np.ndarray
     weights: np.ndarray
@@ -76,3 +78,38 @@ def average(values, classes: VelocityClasses):
             f"per-class values length {values.shape[0]} does not match {len(classes)} classes"
         )
     return np.tensordot(classes.weights, values, axes=(0, 0))
+
+
+def pole_distance(classes: VelocityClasses, points) -> np.ndarray:
+    """Distance from each point t to the nearest pole 1/s of the class
+    rule's resolvent function: the pole of a shift bracketing 1/Re(t) or
+    of an extreme shift (the shifts ascend)."""
+    t = np.asarray(points, dtype=complex)
+    s = classes.shifts
+    with np.errstate(divide="ignore"):
+        k = np.searchsorted(s, 1.0 / t.real)
+        poles = 1.0 / s[np.clip([k - 1, k, 0 * k, 0 * k + len(s) - 1], 0, len(s) - 1)]
+    return np.abs(t - poles).min(axis=0)
+
+
+def resolvent_taylor(classes: VelocityClasses, points, order: int) -> np.ndarray:
+    """Taylor coefficients <s^m / (1 - s t)^(m+1)>, m = 0..order, of the
+    resolvent function g(t) = <1 / (1 - s t)> of the class rule at each
+    point t, shape (order + 1, len(points)), each one weight-vector product
+    over the classes."""
+    term = 1.0 / (1.0 - np.asarray(points, dtype=complex)[:, None] * classes.shifts)
+    coef = [term @ classes.weights]
+    if order:
+        sr = term * classes.shifts
+        for _ in range(order):
+            term = term * sr
+            coef.append(term @ classes.weights)
+    return np.array(coef)
+
+
+def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
+    """Class averages <r(t_1) r(t_2) r(t_3)> of pencil factors
+    r(t) = 1 / (1 - s t), one per row of ids, a triple of indices into
+    points (see numerics.product_moments)."""
+    return product_moments(points, ids, partial(resolvent_taylor, classes),
+                           partial(pole_distance, classes))

@@ -12,9 +12,12 @@ correlators <F_mu F_nu> = 2 D_mu_nu follow from the generalized Einstein
 relation.  Solving algebraically at Fourier frequency w and substituting
 into the field propagation equations gives the 4x4 spatial generator M(w)
 and noise spectral density S(w); both are Maxwellian-averaged before the
-medium is traversed in closed form.  The class shift enters B only
-through a diagonal, so each average runs through one eigendecomposition
-per row instead of a solve per class (see _eliminate).
+medium is traversed in closed form.  The class shift s enters B only
+through a diagonal, so one eigendecomposition per row factors every
+class, and the steady state and the resolvent depend on s only through
+factors 1/(1 - s theta).  M and S are then contractions with class
+averages of products of two and three such factors, computed from the
+rule's resolvent function (see _eliminate); no per-class tensor is built.
 
 Covariances are stored as Sigma_ij = <dA_i dA_j+> in shot-noise units, so
 vacuum/coherent inputs give Sigma = diag(1, 0, 1, 0) and two uncorrelated
@@ -24,6 +27,7 @@ coherent beams give the Duan combination (du)^2 + (dv)^2 = 4.
 from __future__ import annotations
 
 import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
@@ -35,10 +39,10 @@ import numpy as np
 # perfbench's tracer test wraps the drift builder through it
 from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,  # noqa: F401
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
-                    absorption_exact_batch, decay_generator, drift_bound,
-                    drift_pencil, generator_matrix, pencil_steady_states,
-                    steady_state_errors)
-from .doppler import average, build_classes
+                    averaged_absorption, class_steady_states, decay_generator,
+                    drift_bound, drift_pencil, generator_matrix,
+                    steady_state_errors, steady_state_pencil)
+from .doppler import build_classes, factor_moments
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
 from .numerics import propagation_integral, shifted_inverse
@@ -64,6 +68,16 @@ _PROD_ONEHOT = (PROD[None, :, :] == np.arange(9)[:, None, None]).astype(complex)
 # field-coupling superoperators stacked as (component, reduced row, field)
 # for the field order (da1, da1+, da2, da2+)
 _FIELD_SOPS = np.stack([SOP_O1, SOP_O1C, SOP_O2, SOP_O2C], axis=-1)[1:].transpose(1, 0, 2)
+
+
+# the factor triples of _eliminate, as indices into the points (pencil
+# points 0..8, the first being 0; resolvent theta 9..16; their conjugates
+# 17..24): (theta_i, 0, pencil_j) for M, then (theta_i, conj theta_k,
+# pencil_j) for S, each in (i, j) and (i, k, j) order
+_ELIMINATION_TRIPLES = np.concatenate([
+    np.stack(np.broadcast_arrays(np.arange(9, 17)[:, None], 0, np.arange(9)), -1).reshape(-1, 3),
+    np.stack(np.broadcast_arrays(np.arange(9, 17)[:, None, None], np.arange(17, 25)[:, None],
+                                 np.arange(9)), -1).reshape(-1, 3)])
 
 
 def vacuum_covariance() -> np.ndarray:
@@ -122,7 +136,7 @@ def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.nd
     return (means @ _diffusion_map(params).reshape(9, 81)).reshape(-1, 9, 9)
 
 
-def _eliminate(params: SystemParams, means, classes, resolvent):
+def _eliminate(params: SystemParams, pencil, classes, resolvent):
     """Class-averaged field generator M and noise density S at frequency w.
 
     Per class, T = kp (-i w - B)^-1 is the source response to the atomic
@@ -131,27 +145,28 @@ def _eliminate(params: SystemParams, means, classes, resolvent):
     resolvent, the numerics.shifted_inverse factorization of B0 + i w, gives
     every class (B + i w)^-1 = V diag(r) L with L = ((B0 + i w) V)^-1 and
     r = 1 / (1 - s theta), so T = -(kp V) diag(r) L.  The maps C and 2D
-    are linear in the steady state, so they are composed with L once, and
-    only r and the steady state vary over the classes:
+    are linear in the steady state, which is X q with q the factors at the
+    points of pencil (bloch.SteadyPencil), so with A = L C X and
+    D = L 2D L^H X
 
-        M = -(kp V) <r * (means @ L C)>,
-        S = (kp V) <r r^* * (means @ L 2D L^H)> (kp V)^H,
+        M = -(kp V)_ai <r_i q_j> A_jib,
+        S = (kp V)_ai <r_i r_k^* q_j> D_jik (kp V)^*_bk,
 
-    each class average one weight-vector product.  Returns M and S.
+    and every class average is a moment of three pencil factors
+    (doppler.factor_moments).  Returns M and S.
     """
-    v, left, factors, _ = resolvent
+    v, left, theta, _ = resolvent
     kv = _source_projection(params) @ v                            # (4,8)
-    lc = (left @ _coupling_map(params)).reshape(9, 32)
+    lc = pencil.states.T @ (left @ _coupling_map(params)).reshape(9, 32)
     corr = _diffusion_map(params)[:, 1:, 1:][:, :, list(REDUCED_CONJ)]
-    ld = (left @ corr @ left.conj().T).reshape(9, 64)
-    q = (means @ lc).reshape(-1, 8, 4)
-    q *= factors[:, :, None]
-    d = (means @ ld).reshape(-1, 8, 8)
-    d *= factors[:, :, None]
-    d *= np.conj(factors)[:, None, :]
+    ld = pencil.states.T @ (left @ corr @ left.conj().T).reshape(9, 64)
+    points = np.concatenate([pencil.points, theta, theta.conj()])
+    moments = factor_moments(classes, points, _ELIMINATION_TRIPLES)
+    of_m = moments[:72].reshape(8, 9).T                            # (j, i)
+    of_s = moments[72:].reshape(8, 8, 9).transpose(2, 0, 1)         # (j, i, k)
     scale = params.geometry.N / C_M_MHZ
-    m = -scale * (kv @ average(q, classes))
-    s = scale * (kv @ average(d, classes) @ kv.conj().T)
+    m = -scale * (kv @ (of_m[:, :, None] * lc.reshape(9, 8, 4)).sum(axis=0))
+    s = scale * (kv @ (of_s * ld.reshape(9, 8, 8)).sum(axis=0) @ kv.conj().T)
     return m, s
 
 
@@ -239,23 +254,24 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     at one probe detuning, plus exact absorption and diagnostics."""
     classes = build_classes(params, delta1, params.field.delta2)
     b0, h, e = drift_pencil(params, delta1)
-    means, pencil = pencil_steady_states(b0, h, e, classes.shifts)
-    absorption = absorption_exact_batch(params, means, classes)
-    resolvent = pencil   # at w = 0 the resolvent is the steady-state pencil
+    pencil = steady_state_pencil(b0, h, e, classes.shifts)
+    absorption = averaged_absorption(params, pencil, classes)
+    resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
     if omega != 0.0:
         try:
             resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), e, classes.shifts)
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
-    m, s_tot = _eliminate(params, means, classes, resolvent)
+    m, s_tot = _eliminate(params, pencil, classes, resolvent)
     m_tot = m + (1j * omega / C_M_MHZ) * np.eye(4)
     report = None
     if collect:
-        trace_err, herm_err, pop_err = steady_state_errors(means)
+        trace_err, herm_err, pop_err = steady_state_errors(
+            class_steady_states(pencil, classes.shifts))
         report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
                                    population_error=pop_err,
                                    max_drift_eigenvalue=drift_bound(b0, e, classes.shifts),
-                                   eigenvector_condition=max(pencil[3], resolvent[3]))
+                                   eigenvector_condition=max(pencil.resolvent[3], resolvent[3]))
     return m_tot, s_tot, absorption, report
 
 
@@ -311,17 +327,18 @@ def _set_blas_threads(counts=None):
 def sweep_rows(point, rows, jobs: int = 1):
     """Ordered map of the picklable row function point over argument tuples.
 
-    Rows run with every loaded OpenBLAS at one thread: in at most jobs
-    worker processes, in ordered chunks, when jobs > 1; otherwise here,
-    with the caller's thread counts restored afterwards.  Results come
-    back in row order, so they do not depend on the parallelism degree.
+    Rows run with every loaded OpenBLAS at one thread: when jobs > 1, in
+    worker processes, as many as jobs, rows and cores allow, in ordered
+    chunks; otherwise here, with the caller's thread counts restored
+    afterwards.  Results come back in row order, so they do not depend on
+    the parallelism degree.
     """
     args = (point, *zip(*rows))
     n = len(rows)
     if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n),
-                                 initializer=_set_blas_threads) as pool:
-            return list(pool.map(*args, chunksize=max(1, n // (4 * jobs))))
+        workers = min(jobs, n, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads) as pool:
+            return list(pool.map(*args, chunksize=max(1, n // (4 * workers))))
     counts = _set_blas_threads()
     try:
         return list(map(*args))

@@ -70,7 +70,7 @@ def check_steady_state_physicality(draws: int = 25, seed: int = 20240817) -> Che
                               delta2=rng.uniform(-300.0, 300.0)),
         )
         b0, h, e = bloch.drift_pencil(params, rng.uniform(-600.0, 600.0))
-        means, _ = bloch.pencil_steady_states(b0, h, e, [0.0])
+        means = bloch.class_steady_states(bloch.steady_state_pencil(b0, h, e, [0.0]), [0.0])
         worst_drift = max(worst_drift, bloch.drift_bound(b0, e, [0.0]))
         trace, herm, pop = bloch.steady_state_errors(means)
         worst_trace = max(worst_trace, trace)
@@ -109,7 +109,8 @@ def check_weak_probe_oracle() -> CheckResult:
     d1 = np.array([-40.0, -3.0, 0.0, 2.5, 60.0])
     rho21 = np.empty(len(d1), dtype=complex)
     for k, d in enumerate(d1):
-        means, _ = bloch.pencil_steady_states(*bloch.drift_pencil(params, d), [0.0])
+        pencil = bloch.steady_state_pencil(*bloch.drift_pencil(params, d), [0.0])
+        means = bloch.class_steady_states(pencil, [0.0])
         rho21[k] = means[0, bloch.IDX[2, 1]]
     c = params.rates
     expected = 1j * params.rabi1 / (c.gamma12 + 1j * d1

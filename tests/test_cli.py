@@ -300,6 +300,7 @@ class TestBadInput:
         ("run", trapezoid_nodes_config),
         ("run", wide_span_config),
         ("run", wide_span_absorption_config),
+        ("run", ["--delta1-min", "0", "--delta1-max", "1", "--delta1-points", "1000000000000"]),
     ])
     def test_exit_2(self, tmp_path, fast_config, capsys, command, change):
         out = tmp_path / "out"

@@ -352,6 +352,29 @@ class TestFactoredAverage:
             assert bloch.absorption_exact(params, delta1) == absorption
             assert 1.0 <= report.eigenvector_condition < 1e3
 
+    @pytest.mark.parametrize("omega", [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 3.0])
+    @pytest.mark.parametrize("case", ["fig2-a", "fig4-c", "fig3-p0-alpha2-1"])
+    def test_matches_per_class_oracle_at_small_frequency(self, case, omega):
+        # as w -> 0 the resolvent's poles approach the steady state's, and
+        # the moments must not divide by their vanishing gaps
+        params = ORACLE_CASES[case]
+        for delta1 in (0.0, 35.0, 200.0):
+            m, s, absorption, _ = fl.field_system_at(params, delta1, omega)
+            m_ref, s_ref, abs_ref = per_class_field_system(params, delta1, omega)
+            assert rel_err(m, m_ref) <= 1e-10
+            assert rel_err(s, s_ref) <= 1e-10
+            assert abs(absorption - abs_ref) <= 1e-10 * abs(abs_ref)
+
+    @pytest.mark.parametrize("omega", [0.0, 3.0])
+    def test_no_class_steady_states_unless_collected(self, fast_params, monkeypatch, omega):
+        def per_class(*args):
+            raise AssertionError("per-class steady states built")
+
+        monkeypatch.setattr(fl, "class_steady_states", per_class)
+        fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0], omega=omega)
+        with pytest.raises(AssertionError, match="per-class"):
+            fl.v12_spectrum(fast_params(p=0.5), [0.0], omega=omega, collect=True)
+
     def test_singular_drift_has_no_steady_state(self):
         # no decay, no fields: the populations are conserved and the
         # reduced drift B0 is singular
@@ -415,12 +438,21 @@ class TestFieldCovariance:
         assert np.array_equal(a.v12, b.v12)
         assert np.array_equal(a.absorption, b.absorption)
 
-    def test_pool_sized_to_rows(self, fast_params, recording_pool):
+    def test_pool_sized_to_rows(self, fast_params, recording_pool, monkeypatch):
+        monkeypatch.setattr(fl.os, "cpu_count", lambda: 8)
         params = fast_params(p=0.5)
         fl.v12_spectrum(params, [-10.0, 0.0, 10.0], jobs=4)
         assert recording_pool == [(3, fl._set_blas_threads)]
         fl.v12_spectrum(params, [0.0], jobs=4)
         assert recording_pool == [(3, fl._set_blas_threads)]
+
+    @pytest.mark.parametrize("cores", [2, None])
+    def test_pool_capped_at_the_core_count(self, fast_params, recording_pool, monkeypatch,
+                                           cores):
+        # the stand-in pool starts no process; an unknown core count is one
+        monkeypatch.setattr(fl.os, "cpu_count", lambda: cores)
+        fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], jobs=5000)
+        assert recording_pool == [(cores or 1, fl._set_blas_threads)]
 
 
 # Reads the thread count of every loaded OpenBLAS, independently of the
@@ -493,14 +525,14 @@ def test_pool_worker_initializer_pins_blas_to_one_thread(blas_threads):
 
 class TestPhysicalityReport:
     def test_population_error_reported(self, monkeypatch):
-        real = fl.pencil_steady_states
+        real = fl.class_steady_states
 
         def negative_population(*args):
-            means, pencil = real(*args)
+            means = real(*args)
             means[:, bloch.POPULATIONS[2]] = -0.1
-            return means, pencil
+            return means
 
-        monkeypatch.setattr(fl, "pencil_steady_states", negative_population)
+        monkeypatch.setattr(fl, "class_steady_states", negative_population)
         _, report = fl.v12_spectrum(stationary(), [0.0], collect=True)
         assert report.population_error == 0.1
 

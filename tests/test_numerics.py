@@ -100,6 +100,19 @@ class TestGaussianTrapezoid:
             b = np.sum(gh_weights * f(gh_nodes))
             assert abs(a - b) < 1e-6
 
+    @pytest.mark.parametrize("n, mu, span", [(2561, 530.0, 3.0), (401, 2.0, 5.0)])
+    def test_cached_rule_is_bitwise_the_direct_one(self, n, mu, span):
+        # built once per (n, mu, span), read-only, and the same bytes
+        nodes = np.linspace(-span * mu, span * mu, n)
+        w = np.exp(-((nodes / mu) ** 2))
+        w[[0, -1]] *= 0.5
+        for _ in range(2):
+            got_nodes, got_weights = numerics.gaussian_trapezoid_rule(n, mu, span)
+            assert np.array_equal(got_nodes, nodes)
+            assert np.array_equal(got_weights, w / w.sum())
+            assert not got_nodes.flags.writeable and not got_weights.flags.writeable
+        assert numerics.gaussian_trapezoid_rule(n, mu, span)[0] is got_nodes
+
 
 class TestPropagationIntegral:
     def test_matches_quadrature(self, rng):
@@ -140,10 +153,11 @@ class TestShiftedInverse:
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
         e = np.array([0.0, 0.0, 1.0j, -1.0j, 2.0j, 0.3j])   # zero on two components
         shifts = np.linspace(-50.0, 50.0, 11)
-        v, left, factors, cond = numerics.shifted_inverse(a, e, shifts)
-        assert factors.shape == (11, 6)
+        v, left, theta, cond = numerics.shifted_inverse(a, e, shifts)
+        assert theta.shape == (6,)
         assert cond >= 1.0
-        for s, r in zip(shifts, factors):
+        for s in shifts:
+            r = 1.0 / (1.0 - s * theta)
             direct = np.linalg.inv(a - s * np.diag(e))
             assert np.max(np.abs(v @ np.diag(r) @ left - direct)) < 1e-12 * np.max(np.abs(direct))
 
@@ -155,7 +169,8 @@ class TestShiftedInverse:
         params = pump_sweep_transform(baseline_params(p=0.0), 1.0)
         classes = build_classes(params, 200.0, params.field.delta2)
         b0, _, e = drift_pencil(params, 200.0)
-        v, left, factors, _ = numerics.shifted_inverse(b0, e, classes.shifts)
+        v, left, theta, _ = numerics.shifted_inverse(b0, e, classes.shifts)
+        factors = 1.0 / (1.0 - classes.shifts[:, None] * theta)
         with mpmath.workdps(40):
             a, diag_e = mpmath.matrix(b0.tolist()), mpmath.diag(e.tolist())
             for k in np.argsort(np.max(np.abs(factors), axis=1))[-16:]:
@@ -163,6 +178,18 @@ class TestShiftedInverse:
                 exact = np.array((pencil ** -1).tolist(), dtype=complex)
                 got = v @ np.diag(factors[k]) @ left
                 assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_conjugate_pairs_made_exact(self, rng):
+        z = rng.standard_normal(3) + 1j * rng.uniform(0.1, 1.0, 3)
+        noisy = np.concatenate([z, (z * (1.0 + 1e-14j)).conj(), [0.0, 2.5]])[[0, 3, 6, 1, 4, 7, 2, 5]]
+        closed, pairing = numerics.conjugate_closed(noisy)
+        assert np.array_equal(closed[pairing], closed.conj())
+        assert np.allclose(closed, noisy, rtol=1e-13, atol=0.0)
+        assert list(pairing[[2, 5]]) == [2, 5]     # the real points
+        # no pairing: unchanged, with the identity
+        unpaired, identity = numerics.conjugate_closed(noisy[:-2] + [0, 0, 0, 0, 0, 1e-3j])
+        assert np.array_equal(unpaired, noisy[:-2] + [0, 0, 0, 0, 0, 1e-3j])
+        assert np.array_equal(identity, np.arange(6))
 
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
