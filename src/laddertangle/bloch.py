@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .doppler import average, build_classes, pump_shift_ratio, resolvent_taylor
+from .doppler import average, build_classes, pump_shift_ratio, resolvent_series
 from .errors import NoSteadyStateError, ParameterError
 from .model import SystemParams
 from .numerics import conjugate_closed, shifted_inverse
@@ -156,14 +156,12 @@ class SteadyPencil(NamedTuple):
     y = (B0 V)^-1 (-h) (see drift_pencil and numerics.shifted_inverse), and
     rho11 = 1 - rho22 - rho33.  So with the points (0, theta) and the
     factors r(s) = 1 / (1 - s points), the full state is states @ r(s).
-    The theta come in conjugate pairs, made exact (numerics.conjugate_closed):
-    points[partner] == points.conj().  resolvent is the factorization
-    (V, (B0 V)^-1, theta, cond(V)), which the atomic elimination at w = 0
-    reuses.
+    The theta come in conjugate pairs, made exact (numerics.conjugate_closed).
+    resolvent is the factorization (V, (B0 V)^-1, theta, cond(V)), which
+    the atomic elimination at w = 0 reuses.
     """
 
     points: np.ndarray       # (9,)
-    partner: np.ndarray      # (9,) int
     states: np.ndarray       # (9, 9)
     resolvent: tuple
 
@@ -174,12 +172,11 @@ def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) ->
         v, left, theta, cond = shifted_inverse(b0, e, shifts)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
-    theta, partner = conjugate_closed(theta)
+    theta = conjugate_closed(theta)
     states = np.zeros((9, 9), dtype=complex)
     states[0, 0] = 1.0
     states[:, 1:] = LIFT @ v * (left @ -h)
-    return SteadyPencil(np.concatenate([[0.0], theta]), np.concatenate([[0], 1 + partner]),
-                        states, (v, left, theta, cond))
+    return SteadyPencil(np.concatenate([[0.0], theta]), states, (v, left, theta, cond))
 
 
 def class_steady_states(pencil: SteadyPencil, shifts) -> np.ndarray:
@@ -282,16 +279,12 @@ def absorption_exact_batch(params: SystemParams, mean_vecs: np.ndarray, classes)
 
 def averaged_absorption(params: SystemParams, pencil: SteadyPencil, classes) -> float:
     """Doppler average of (gamma12/(g1 alpha1)) Im rho21 from the class
-    averages <1 / (1 - s t)> at the points of the pencil alone, taken once
-    per conjugate pair."""
+    averages <1 / (1 - s t)> at the points of the pencil alone
+    (doppler.resolvent_series)."""
     o1 = params.rabi1
     if o1 == 0.0:
         return 0.0
-    # a point 0 has the factor 1
-    own = (pencil.partner >= np.arange(len(pencil.partner))) & (pencil.points != 0.0)
-    factors = np.ones(len(own), dtype=complex)
-    factors[own] = resolvent_taylor(classes, pencil.points[own], 0)[0]
-    factors[~own] = factors[pencil.partner[~own]].conj()
+    factors = resolvent_series(classes, pencil.points, 0)[0]
     return float(params.rates.gamma12 / o1 * (pencil.states[IDX[2, 1]] @ factors).imag)
 
 

@@ -130,6 +130,13 @@ def _explicit_grid(args) -> np.ndarray | None:
     return np.linspace(args.delta1_min, args.delta1_max, args.delta1_points)
 
 
+def _check_output_dir(path: Path) -> None:
+    """Reject, before any work, an output directory under an existing file."""
+    part = next(p for p in (path, *path.parents) if p.exists())
+    if not part.is_dir():
+        raise ConfigError(f"cannot make the output directory {path}: {part} is not a directory")
+
+
 def _resolve_scenario(args) -> Scenario:
     grid = _explicit_grid(args)
     if args.scenario is not None:
@@ -155,6 +162,7 @@ def _resolve_scenario(args) -> Scenario:
 def cmd_run(args) -> int:
     jobs = _default_jobs(args.jobs)
     scenario = _resolve_scenario(args)
+    _check_output_dir(args.out)
     regime_warnings = validate_regime(scenario.base)
     for warning in regime_warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -163,9 +171,8 @@ def cmd_run(args) -> int:
                                              collect=True)
     wall = time.monotonic() - start
     out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{scenario.name}.csv"
-    table.write_csv(csv_path)
+    manifest_path = out_dir / f"{scenario.name}.manifest.json"
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.name,
@@ -180,10 +187,14 @@ def cmd_run(args) -> int:
         "regime_warnings": regime_warnings,
         "physicality": None if report is None else asdict(report),
         "environment": _environment(),
-        "files": {csv_path.name: _sha256(csv_path)},
     }
-    manifest_path = out_dir / f"{scenario.name}.manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        table.write_csv(csv_path)
+        manifest["files"] = {csv_path.name: _sha256(csv_path)}
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
     print(f"wrote {csv_path} and {manifest_path} "
           f"({len(scenario.grid)} points, {wall:.1f} s, jobs={jobs})")
     return EXIT_OK
@@ -192,14 +203,19 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     from .validation import run_all
 
+    if args.out is not None:
+        _check_output_dir(args.out.parent)
     results = run_all()
     report = {"schema_version": SCHEMA_VERSION,
               "passed": all(r.passed for r in results),
               "checks": [asdict(r) for r in results]}
     text = json.dumps(report, indent=2) + "\n"
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
+        try:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            args.out.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {args.out}: {exc}") from exc
     print(text, end="")
     for r in results:
         status = "PASS" if r.passed else "FAIL"

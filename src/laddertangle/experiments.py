@@ -19,9 +19,6 @@ from .model import (CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
                     GeometryConfig, RB_SATURATION_DENSITY, SystemParams)
 from .tables import PumpSweepTable, SpectrumTable
 
-# Velocity-class quadrature used by the shipped scenarios: the default rule.
-SCENARIO_DOPPLER = DopplerConfig()
-
 # Feature extraction: the background ring reaches this many half-widths
 # from the expected location, and a deviation is a feature when it exceeds
 # this fraction of the value range over that window.
@@ -38,7 +35,7 @@ def default_delta1_grid(halfspan: float = DEFAULT_GRID_HALFSPAN,
 
 
 def baseline_params(p: float = 0.0, alpha1: float = 10.0, alpha2: float = 50.0,
-                    delta2: float = 0.0, doppler: DopplerConfig = SCENARIO_DOPPLER) -> SystemParams:
+                    delta2: float = 0.0, doppler: DopplerConfig = DopplerConfig()) -> SystemParams:
     """Room-temperature Rb ladder baseline used by all figure scenarios."""
     return SystemParams(
         decay=DecayConfig(gamma1=3.0, gamma2=0.5, p=p),

@@ -330,6 +330,44 @@ class TestBadInput:
         assert json.loads(capsys.readouterr().out)["kind"] == "dip"
 
 
+class TestOutPath:
+    # an --out under an existing file could never be written; it is
+    # rejected before the sweep, and the file is left as it was
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_run_rejects_a_file_before_sweeping(self, tmp_path, fast_config, monkeypatch,
+                                                capsys, under):
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n", encoding="utf-8")
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(cli.experiments, "run_scenario", no_sweep)
+        args = ["run", "--config", fast_config, "--out", blocker / under, *_RUN_GRID]
+        assert _run(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+    def test_validate_rejects_a_file_before_checking(self, tmp_path, monkeypatch, capsys):
+        from laddertangle import validation
+
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n", encoding="utf-8")
+        monkeypatch.setattr(validation, "run_all", lambda: pytest.fail("checks ran"))
+        assert _run(["validate", "--out", blocker / "x.json"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+    def test_write_failure_exit_2(self, tmp_path, fast_config, monkeypatch, capsys):
+        def full_disk(self, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(SpectrumTable, "write_csv", full_disk)
+        args = ["run", "--config", fast_config, "--out", tmp_path / "out", *_RUN_GRID]
+        assert _run(args) == 2
+        assert "error: cannot write outputs" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scenario, grid", [
         ("fig2-c", ["--delta1-min", "-40", "--delta1-max", "40", "--delta1-points", "9"]),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from laddertangle import doppler
+from laddertangle import bloch, doppler, fluctuations
 from laddertangle.errors import ContractError
-from laddertangle.experiments import baseline_params
+from laddertangle.experiments import all_scenarios, baseline_params
 from laddertangle.model import DopplerConfig
 
 
@@ -156,3 +156,32 @@ class TestFactorMoments:
             poles = 1.0 / classes.shifts
         want = np.min(np.abs(points[:, None] - poles), axis=1)
         assert np.allclose(doppler.pole_distance(classes, points), want, rtol=1e-12)
+
+
+class TestResolventSeries:
+    def test_zero_is_one_and_pairs_evaluated_once(self, monkeypatch):
+        # a fig2-a row at w = 0: neither the absorption nor the elimination
+        # evaluates g at 0 or at both members of a conjugate pair
+        params = all_scenarios()["fig2-a"].base
+        taylor, evaluated = doppler.resolvent_taylor, []
+
+        def recording(classes, points, order):
+            evaluated.append(np.array(points))
+            return taylor(classes, points, order)
+
+        monkeypatch.setattr(doppler, "resolvent_taylor", recording)
+        for row in (bloch.absorption_exact, fluctuations.field_system_at):
+            evaluated.clear()
+            row(params, 0.0)
+            points = np.concatenate(evaluated)
+            assert len(points) and np.all(points != 0.0)
+            assert not np.isin(points[points.imag != 0.0].conj(), points).any()
+        # every pencil point's <r> is the exact conjugate of its partner's
+        classes = doppler.build_classes(params, 0.0, params.field.delta2)
+        pencil = bloch.steady_state_pencil(*bloch.drift_pencil(params, 0.0), classes.shifts)
+        partner = np.argmax(pencil.points.conj()[:, None] == pencil.points, axis=1)
+        assert np.array_equal(pencil.points[partner], pencil.points.conj())
+        assert np.any(pencil.points.imag != 0.0)
+        r = doppler.resolvent_series(classes, pencil.points, 0)[0]
+        assert np.array_equal(r[partner], r.conj())
+        assert np.all(r[pencil.points == 0.0] == 1.0)
