@@ -316,31 +316,36 @@ def _set_blas_threads(counts=None):
     """Set every loaded OpenBLAS to its entry of counts (default: one
     thread each) and return the previous counts; the pool-worker
     initializer.  At the 8x8 sizes of a row, BLAS threads only add
-    synchronization, and pool workers already share out the cores."""
+    synchronization, and pool workers already share out the cores.  A
+    library already at its count is left alone: in a forked worker, which
+    inherits the pin, the setter would only start OpenBLAS's thread server."""
     controls = _blas_thread_controls()
     previous = [getter() for getter, _ in controls]
-    for (_, setter), count in zip(controls, counts or repeat(1)):
-        setter(count)
+    for (_, setter), count, now in zip(controls, counts or repeat(1), previous):
+        if count != now:
+            setter(count)
     return previous
 
 
 def sweep_rows(point, rows, jobs: int = 1):
     """Ordered map of the picklable row function point over argument tuples.
 
-    Rows run with every loaded OpenBLAS at one thread: when jobs > 1, in
-    worker processes, as many as jobs, rows and cores allow, in ordered
-    chunks; otherwise here, with the caller's thread counts restored
-    afterwards.  Results come back in row order, so they do not depend on
-    the parallelism degree.
+    Rows run with every loaded OpenBLAS at one thread, and the caller's
+    thread counts are restored afterwards.  When more than one worker is
+    possible (jobs, rows and cores allowing), rows run in worker processes
+    in ordered chunks; this process is pinned before they start, so a
+    forked worker inherits the pin and the library lookup.  Otherwise they
+    run here.  Results come back in row order, so they do not depend on the
+    parallelism degree.
     """
     args = (point, *zip(*rows))
     n = len(rows)
-    if jobs > 1 and n > 1:
-        workers = min(jobs, n, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads) as pool:
-            return list(pool.map(*args, chunksize=max(1, n // (4 * workers))))
+    workers = min(jobs, n, os.cpu_count() or 1)
     counts = _set_blas_threads()
     try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads) as pool:
+                return list(pool.map(*args, chunksize=max(1, n // (4 * workers))))
         return list(map(*args))
     finally:
         _set_blas_threads(counts)

@@ -75,8 +75,8 @@ def shifted_inverse(a, e, shifts):
     if not cond <= MAX_EIGENVECTOR_CONDITION:
         raise ResonanceError(f"eigenvector condition number {cond:.3g} of the shifted "
                              f"inverse exceeds {MAX_EIGENVECTOR_CONDITION:.0e}")
-    # 1 - s theta vanishes only for a real theta
-    if np.any(np.multiply.outer(shifts, theta.real[theta.imag == 0.0]) == 1.0):
+    # 1 - s theta vanishes only for a real, nonzero theta
+    if np.any(np.multiply.outer(shifts, theta.real[(theta.imag == 0.0) & (theta != 0.0)]) == 1.0):
         raise np.linalg.LinAlgError("a shift lies on a pole of the pencil")
     return v, np.linalg.inv(a @ v), theta, cond
 

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -446,22 +448,22 @@ class TestFieldCovariance:
         fl.v12_spectrum(params, [0.0], jobs=4)
         assert recording_pool == [(3, fl._set_blas_threads)]
 
-    @pytest.mark.parametrize("cores", [2, None])
+    @pytest.mark.parametrize("cores", [2, 1, None])
     def test_pool_capped_at_the_core_count(self, fast_params, recording_pool, monkeypatch,
                                            cores):
-        # the stand-in pool starts no process; an unknown core count is one
+        # the stand-in pool starts no process; an unknown core count is one,
+        # and a single possible worker runs the rows here, without a pool
         monkeypatch.setattr(fl.os, "cpu_count", lambda: cores)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], jobs=5000)
-        assert recording_pool == [(cores or 1, fl._set_blas_threads)]
+        assert recording_pool == ([(2, fl._set_blas_threads)] if cores == 2 else [])
 
 
 # Reads the thread count of every loaded OpenBLAS, independently of the
-# program's own lookup: before a serial sweep, inside its rows, after it,
-# and after the pool-worker initializer.  Counts the library loads of the
-# program's lookup over two sweeps.
-_BLAS_THREADS_SCRIPT = """
+# program's own lookup.
+_BLAS_COUNTS = """
 import ctypes
 import json
+import os
 from laddertangle import fluctuations as fl
 
 real_cdll = ctypes.CDLL
@@ -480,7 +482,12 @@ def counts():
                 out.append(getter())
                 break
     return out
+"""
 
+# The counts before a serial sweep, inside its rows, after it, and after
+# the pool-worker initializer; and the library loads of the program's
+# lookup over two sweeps.
+_BLAS_THREADS_SCRIPT = _BLAS_COUNTS + """
 loads = []
 def counting_cdll(path, *args, **kwargs):
     loads.append(path)
@@ -497,18 +504,33 @@ print(json.dumps({"before": before, "inside": inside, "after": after,
                   "initialized": counts(), "loads": len(loads)}))
 """
 
+# The counts before a pooled sweep, in its worker rows with the worker's
+# OS thread count, and after it.
+_POOL_THREADS_SCRIPT = _BLAS_COUNTS + """
+def probe(k):
+    return counts(), len(os.listdir("/proc/self/task"))
 
-@pytest.fixture(scope="module")
-def blas_threads():
-    if not Path("/proc/self/maps").exists():
-        pytest.skip("needs a process memory map")
+before = counts()
+rows = fl.sweep_rows(probe, [(k,) for k in range(4)], jobs=2)
+print(json.dumps({"before": before, "rows": rows, "after": counts()}))
+"""
+
+
+def _blas_counts_run(script):
     # a fresh process, so this one keeps its BLAS setting
-    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+    out = subprocess.run([sys.executable, "-c", script],
                          env=package_env(OPENBLAS_NUM_THREADS="2"),
                          check=True, capture_output=True, text=True).stdout
     counts = json.loads(out)
     assert counts["before"] and set(counts["before"]) == {2}
     return counts
+
+
+@pytest.fixture(scope="module")
+def blas_threads():
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs a process memory map")
+    return _blas_counts_run(_BLAS_THREADS_SCRIPT)
 
 
 def test_serial_sweep_rows_run_on_one_blas_thread(blas_threads):
@@ -521,6 +543,45 @@ def test_serial_sweep_rows_run_on_one_blas_thread(blas_threads):
 
 def test_pool_worker_initializer_pins_blas_to_one_thread(blas_threads):
     assert blas_threads["initialized"] == [1] * len(blas_threads["before"])
+
+
+def test_forked_pool_workers_inherit_one_blas_thread():
+    # the parent is pinned before the pool forks, so a worker calls no
+    # setter, which would start OpenBLAS's thread server in it
+    if not Path("/proc/self/task").exists():
+        pytest.skip("needs a process memory map and task list")
+    if multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs forked pool workers on at least two cores")
+    counts = _blas_counts_run(_POOL_THREADS_SCRIPT)
+    n = len(counts["before"])
+    assert counts["rows"] == [[[1] * n, 1]] * 4
+    assert counts["after"] == counts["before"]
+
+
+class _FakeBlas:
+    """A thread-count control pair that records its setter calls."""
+
+    def __init__(self, count):
+        self.count, self.set_calls = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.set_calls.append(count)
+        self.count = count
+
+
+def test_set_blas_threads_skips_counts_already_set(monkeypatch):
+    libs = [_FakeBlas(1), _FakeBlas(4)]
+    monkeypatch.setattr(fl, "_blas_thread_controls",
+                        lambda: tuple((lib.get, lib.set) for lib in libs))
+    assert fl._set_blas_threads() == [1, 4]
+    assert [lib.set_calls for lib in libs] == [[], [1]]
+    assert fl._set_blas_threads([1, 4]) == [1, 1]
+    assert [lib.set_calls for lib in libs] == [[], [1, 4]]
+    assert fl._set_blas_threads([1, 4]) == [1, 4]
+    assert [lib.set_calls for lib in libs] == [[], [1, 4]]
 
 
 class TestPhysicalityReport:

@@ -199,6 +199,9 @@ class TestShiftedInverse:
         # 1 - s theta = 0 at s = 0.5 for A = 1, e = 2
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
             numerics.shifted_inverse(np.eye(1), [2.0], [0.0, 0.5])
+        # next to a zero theta, which is no pole
+        with pytest.raises(np.linalg.LinAlgError, match="pole"):
+            numerics.shifted_inverse(np.eye(2), [0.0, 2.0], [0.0, 0.5])
 
     def test_nearly_defective_pencil_raises(self):
         # K = A^-1 diag(e) = [[1, 1 + d], [0, 1 + d]]: two eigenvectors at
