@@ -21,7 +21,7 @@ import scipy.linalg as sla
 from .doppler import average, build_classes, pump_shift_ratio, resolvent_series
 from .errors import NoSteadyStateError, ParameterError
 from .model import SystemParams
-from .numerics import conjugate_closed, shifted_inverse
+from .numerics import shifted_inverse
 
 LABELS = ((1, 1), (2, 2), (3, 3), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
 IDX = {lab: k for k, lab in enumerate(LABELS)}
@@ -31,6 +31,12 @@ POPULATIONS = (IDX[1, 1], IDX[2, 2], IDX[3, 3])
 REDUCED_LABELS = LABELS[1:]
 # conjugate-partner permutation on the reduced basis
 REDUCED_CONJ = tuple(REDUCED_LABELS.index((j, i)) for (i, j) in REDUCED_LABELS)
+# unitary map of the reduced components x to real coordinates (rho22, rho33,
+# Re rho21, Im rho21, Re rho31, Im rho31, Re rho32, Im rho32), sqrt(2) times on
+# the coherences: rows (x_k + x_p) / sqrt(2) and i (x_p - x_k) / sqrt(2) per pair k < p
+_K, _P, _SWAP = np.arange(8)[:, None], np.array(REDUCED_CONJ)[:, None], np.eye(8)[list(REDUCED_CONJ)]
+REAL_BASIS = np.where(_K == _P, np.eye(8),
+                      np.where(_K < _P, np.eye(8) + _SWAP, 1j * (np.eye(8) - _SWAP)) / np.sqrt(2.0))
 # reduced -> full components of a traceless vector: rho11 = -rho22 - rho33
 LIFT = np.vstack([-np.eye(8)[:2].sum(axis=0), np.eye(8)])
 # Hilbert-Schmidt inner product of traceless vectors in the reduced basis
@@ -95,16 +101,11 @@ def generator_matrix(params: SystemParams, d1, d2, o1=None, o1c=None, o2=None, o
     holding the conjugate amplitude fixed in derivative oracles).
     """
     g1, g2 = params.couplings
-    if o1 is None:
-        o1 = g1 * params.field.alpha1
-    if o1c is None:
-        o1c = np.conj(o1)
-    if o2 is None:
-        o2 = g2 * params.field.alpha2
-    if o2c is None:
-        o2c = np.conj(o2)
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
+    o1 = g1 * params.field.alpha1 if o1 is None else o1
+    o1c = np.conj(o1) if o1c is None else o1c
+    o2 = g2 * params.field.alpha2 if o2 is None else o2
+    o2c = np.conj(o2) if o2c is None else o2c
+    d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
     base = (decay_generator(params)
             + o1 * SOP_O1 + o1c * SOP_O1C + o2 * SOP_O2 + o2c * SOP_O2C)
     return (base[None, :, :]
@@ -156,7 +157,7 @@ class SteadyPencil(NamedTuple):
     y = (B0 V)^-1 (-h) (see drift_pencil and numerics.shifted_inverse), and
     rho11 = 1 - rho22 - rho33.  So with the points (0, theta) and the
     factors r(s) = 1 / (1 - s points), the full state is states @ r(s).
-    The theta come in conjugate pairs, made exact (numerics.conjugate_closed).
+    The theta come in exact conjugate pairs (steady_state_pencil).
     resolvent is the factorization (V, (B0 V)^-1, theta, cond(V)), which
     the atomic elimination at w = 0 reuses.
     """
@@ -167,12 +168,17 @@ class SteadyPencil(NamedTuple):
 
 
 def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) -> SteadyPencil:
-    """Factor the drift pencil of the classes with the given probe shifts."""
+    """Factor the drift pencil of the classes with the given probe shifts.
+
+    The drift keeps states Hermitian, so in U = REAL_BASIS the pencil
+    (B0, diag(e)) is real up to rounding, which is dropped, and real QZ
+    pairs its theta exactly; V = U^H V_r and (B0 V)^-1 = (B_r V_r)^-1 U."""
+    u, uh = REAL_BASIS, REAL_BASIS.conj().T
     try:
-        v, left, theta, cond = shifted_inverse(b0, e, shifts)
+        v, left, theta, cond = shifted_inverse((u @ b0 @ uh).real, ((u * e) @ uh).real, shifts)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
-    theta = conjugate_closed(theta)
+    v, left = uh @ v, left @ u
     states = np.zeros((9, 9), dtype=complex)
     states[0, 0] = 1.0
     states[:, 1:] = LIFT @ v * (left @ -h)
@@ -209,12 +215,9 @@ def steady_state_errors(means: np.ndarray) -> tuple[float, float, float]:
     of steady states; all three are zero for physical density matrices."""
     pops = means[:, list(POPULATIONS)]
     trace_err = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
-    herm = 0.0
-    for (i, j) in LABELS:
-        if i < j:
-            herm = max(herm, float(np.max(np.abs(
-                means[:, IDX[i, j]] - np.conj(means[:, IDX[j, i]])))))
-    herm = max(herm, float(np.max(np.abs(pops.imag))))
+    upper, lower = zip(*[(IDX[i, j], IDX[j, i]) for (i, j) in LABELS if i < j])
+    herm = max(float(np.max(np.abs(means[:, list(upper)] - np.conj(means[:, list(lower)])))),
+               float(np.max(np.abs(pops.imag))))
     pop_err = max(0.0, float(np.max(np.maximum(-pops.real, pops.real - 1.0))))
     return trace_err, herm, pop_err
 
@@ -226,11 +229,8 @@ def eq1_terms(params: SystemParams, d1, d2):
     (destructive, the transparency route); term3: two-step two-photon
     excitation (constructive, fifth order in the fields).
     """
-    c = params.rates
-    o1 = params.rabi1
-    o2 = params.rabi2
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
+    c, o1, o2 = params.rates, params.rabi1, params.rabi2
+    d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
     lor1 = c.gamma12**2 / (c.gamma12**2 + d1**2)
     term1 = lor1
     term2 = -np.real(

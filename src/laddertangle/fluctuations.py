@@ -240,7 +240,8 @@ class PhysicalityReport:
     max_drift_eigenvalue: float = -np.inf
     covariance_error: float = 0.0
     # largest condition number of the eigenvector bases that factor the
-    # class dependence (numerics.shifted_inverse)
+    # class dependence (numerics.shifted_inverse), each with its theta = 0
+    # columns (the populations) orthonormalized
     eigenvector_condition: float = 0.0
 
     def merged(self, other: "PhysicalityReport") -> "PhysicalityReport":
@@ -259,7 +260,7 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
     if omega != 0.0:
         try:
-            resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), e, classes.shifts)
+            resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), np.diag(e), classes.shifts)
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
     m, s_tot = _eliminate(params, pencil, classes, resolvent)

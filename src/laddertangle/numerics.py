@@ -1,4 +1,4 @@
-"""Small dense complex linear-algebra and quadrature kernels.
+"""Small dense linear-algebra and quadrature kernels.
 
 Everything here operates on matrices of dimension <= 16; the physics
 modules only ever need 3x3, 8x8 and 4x4 systems, plus Maxwellian
@@ -26,13 +26,10 @@ MAX_TRAPEZOID_SPAN = 20.0
 # factored inverses lose about log10(cond) digits against a direct solve;
 # the shipped scenarios stay below 100.
 MAX_EIGENVECTOR_CONDITION = 1e6
-# Relative gap below which computed eigenvalues count as conjugate partners
-# (conjugate_closed): far above QZ's rounding at that condition number.
-CONJUGATE_RTOL = 1e-8
 
 
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def _as_square(a, dtype=complex) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -48,29 +45,48 @@ def matrix_exponential(a) -> np.ndarray:
     return sla.expm(a)
 
 
-def shifted_inverse(a, e, shifts):
-    """Factor (A - s diag(e))^-1 for every shift s at once.
+def shifted_inverse(a, b, shifts):
+    """Factor (A - s B)^-1 for every shift s at once.
 
     QZ (Moler & Stewart, SIAM J. Numer. Anal. 10, 241, 1973) gives beta A V =
-    alpha diag(e) V without forming A^-1 diag(e), which loses digits when its
+    alpha B V without forming A^-1 B, which loses digits when its
     eigenvalues theta = beta / alpha span decades.  Then
 
-        (A - s diag(e))^-1 = V diag(1 / (1 - s theta)) (A V)^-1
+        (A - s B)^-1 = V diag(1 / (1 - s theta)) (A V)^-1
 
-    for every shift.  Returns V (unit columns), (A V)^-1, theta and cond(V);
-    the factors 1 / (1 - s theta) are left to the caller.  Raises
+    for every shift.  A real pencil goes to real QZ (LAPACK dggev), and the
+    second member of each conjugate pair it marks gets the exact conjugate
+    theta and V column of the first (their computed beta differ by
+    rounding); a complex pencil goes to zggev.  The columns at theta = 0,
+    LAPACK's arbitrary basis of ker B, are orthonormalized so that cond(V)
+    does not depend on it.  Returns V (unit columns), (A V)^-1, theta and
+    cond(V); the factors 1 / (1 - s theta) are left to the caller.  Raises
     LinAlgError for a singular or non-finite A or a shift on a pole of the
     pencil, and ResonanceError when cond(V) exceeds MAX_EIGENVECTOR_CONDITION.
     """
-    a = _as_square(a)
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    a, b = _as_square(a, float if real else complex), _as_square(b, float if real else complex)
     shifts = np.asarray(shifts, dtype=float)
-    # LAPACK's QZ driver itself: scipy.linalg.eig wraps it in ~0.1 ms of Python
-    alpha, beta, _, v, _, info = sla.lapack.zggev(a, np.diag(e), compute_vl=False)
+    # LAPACK's QZ drivers themselves: scipy.linalg.eig wraps them in ~0.1 ms of Python
+    if real:
+        alphar, alphai, beta, _, vr, _, info = sla.lapack.dggev(a, b, compute_vl=False)
+        alpha = alphar + 1j * alphai
+    else:
+        alpha, beta, _, v, _, info = sla.lapack.zggev(a, b, compute_vl=False)
     # checked before dividing: alpha = 0 is a singular A, and LAPACK passes NaN on
-    if info != 0 or np.any(alpha == 0.0) or not np.isfinite(a + np.diag(e)).all():
+    if info != 0 or np.any(alpha == 0.0) or not np.isfinite(a + b).all():
         raise np.linalg.LinAlgError(f"singular or non-finite matrix, or QZ failed ({info})")
-    v /= np.linalg.norm(v, axis=0)
     theta = beta / alpha
+    if real:
+        # pair j, j + 1 (alphai[j] > 0): columns j, j + 1 hold the first eigenvector's Re, Im
+        j = np.flatnonzero(alphai > 0.0)
+        v = vr.astype(complex)
+        v[:, j] += 1j * vr[:, j + 1]
+        v[:, j + 1] = v[:, j].conj()
+        theta[j + 1] = theta[j].conj()
+    v /= np.linalg.norm(v, axis=0)
+    kernel = theta == 0.0     # QR through LAPACK itself: numpy's wrapper costs 3x as much
+    v[:, kernel] = sla.lapack.zungqr(*sla.lapack.zgeqrf(v[:, kernel])[:2])[0]
     cond = float(np.linalg.cond(v))
     if not cond <= MAX_EIGENVECTOR_CONDITION:
         raise ResonanceError(f"eigenvector condition number {cond:.3g} of the shifted "
@@ -79,22 +95,6 @@ def shifted_inverse(a, e, shifts):
     if np.any(np.multiply.outer(shifts, theta.real[(theta.imag == 0.0) & (theta != 0.0)]) == 1.0):
         raise np.linalg.LinAlgError("a shift lies on a pole of the pencil")
     return v, np.linalg.inv(a @ v), theta, cond
-
-
-def conjugate_closed(z) -> np.ndarray:
-    """z with its conjugate pairs made exact: when an involution p pairs
-    every z_j with z_p(j) = conj(z_j) to CONJUGATE_RTOL (a real z_j paired
-    with itself), a copy in which z_p(j) is exactly conj(z_j), else z."""
-    z = np.array(z, dtype=complex)
-    n = np.arange(len(z))
-    real = z.imag == 0.0
-    dist = np.abs(z[None, :] - z.conj()[:, None])
-    dist[:, real] = np.inf
-    p = np.where(real, n, np.argmin(dist, axis=1))
-    if np.any(p[p] != n) or np.any(dist[n, p][~real] > CONJUGATE_RTOL * np.abs(z[~real])):
-        return z
-    z[p[n < p]] = z[n < p].conj()
-    return z
 
 
 def gauss_hermite_rule(n: int, mu: float) -> tuple[np.ndarray, np.ndarray]:

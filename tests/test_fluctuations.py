@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -265,11 +266,12 @@ class TestAdiabaticElimination:
             assert absorption == pytest.approx(abs_direct, rel=1e-12)
 
     def test_singular_resolvent_raises(self, fast_params, monkeypatch):
-        # B0 = -i w makes B0 + i w, and so the resolvent (-i w - B) of the
-        # stationary class, singular while the steady-state pencil is not
+        # B0 = -i w on rho21 makes B0 + i w, and so the resolvent (-i w - B)
+        # of the stationary class, singular while the steady-state pencil
+        # is not; +i w on its partner rho12 keeps B0 Hermiticity-preserving
         omega = 3.0
-        monkeypatch.setattr(fl, "drift_pencil", lambda params, delta1: (
-            -1j * omega * np.eye(8), np.ones(8), np.ones(8)))
+        b0 = np.diag([-1.0, -1.0, -1j * omega, 1j * omega, -1.0, -1.0, -1.0, -1.0])
+        monkeypatch.setattr(fl, "drift_pencil", lambda params, delta1: (b0, np.ones(8), np.ones(8)))
         with pytest.raises(ResonanceError, match=f"singular atomic resolvent at omega={omega}"):
             fl.field_system_at(fast_params(), 0.0, omega)
 
@@ -404,6 +406,17 @@ class TestFieldCovariance:
         params = fast_params(alpha1=0.0)
         tab, _ = fl.v12_spectrum(params, [12.0])
         assert tab.v12[0] == pytest.approx(4.0, abs=1e-9)
+
+    def test_sideband_entangled_row(self):
+        # fig2-a at line centre gives V12 = 4.78 at w = 0 but is entangled
+        # at w = 50 MHz (complex QZ path), converged: a 32769-node rule over
+        # +-6 Doppler widths agrees to 1e-6
+        params = all_scenarios()["fig2-a"].base
+        v12 = fl.v12_spectrum(params, [0.0], omega=50.0)[0].v12[0]
+        assert v12 == pytest.approx(3.895753, abs=1e-5)
+        assert v12 < 4.0
+        dense = replace(params, doppler=replace(params.doppler, nodes=32769, span=6.0))
+        assert fl.v12_spectrum(dense, [0.0], omega=50.0)[0].v12[0] == pytest.approx(v12, abs=1e-6)
 
     def test_weak_probe_preserves_vacuum(self):
         params = stationary(alpha1=1e-4, alpha2=0.0)

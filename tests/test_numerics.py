@@ -4,10 +4,27 @@ import pytest
 import scipy.linalg as sla
 
 from laddertangle import numerics
-from laddertangle.bloch import drift_pencil
+from laddertangle.bloch import REAL_BASIS, drift_pencil, steady_state_pencil
 from laddertangle.doppler import build_classes
 from laddertangle.errors import ContractError, ResonanceError, UnsupportedOrderError
-from laddertangle.experiments import baseline_params, pump_sweep_transform
+from laddertangle.experiments import all_scenarios, baseline_params, pump_sweep_transform
+
+
+def real_pencil(b0, e):
+    """The drift pencil (B0, diag(e)) in the real basis, as bloch factors it."""
+    u, uh = REAL_BASIS, REAL_BASIS.conj().T
+    return (u @ b0 @ uh).real, ((u * e) @ uh).real
+
+
+def pencil_rows():
+    """(params, delta1) rows with narrow and wide poles: fig2-a at line
+    centre and at the sweep's edge, fig3 at alpha2 = 1, and fig4-c."""
+    scenarios = all_scenarios()
+    fig3 = pump_sweep_transform(baseline_params(p=0.0), 1.0)
+    return {"fig2-a-0": (scenarios["fig2-a"].base, 0.0),
+            "fig2-a-m800": (scenarios["fig2-a"].base, -800.0),
+            "fig3-alpha2-1-200": (fig3, 200.0),
+            "fig4-c-198": (scenarios["fig4-c"].base, 198.0)}
 
 
 class TestMatrixExponential:
@@ -153,7 +170,7 @@ class TestShiftedInverse:
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
         e = np.array([0.0, 0.0, 1.0j, -1.0j, 2.0j, 0.3j])   # zero on two components
         shifts = np.linspace(-50.0, 50.0, 11)
-        v, left, theta, cond = numerics.shifted_inverse(a, e, shifts)
+        v, left, theta, cond = numerics.shifted_inverse(a, np.diag(e), shifts)
         assert theta.shape == (6,)
         assert cond >= 1.0
         for s in shifts:
@@ -169,7 +186,7 @@ class TestShiftedInverse:
         params = pump_sweep_transform(baseline_params(p=0.0), 1.0)
         classes = build_classes(params, 200.0, params.field.delta2)
         b0, _, e = drift_pencil(params, 200.0)
-        v, left, theta, _ = numerics.shifted_inverse(b0, e, classes.shifts)
+        v, left, theta, _ = numerics.shifted_inverse(b0, np.diag(e), classes.shifts)
         factors = 1.0 / (1.0 - classes.shifts[:, None] * theta)
         with mpmath.workdps(40):
             a, diag_e = mpmath.matrix(b0.tolist()), mpmath.diag(e.tolist())
@@ -179,35 +196,60 @@ class TestShiftedInverse:
                 got = v @ np.diag(factors[k]) @ left
                 assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
-    def test_conjugate_pairs_made_exact(self, rng):
-        z = rng.standard_normal(3) + 1j * rng.uniform(0.1, 1.0, 3)
-        noisy = np.concatenate([z, (z * (1.0 + 1e-14j)).conj(), [0.0, 2.5]])[[0, 3, 6, 1, 4, 7, 2, 5]]
-        closed = numerics.conjugate_closed(noisy)
-        # the same multiset as its conjugate, exactly
-        assert np.array_equal(np.sort_complex(closed), np.sort_complex(closed.conj()))
-        assert np.allclose(closed, noisy, rtol=1e-13, atol=0.0)
-        assert np.array_equal(closed[[2, 5]], noisy[[2, 5]])     # the real points
-        # no pairing: unchanged
-        unpaired = numerics.conjugate_closed(noisy[:-2] + [0, 0, 0, 0, 0, 1e-3j])
-        assert np.array_equal(unpaired, noisy[:-2] + [0, 0, 0, 0, 0, 1e-3j])
+    @pytest.mark.parametrize("row", ["fig2-a-0", "fig2-a-m800", "fig3-alpha2-1-200", "fig4-c-198"])
+    def test_conjugate_pairs_made_exact(self, row):
+        # real QZ in the real basis pairs theta exactly, with no tolerance.
+        # Its theta are within 1e-13 of 40-digit eigenvalues of B0^-1 diag(e);
+        # complex QZ on the component-basis pencil is within 2.8e-13 (fig3)
+        params, delta1 = pencil_rows()[row]
+        shifts = build_classes(params, delta1, params.field.delta2).shifts
+        b0, h, e = drift_pencil(params, delta1)
+        v, _, theta, _ = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
+        assert np.array_equal(np.sort_complex(theta), np.sort_complex(theta.conj()))
+        pair = np.flatnonzero(theta.imag)
+        assert len(pair) >= 4
+        partner = pair[np.argmax(theta[pair].conj()[:, None] == theta[pair], axis=1)]
+        assert np.array_equal(v[:, partner], v[:, pair].conj())
+        points = steady_state_pencil(b0, h, e, shifts).points
+        assert np.array_equal(np.sort_complex(points), np.sort_complex(points.conj()))
+        zggev = numerics.shifted_inverse(b0, np.diag(e), shifts)[2]
+        assert np.count_nonzero(zggev == 0.0) == np.count_nonzero(theta == 0.0) == 2
+        with mpmath.workdps(40):
+            k = mpmath.matrix(b0.tolist()) ** -1 * mpmath.diag(e.tolist())
+            exact = np.array(mpmath.eig(k, left=False, right=False), dtype=complex)
+        theta = theta[theta != 0.0]
+        for ref, rtol in ((exact[np.abs(exact) > 1e-20], 1e-13), (zggev[zggev != 0.0], 5e-13)):
+            nearest = np.abs(theta[:, None] - ref).argmin(axis=1)
+            assert sorted(nearest) == list(range(6))
+            assert np.all(np.abs(theta - ref[nearest]) <= rtol * np.abs(theta))
+
+    def test_condition_independent_of_the_kernel_basis(self):
+        # fig4-a at delta1 = 586: the theta = 0 columns (the populations)
+        # come back from the two QZ drivers in different bases
+        params = all_scenarios()["fig4-a"].base
+        shifts = build_classes(params, 586.0, params.field.delta2).shifts
+        b0, _, e = drift_pencil(params, 586.0)
+        *_, cond_real = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
+        *_, cond = numerics.shifted_inverse(b0, np.diag(e), shifts)
+        assert cond_real == pytest.approx(cond, rel=1e-10)
 
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            numerics.shifted_inverse(np.zeros((3, 3)), np.ones(3), [0.0])
+            numerics.shifted_inverse(np.zeros((3, 3)), np.eye(3), [0.0])
 
     def test_shift_on_a_pole_raises(self):
         # 1 - s theta = 0 at s = 0.5 for A = 1, e = 2
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
-            numerics.shifted_inverse(np.eye(1), [2.0], [0.0, 0.5])
+            numerics.shifted_inverse(np.eye(1), [[2.0]], [0.0, 0.5])
         # next to a zero theta, which is no pole
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
-            numerics.shifted_inverse(np.eye(2), [0.0, 2.0], [0.0, 0.5])
+            numerics.shifted_inverse(np.eye(2), np.diag([0.0, 2.0]), [0.0, 0.5])
 
     def test_nearly_defective_pencil_raises(self):
         # K = A^-1 diag(e) = [[1, 1 + d], [0, 1 + d]]: two eigenvectors at
         # an angle of order d, so V has condition number of order 1/d
         a = np.array([[1.0, -1.0], [0.0, 1.0]])
         with pytest.raises(ResonanceError, match="condition number"):
-            numerics.shifted_inverse(a, [1.0, 1.0 + 1e-9], [0.0])
-        *_, cond = numerics.shifted_inverse(a, [1.0, 1.5], [0.0])
+            numerics.shifted_inverse(a, np.diag([1.0, 1.0 + 1e-9]), [0.0])
+        *_, cond = numerics.shifted_inverse(a, np.diag([1.0, 1.5]), [0.0])
         assert cond < numerics.MAX_EIGENVECTOR_CONDITION
