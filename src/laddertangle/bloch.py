@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .doppler import average, build_classes, pump_shift_ratio, resolvent_series
-from .errors import NoSteadyStateError, ParameterError
+from .errors import ContractError, NoSteadyStateError, ParameterError
 from .model import SystemParams
 from .numerics import shifted_inverse
 
@@ -172,10 +172,18 @@ def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) ->
 
     The drift keeps states Hermitian, so in U = REAL_BASIS the pencil
     (B0, diag(e)) is real up to rounding, which is dropped, and real QZ
-    pairs its theta exactly; V = U^H V_r and (B0 V)^-1 = (B_r V_r)^-1 U."""
+    pairs its theta exactly; V = U^H V_r and (B0 V)^-1 = (B_r V_r)^-1 U.
+    An imaginary part above rounding is a drift that does not keep states
+    Hermitian, and raises ContractError."""
     u, uh = REAL_BASIS, REAL_BASIS.conj().T
+    b_r, e_r = u @ b0 @ uh, (u * e) @ uh
+    for name, real, given in (("B0", b_r, b0), ("diag(e)", e_r, e)):
+        dropped = np.max(np.abs(real.imag))
+        if dropped > 8.0 * np.finfo(float).eps * np.max(np.abs(given)):
+            raise ContractError(f"the drift pencil's {name} does not keep states Hermitian: "
+                                f"imaginary part {dropped:.3g} in the real basis")
     try:
-        v, left, theta, cond = shifted_inverse((u @ b0 @ uh).real, ((u * e) @ uh).real, shifts)
+        v, left, theta, cond = shifted_inverse(b_r.real, e_r.real, shifts)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
     v, left = uh @ v, left @ u

@@ -18,9 +18,11 @@ from .model import SystemParams
 from .numerics import gauss_hermite_rule, gaussian_trapezoid_rule
 
 # Distinct points closer than this share of their scale make a divided
-# difference lose digits (factor_moments).  Against extended-precision
-# node sums on shipped rows at w in {0, 1e-6, 3}, 0.1 keeps every class
-# average within 3.2e-13 of its own scale (0.01: 5.1e-12).
+# difference lose digits, so factor_moments expands them in a Taylor series
+# in two places: the first difference of a close pair, and a triple whose
+# outer pair is close.  Against extended-precision node sums on shipped
+# rows at w in {0, 1e-6, 3}, 0.1 keeps every class average within 3.2e-13
+# of its own scale (0.01: 5.1e-12).
 CLOSE_POINTS = 0.1
 # Highest Taylor order expanded about close points; CLOSE_POINTS keeps the
 # series ratio below 0.2, which needs 25 terms.
@@ -146,14 +148,17 @@ def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
     By partial fractions such an average is the divided difference
     F[t_1, t_2, t_3] of F(t) = t^2 g(t), with g(t) = <1 / (1 - s t)>; where
     points repeat it is confluent and takes the Taylor coefficients
-    g^(m)(t) / m! = <s^m / (1 - s t)^(m+1)> (resolvent_series).
+    f_m = F^(m)(t) / m!, built from g^(m)(t) / m! = <s^m / (1 - s t)^(m+1)>
+    (resolvent_series).  It is the Newton form over one table of first
+    differences F[t_a, t_b] of the distinct points.
 
     The divided difference of two distinct points closer than CLOSE_POINTS
     times their scale (their modulus or pole_distance, whichever is
-    smaller) loses digits.  Such a pair is expanded in a Taylor series
-    about one of its points instead, to the order its gap over that
-    point's pole distance demands: alone when the triple's third point is
-    distant, else with it.
+    smaller) loses digits.  Such points are expanded in a Taylor series in
+    two places only: a close pair's first difference, about its
+    lower-index point, and a triple whose outer pair is close (so all its
+    points are), about its first point.  Every centre takes the one order
+    that the largest gap over its centre's pole distance demands.
     """
     points = np.asarray(points, dtype=complex)
     # the distinct points t, and each point's index among them
@@ -163,7 +168,8 @@ def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
     i, j, k = np.searchsorted(distinct, first_equal)[np.asarray(ids).T]
     # order each triple with its farthest pair outermost, where the Newton
     # form divides by its gap last; repeated points then sit side by side
-    d01, d12, d02 = abs(t[i] - t[j]), abs(t[j] - t[k]), abs(t[i] - t[k])
+    gap = np.abs(t[:, None] - t)
+    d01, d12, d02 = gap[i, j], gap[j, k], gap[i, k]
     outer01 = (d01 > d02) & (d01 >= d12)
     outer12 = ~outer01 & (d12 > d02)
     i, j, k = (np.where(outer12, j, i), np.where(outer01, k, np.where(outer12, i, j)),
@@ -171,57 +177,41 @@ def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
     first, last = i == j, j == k
     nonzero = t != 0.0
 
-    size = np.abs(t)
-    gap = np.abs(t[:, None] - t)
-    close = gap < CLOSE_POINTS * np.maximum.outer(size, size)
+    close = gap < CLOSE_POINTS * np.maximum.outer(abs(t), abs(t))
     np.fill_diagonal(close, False)
     pole = np.full(n, np.inf)
     if close.any():
         pole[nonzero] = pole_distance(classes, t[nonzero])
         close &= gap < CLOSE_POINTS * np.minimum.outer(pole, pole)
-    flagged = close[i, j] | close[j, k] | close[i, k]
+    a, b = np.nonzero(np.triu(close))       # close pairs, a < b
+    near = close[i, k]                      # triples whose outer pair is close
+    c = i[near]                             # and their expansion centres
     # the order the repeated points need; at t = 0 F needs g(0) = 1 alone
     repeats = int(np.any((first | last) & nonzero[j])) + int(np.any(first & last & nonzero[j]))
     order, orders = repeats, np.full(n, repeats)
-    if flagged.any():
-        # a flagged triple whose points are all close or equal is expanded
-        # about the point related to both others (c, with the others p and
-        # q); else its close pair (a, b) is, beside its distant point d
-        related = close | np.eye(n, dtype=bool)
-        r01, r12, r02 = related[i, j], related[j, k], related[i, k]
-        cluster = flagged & (r01.astype(int) + r12 + r02 >= 2)
-        pair = flagged & ~cluster
-        c = np.where(r01 & r02, i, np.where(r01 & r12, j, k))[cluster]
-        p = np.where(c == i[cluster], j[cluster], i[cluster])
-        q = np.where(c == k[cluster], j[cluster], k[cluster])
-        a = np.where(r12, j, i)[pair]
-        b = np.where(r01, j, k)[pair]
-        d = np.where(r01, k, np.where(r12, i, j))[pair]
-        ratio = max(np.max(np.maximum(abs(t[p] - t[c]), abs(t[q] - t[c])) / pole[c], initial=0.0),
-                    np.max(abs(t[b] - t[a]) / pole[a], initial=0.0))
-        series = int(np.ceil(np.log(1e-17) / np.log(ratio))) if ratio > 0.0 else 0
-        order = max(repeats, min(series, MAX_SERIES_ORDER) + 2)
-        orders[np.concatenate([c, a])] = order     # only the expansion centres need it
+    if len(a):
+        ratio = max(np.max(gap[a, b] / pole[a]), np.max(gap[c, k[near]] / pole[c], initial=0.0))
+        terms = int(np.ceil(np.log(1e-17) / np.log(ratio))) if ratio > 0.0 else 0
+        order = max(repeats, min(terms, MAX_SERIES_ORDER) + 2)
+        orders[np.concatenate([a, c])] = order     # only the expansion centres need it
     g = np.zeros((max(order, 2) + 3, n), dtype=complex)     # g[m + 2] = g^(m) / m!
     g[2:order + 3] = resolvent_series(classes, t, orders)
-    # Taylor coefficients of F = t^2 g, then the Newton form
+    # Taylor coefficients of F = t^2 g, then the first differences
     f = t * t * g[2:] + 2.0 * t * g[1:-1] + g[:-2]
-    ti, tj, tk = t[i], t[j], t[k]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d01 = np.where(first, f[1, i], (f[0, i] - f[0, j]) / (ti - tj))
-        d12 = np.where(last, f[1, j], (f[0, j] - f[0, k]) / (tj - tk))
-        value = np.where(first & last, f[2, i], (d01 - d12) / (ti - tk))
-    if flagged.any():
-        # F[c, c + up, c + uq] = sum_m f_m(c) h_(m-2)(up, uq), with h the
-        # complete homogeneous polynomials; F[a, b] = sum_m f_m(a) (b - a)^(m-1)
-        up, uq, u = t[p] - t[c], t[q] - t[c], t[b] - t[a]
-        h, uq_m, u_m = np.ones_like(up), np.ones_like(uq), np.ones_like(u)
-        near, f_ab = f[2, c], f[1, a]
-        for m in range(3, order + 1):
-            uq_m, u_m = uq_m * uq, u_m * u
-            h = up * h + uq_m
-            near, f_ab = near + f[m, c] * h, f_ab + f[m - 1, a] * u_m
-        value[cluster] = near
-        value[pair] = (f_ab + f[order, a] * u_m * u
-                       - (f[0, b] - f[0, d]) / (t[b] - t[d])) / (t[a] - t[d])
+        diff = (f[0][:, None] - f[0]) / (t[:, None] - t)
+        np.fill_diagonal(diff, f[1])
+        # F[a, b] = sum_m f_m(a) (b - a)^(m-1), by Horner's rule
+        pair, u = 0.0, t[b] - t[a]
+        for m in range(order, 0, -1):
+            pair = f[m, a] + u * pair
+        diff[a, b] = diff[b, a] = pair
+        value = np.where(first & last, f[2, i], (diff[i, j] - diff[j, k]) / (t[i] - t[k]))
+    # F[c, c + x, c + y] = sum_m f_m(c) h_(m-2)(x, y), with h the complete
+    # homogeneous polynomials: Horner's rule in x over the tails in y
+    x, y, tail, near_value = t[j[near]] - t[c], t[k[near]] - t[c], 0.0, 0.0
+    for m in range(order, 1, -1):
+        tail = f[m, c] + y * tail
+        near_value = tail + x * near_value
+    value[near] = near_value
     return value

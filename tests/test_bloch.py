@@ -3,7 +3,7 @@ import pytest
 
 from laddertangle import bloch, doppler
 from laddertangle.bloch import IDX, LABELS, PROD
-from laddertangle.errors import NoSteadyStateError
+from laddertangle.errors import ContractError, NoSteadyStateError
 from laddertangle.experiments import baseline_params
 from laddertangle.model import (DecayConfig, DopplerConfig, FieldConfig,
                                 GeometryConfig, SystemParams)
@@ -82,6 +82,15 @@ class TestSteadyState:
         assert bloch.steady_state_errors(state) == (0.0, 0.25, 0.5)
         state[1, IDX[3, 3]] = 0.125
         assert bloch.steady_state_errors(state) == (0.125, 0.25, 0.5)
+
+    def test_pencil_refuses_a_drift_that_breaks_hermiticity(self, fast_params):
+        # 0.5i from rho12 into rho21 maps Hermitian states to non-Hermitian
+        # ones, so the pencil in the real basis is not real
+        _, h, e = bloch.drift_pencil(fast_params(), 0.0)
+        b0 = -np.eye(8, dtype=complex)
+        b0[IDX[2, 1] - 1, IDX[1, 2] - 1] = 0.5j
+        with pytest.raises(ContractError, match="does not keep states Hermitian"):
+            bloch.steady_state_pencil(b0, h, e, [0.0])
 
     def test_undamped_drift_has_no_steady_state(self):
         # no decay, no fields: every population is conserved, so the

@@ -179,6 +179,33 @@ class TestRun:
                      "--delta1-points", 3])
         assert code == 2
 
+    @pytest.mark.parametrize("scenario", [["--scenario", "fig2-a"], []])
+    def test_spectrum_config_delta1_refused(self, tmp_path, fast_doppler, capsys, scenario):
+        # a spectrum takes delta1 from its grid: a config giving another
+        # delta1 is refused, not silently replaced (fig3 keeps using it)
+        cfg = params_to_config(baseline_params(doppler=fast_doppler))
+        cfg["field"]["delta1"] = 37.0
+        path = tmp_path / "delta1.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = _run(["run", *scenario, "--config", path, "--out", tmp_path / "o", "--jobs", 1,
+                     "--delta1-min", -2, "--delta1-max", 2, "--delta1-points", 3])
+        assert code == 2
+        assert "discard field.delta1 = 37.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pump_sweep_uses_config_delta1(self, tmp_path, fast_doppler):
+        cfg = params_to_config(baseline_params(doppler=fast_doppler))
+        tables = []
+        for delta1 in (0.0, 37.0):
+            cfg["field"]["delta1"] = delta1
+            path = tmp_path / f"{delta1}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            out = tmp_path / f"o{delta1}"
+            assert _run(["run", "--scenario", "fig3", "--config", path,
+                         "--out", out, "--jobs", 1]) == 0
+            tables.append((out / "fig3.csv").read_bytes())
+        assert tables[0] != tables[1]
+
     def test_hermite_order_above_cap_exit_2(self, tmp_path, capsys):
         cfg = params_to_config(baseline_params())
         cfg["doppler"].update(rule="hermite", nodes=1000)

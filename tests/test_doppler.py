@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,14 +126,22 @@ def random_points(rng):
     return np.concatenate([base, base.conj(), [0.0, base[2]], near])
 
 
+# a chain whose neighbours are close and whose ends are not, and three
+# distinct mutually close points, each taken in every triple
+CLOSE_SETS = [(0.002 + 0.004j) * (1.0 + np.arange(4) * 0.06 * np.exp(0.7j)),
+              (0.002 + 0.004j) * (1.0 + np.array([0.0, 1e-7, 1e-7j]))]
+
+
 class TestFactorMoments:
     @pytest.mark.parametrize("rule", [dict(nodes=401), dict(nodes=128, rule="hermite"),
                                       dict(width=0.0, nodes=1)])
     def test_match_direct_node_sums(self, rng, rule):
         classes = doppler.build_classes(make_params(**rule), 0.0, 0.0)
-        for _ in range(3):
-            points = random_points(rng)
-            ids = rng.integers(0, len(points), (400, 3))
+        random_sets = ((points, rng.integers(0, len(points), (400, 3)))
+                       for points in (random_points(rng) for _ in range(3)))
+        close_sets = ((points, np.array(list(itertools.product(range(len(points)), repeat=3))))
+                      for points in CLOSE_SETS)
+        for points, ids in itertools.chain(random_sets, close_sets):
             got = doppler.factor_moments(classes, points, ids)
             want, scale = moment_oracle(classes, points, ids)
             # next to a pole the divided differences lose up to 4e-12 (the
