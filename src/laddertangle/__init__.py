@@ -6,8 +6,7 @@ noise, and propagation of the two-mode field covariance through the cell.
 """
 
 from .errors import (ConfigError, ContractError, DivergenceError, LadderError,
-                     NoSteadyStateError, ParameterError, ResonanceError,
-                     UnsupportedOrderError)
+                     NoSteadyStateError, ParameterError, ResonanceError)
 from .model import (CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
                     GeometryConfig, SystemParams, derive_coherence_rates,
                     derive_couplings, load_config, params_from_config,

@@ -24,6 +24,7 @@ import scipy
 from . import __version__, experiments
 from .errors import ConfigError, ContractError, LadderError, ParameterError
 from .experiments import Scenario, all_scenarios, extract_feature
+from .fluctuations import usable_cores
 from .model import SCHEMA_VERSION, load_config, params_to_config, validate_regime
 from .tables import SpectrumTable
 
@@ -41,7 +42,7 @@ def _default_jobs(value: int | None) -> int:
     if value is None:
         env = os.environ.get("LADDERTANGLE_JOBS")
         if not env:
-            return os.cpu_count() or 1
+            return usable_cores()
         try:
             value = int(env)
         except ValueError as exc:
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="canned scenario name (see list-scenarios)")
     run.add_argument("--out", type=Path, required=True, help="output directory")
     run.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: LADDERTANGLE_JOBS or all cores)")
+                     help="worker processes (default: LADDERTANGLE_JOBS or the usable cores)")
     run.add_argument("--delta1-min", type=_finite_float, default=None)
     run.add_argument("--delta1-max", type=_finite_float, default=None)
     run.add_argument("--delta1-points", type=int, default=None)

@@ -10,12 +10,13 @@ it velocity independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import ContractError
-from .model import SystemParams
-from .numerics import gauss_hermite_rule, gaussian_trapezoid_rule
+from .model import DopplerConfig, SystemParams
 
 # Distinct points closer than this share of their scale make a divided
 # difference lose digits, so factor_moments expands them in a Taylor series
@@ -43,15 +44,29 @@ class VelocityClasses:
         return len(self.shifts)
 
 
-def maxwellian_rule(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Class shifts and normalized weights of the configured rule; a zero
-    Doppler width is one stationary class."""
-    cfg = params.doppler
-    if cfg.width == 0.0:
-        return np.zeros(1), np.ones(1)
-    if cfg.rule == "hermite":
-        return gauss_hermite_rule(cfg.nodes, cfg.width)
-    return gaussian_trapezoid_rule(cfg.nodes, cfg.width, cfg.span)
+@lru_cache(maxsize=8)
+def maxwellian_rule(cfg: DopplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only class shifts and normalized weights of the configured
+    rule, built once per config.  A zero Doppler width or a single node is
+    one stationary class.  "hermite" is the Gauss-Hermite rule for the
+    Gaussian exp(-s^2/width^2), exact for polynomials of degree below
+    2 * nodes.  "trapezoid" is the uniform grid on +-span * width with
+    Maxwellian weights, one node being the stationary class: the dense
+    rule for integrands with structure much narrower than the Doppler
+    width, and the brute-force oracle in tests."""
+    if cfg.width == 0.0 or cfg.nodes == 1:
+        shifts, weights = np.zeros(1), np.ones(1)
+    elif cfg.rule == "hermite":
+        x, w = hermgauss(cfg.nodes)
+        shifts, weights = cfg.width * x, w / np.sqrt(np.pi)
+    else:
+        shifts = np.linspace(-cfg.span * cfg.width, cfg.span * cfg.width, cfg.nodes)
+        weights = np.exp(-((shifts / cfg.width) ** 2))
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+    weights = weights / weights.sum()
+    shifts.flags.writeable = weights.flags.writeable = False
+    return shifts, weights
 
 
 def pump_shift_ratio(params: SystemParams) -> float:
@@ -68,7 +83,7 @@ def build_classes(params: SystemParams, delta1: float, delta2: float) -> Velocit
     Probe: d1 = delta1 - s.  Counterpropagating pump: d2 = delta2 + s,
     with s scaled by k2/k1 unless the residual two-photon mismatch is off.
     """
-    s, weights = maxwellian_rule(params)
+    s, weights = maxwellian_rule(params.doppler)
     return VelocityClasses(
         shifts=s,
         weights=weights,

@@ -25,9 +25,5 @@ class DivergenceError(LadderError):
     """Field propagation produced non-finite output (runaway gain)."""
 
 
-class UnsupportedOrderError(LadderError, ValueError):
-    """A quadrature order outside the supported range was requested."""
-
-
 class ContractError(LadderError, ValueError):
     """Caller violated an interface contract (shape/length mismatch)."""

@@ -168,13 +168,17 @@ def run_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
                  collect: bool = False):
     """Evaluate a scenario: (table, PhysicalityReport | None).  An
     absorption-only spectrum skips the fluctuation chain and leaves the
-    v12 columns NaN.  A spectrum takes delta1 from its grid, so a base
-    with another delta1 is refused rather than discarded."""
+    v12 columns NaN, so it refuses a nonzero omega rather than discard
+    it.  A spectrum takes delta1 from its grid, so a base with another
+    delta1 is refused rather than discarded."""
     if scenario.kind == "pump-sweep":
         return run_pump_sweep_scenario(scenario, jobs=jobs, omega=omega, collect=collect)
     if scenario.base.field.delta1 != 0.0:
         raise ConfigError(f"a spectrum sweep takes delta1 from its grid and would discard "
                           f"field.delta1 = {scenario.base.field.delta1}")
+    if scenario.outputs == "absorption" and omega != 0.0:
+        raise ConfigError(f"an absorption-only spectrum has no fluctuation spectrum and "
+                          f"would discard omega = {omega}")
     if scenario.outputs != "absorption":
         return v12_spectrum(scenario.base, scenario.grid, omega, jobs, collect)
     grid = np.asarray(scenario.grid, dtype=float)

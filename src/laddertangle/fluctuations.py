@@ -72,12 +72,10 @@ _FIELD_SOPS = np.stack([SOP_O1, SOP_O1C, SOP_O2, SOP_O2C], axis=-1)[1:].transpos
 
 # the factor triples of _eliminate, as indices into the points (pencil
 # points 0..8, the first being 0; resolvent theta 9..16; their conjugates
-# 17..24): (theta_i, 0, pencil_j) for M, then (theta_i, conj theta_k,
-# pencil_j) for S, each in (i, j) and (i, k, j) order
-_ELIMINATION_TRIPLES = np.concatenate([
-    np.stack(np.broadcast_arrays(np.arange(9, 17)[:, None], 0, np.arange(9)), -1).reshape(-1, 3),
-    np.stack(np.broadcast_arrays(np.arange(9, 17)[:, None, None], np.arange(17, 25)[:, None],
-                                 np.arange(9)), -1).reshape(-1, 3)])
+# 17..24): the (8, 9, 9) outer product (theta_i, y_k, pencil_j) with
+# y = (0, conj theta), so that y = 0 gives M and the rest S
+_ELIMINATION_TRIPLES = np.stack(np.meshgrid(np.arange(9, 17), np.r_[0, 17:25], np.arange(9),
+                                            indexing="ij"), -1).reshape(-1, 3)
 
 
 def vacuum_covariance() -> np.ndarray:
@@ -161,9 +159,9 @@ def _eliminate(params: SystemParams, pencil, classes, resolvent):
     corr = _diffusion_map(params)[:, 1:, 1:][:, :, list(REDUCED_CONJ)]
     ld = pencil.states.T @ (left @ corr @ left.conj().T).reshape(9, 64)
     points = np.concatenate([pencil.points, theta, theta.conj()])
-    moments = factor_moments(classes, points, _ELIMINATION_TRIPLES)
-    of_m = moments[:72].reshape(8, 9).T                            # (j, i)
-    of_s = moments[72:].reshape(8, 8, 9).transpose(2, 0, 1)         # (j, i, k)
+    moments = factor_moments(classes, points, _ELIMINATION_TRIPLES).reshape(8, 9, 9)
+    of_m = moments[:, 0].T                                         # (j, i)
+    of_s = moments[:, 1:].transpose(2, 0, 1)                       # (j, i, k)
     scale = params.geometry.N / C_M_MHZ
     m = -scale * (kv @ (of_m[:, :, None] * lc.reshape(9, 8, 4)).sum(axis=0))
     s = scale * (kv @ (of_s * ld.reshape(9, 8, 8)).sum(axis=0) @ kv.conj().T)
@@ -328,20 +326,28 @@ def _set_blas_threads(counts=None):
     return previous
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: the size of its affinity mask, which
+    taskset and batch schedulers narrow, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep_rows(point, rows, jobs: int = 1):
     """Ordered map of the picklable row function point over argument tuples.
 
     Rows run with every loaded OpenBLAS at one thread, and the caller's
     thread counts are restored afterwards.  When more than one worker is
-    possible (jobs, rows and cores allowing), rows run in worker processes
-    in ordered chunks; this process is pinned before they start, so a
+    possible (jobs, rows and usable_cores() allowing), rows run in worker
+    processes in ordered chunks; this process is pinned before they start, so a
     forked worker inherits the pin and the library lookup.  Otherwise they
     run here.  Results come back in row order, so they do not depend on the
     parallelism degree.
     """
     args = (point, *zip(*rows))
     n = len(rows)
-    workers = min(jobs, n, os.cpu_count() or 1)
+    workers = min(jobs, n, usable_cores())
     counts = _set_blas_threads()
     try:
         if workers > 1:

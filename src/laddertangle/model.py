@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field as _field
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .numerics import MAX_HERMITE_ORDER, MAX_TRAPEZOID_NODES, MAX_TRAPEZOID_SPAN
 
 SCHEMA_VERSION = 1
 
@@ -36,6 +35,12 @@ RB_LAMBDA2 = 775.98e-9          # m
 RB_SATURATION_DENSITY = 8.5e15  # m^-3
 
 DOPPLER_RULES = ("hermite", "trapezoid")
+MAX_HERMITE_ORDER = 512
+# Trapezoid rule bounds: twice the densest rule convergence studies use
+# (65537 nodes), and a half-span whose edge weight exp(-span^2) >= exp(-400)
+# stays far from underflow (exp(-745)), where normalization gives NaN.
+MAX_TRAPEZOID_NODES = 131073
+MAX_TRAPEZOID_SPAN = 20.0
 
 # relative slack when checking explicit coherence rates against the
 # radiative floor gamma12 >= gamma1, gamma13 >= gamma2, gamma23 >= gamma1+gamma2

@@ -1,27 +1,17 @@
-"""Small dense linear-algebra and quadrature kernels.
+"""Small dense linear-algebra kernels.
 
 Everything here operates on matrices of dimension <= 16; the physics
-modules only ever need 3x3, 8x8 and 4x4 systems, plus Maxwellian
-quadrature rules for the Doppler average.
+modules only ever need 3x3, 8x8 and 4x4 systems.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
-
 import numpy as np
 import scipy.linalg as sla
-from numpy.polynomial.hermite import hermgauss
 
-from .errors import ContractError, ResonanceError, UnsupportedOrderError
+from .errors import ContractError, ResonanceError
 
 MAX_DIM = 16
-MAX_HERMITE_ORDER = 512
-# Trapezoid rule bounds: twice the densest rule convergence studies use
-# (65537 nodes), and a half-span whose edge weight exp(-span^2) >= exp(-400)
-# stays far from underflow (exp(-745)), where normalization gives NaN.
-MAX_TRAPEZOID_NODES = 131073
-MAX_TRAPEZOID_SPAN = 20.0
 # Largest eigenvector condition number shifted_inverse accepts.  Its
 # factored inverses lose about log10(cond) digits against a direct solve;
 # the shipped scenarios stay below 100.
@@ -95,59 +85,6 @@ def shifted_inverse(a, b, shifts):
     if np.any(np.multiply.outer(shifts, theta.real[(theta.imag == 0.0) & (theta != 0.0)]) == 1.0):
         raise np.linalg.LinAlgError("a shift lies on a pole of the pencil")
     return v, np.linalg.inv(a @ v), theta, cond
-
-
-def gauss_hermite_rule(n: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and normalized weights of the Gauss-Hermite rule for the
-    Gaussian exp(-v^2/mu^2)/(sqrt(pi) mu).
-
-    Exact for f polynomial of degree <= 2n-1.
-    """
-    if n < 1:
-        raise UnsupportedOrderError("quadrature order must be >= 1")
-    if n > MAX_HERMITE_ORDER:
-        raise UnsupportedOrderError(f"order {n} exceeds supported maximum {MAX_HERMITE_ORDER}")
-    x, weights = _unit_hermite_rule(n)
-    return mu * x, weights
-
-
-@cache
-def _unit_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only unit-width Gauss-Hermite nodes and normalized weights,
-    built once per order."""
-    x, w = hermgauss(n)
-    weights = w / np.sqrt(np.pi)
-    weights = weights / weights.sum()
-    x.flags.writeable = weights.flags.writeable = False
-    return x, weights
-
-
-def gaussian_trapezoid_rule(n: int, mu: float, span: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and normalized weights of the uniform grid on
-    [-span*mu, span*mu] weighted by the Maxwellian (mu > 0); one node is
-    the stationary class.
-
-    Dense rule for integrands that carry structure much narrower than the
-    Doppler width; also the brute-force oracle in tests.
-    """
-    if n < 1:
-        raise UnsupportedOrderError("quadrature order must be >= 1")
-    if n == 1:
-        return np.zeros(1), np.ones(1)
-    return _trapezoid_rule(n, mu, span)
-
-
-@lru_cache(maxsize=8)
-def _trapezoid_rule(n: int, mu: float, span: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only trapezoid nodes and normalized weights, built once per
-    (n, mu, span)."""
-    nodes = np.linspace(-span * mu, span * mu, n)
-    weights = np.exp(-((nodes / mu) ** 2))
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    weights = weights / weights.sum()
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,20 @@ def recording_pool(monkeypatch):
     return pools
 
 
+@pytest.fixture
+def core_mask(monkeypatch):
+    """Setter for the cores fluctuations.usable_cores sees: an affinity
+    mask of n cores, or for n None a platform without affinity masks that
+    cannot count its cores."""
+    def set_mask(n):
+        if n is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return set_mask
+
+
 def per_class_field_system(params, delta1, omega=0.0):
     """Oracle for fluctuations.field_system_at: every velocity class gets
     its own 9x9 generator, steady-state solve, reduced drift and explicit

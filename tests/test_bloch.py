@@ -122,7 +122,7 @@ class TestDriftBound:
                                   delta2=rng.uniform(-300.0, 300.0)),
                 doppler=DopplerConfig(width=530.0, nodes=41, rule="trapezoid"))
             b0, _, e = bloch.drift_pencil(params, rng.uniform(-600.0, 600.0))
-            shifts, _ = doppler.maxwellian_rule(params)
+            shifts, _ = doppler.maxwellian_rule(params.doppler)
             bound = bloch.drift_bound(b0, e, shifts)
             assert class_drift_max(b0, e, shifts) - 1e-12 <= bound < 0.0
 
@@ -132,7 +132,7 @@ class TestDriftBound:
         params = SystemParams(decay=DecayConfig(gamma1=5.45, gamma2=0.5),
                               doppler=fast_doppler)
         b0, _, e = bloch.drift_pencil(params, 20.0)
-        shifts, _ = doppler.maxwellian_rule(params)
+        shifts, _ = doppler.maxwellian_rule(params.doppler)
         exact = class_drift_max(b0, e, shifts)
         assert exact < 0.0
         assert bloch.drift_bound(b0, e, shifts) == exact

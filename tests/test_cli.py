@@ -193,6 +193,17 @@ class TestRun:
         assert "discard field.delta1 = 37.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_absorption_only_omega_refused(self, tmp_path, capsys):
+        # an absorption-only spectrum has no V12 to take omega: a nonzero
+        # omega is refused, not silently dropped and recorded as run
+        code = _run(["run", "--scenario", "fig2-e", "--omega", 50, "--out", tmp_path / "o",
+                     *_RUN_GRID])
+        assert code == 2
+        assert "discard omega = 50.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert _run(["run", "--scenario", "fig2-e", "--omega", 0, "--out", tmp_path / "o",
+                     *_RUN_GRID]) == 0
+
     def test_pump_sweep_uses_config_delta1(self, tmp_path, fast_doppler):
         cfg = params_to_config(baseline_params(doppler=fast_doppler))
         tables = []

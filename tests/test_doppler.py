@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from laddertangle import bloch, doppler, fluctuations
-from laddertangle.errors import ContractError
+from laddertangle.doppler import maxwellian_rule
+from laddertangle.errors import ContractError, ParameterError
 from laddertangle.experiments import all_scenarios, baseline_params
 from laddertangle.model import DopplerConfig
 
@@ -14,6 +15,87 @@ def make_params(**doppler_kwargs):
     doppler_kwargs.setdefault("nodes", 201)
     doppler_kwargs.setdefault("rule", "trapezoid")
     return baseline_params(doppler=DopplerConfig(**doppler_kwargs))
+
+
+def hermite(nodes, width):
+    return maxwellian_rule(DopplerConfig(width=width, nodes=nodes, rule="hermite"))
+
+
+def trapezoid(nodes, width, span=3.0):
+    return maxwellian_rule(DopplerConfig(width=width, nodes=nodes, rule="trapezoid", span=span))
+
+
+class TestGaussHermite:
+    def test_normalization(self):
+        _, weights = hermite(64, 530.0)
+        assert abs(np.sum(weights) - 1.0) < 1e-12
+
+    def test_second_moment(self):
+        nodes, weights = hermite(32, 1.0)
+        assert abs(np.sum(weights * nodes**2) - 0.5) < 1e-12
+
+    def test_nodes_symmetric(self):
+        nodes, _ = hermite(33, 2.0)
+        assert np.allclose(np.sort(nodes), -np.sort(-nodes)[::-1])
+
+    def test_order_cap(self):
+        with pytest.raises(ParameterError):
+            DopplerConfig(nodes=513, rule="hermite")
+        with pytest.raises(ParameterError):
+            DopplerConfig(nodes=0, rule="hermite")
+
+    @pytest.mark.parametrize("n", [1, 64, 128])
+    def test_cached_rule_is_bitwise_the_direct_one(self, n):
+        # built once per config, read-only, and the same bytes
+        x, w = np.polynomial.hermite.hermgauss(n)
+        w = w / np.sqrt(np.pi)
+        for mu in (530.0, 2.0, 530.0):
+            nodes, weights = hermite(n, mu)
+            assert np.array_equal(nodes, mu * x)
+            assert np.array_equal(weights, w / w.sum())
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            assert hermite(n, mu)[0] is nodes
+
+    def test_lorentzian_vs_trapezoid(self):
+        # broad Lorentzian is smooth on the Gaussian scale, so 128 nodes suffice
+        mu = 1.0
+        nodes, weights = hermite(128, mu)
+
+        def f(v):
+            return 50.0**2 / (50.0**2 + (v - 0.3) ** 2)
+
+        gh = np.sum(weights * f(nodes))
+        v = np.linspace(-6 * mu, 6 * mu, 200001)
+        w = np.exp(-(v / mu) ** 2)
+        dense = np.trapezoid(w * f(v), v) / np.trapezoid(w, v)
+        assert abs(gh - dense) < 1e-8
+
+
+class TestGaussianTrapezoid:
+    def test_normalization(self):
+        _, weights = trapezoid(401, 530.0)
+        assert abs(np.sum(weights) - 1.0) < 1e-12
+
+    def test_matches_hermite_on_polynomial(self):
+        trap_nodes, trap_weights = trapezoid(4001, 1.0, span=6.0)
+        gh_nodes, gh_weights = hermite(16, 1.0)
+        for f in (lambda v: v**2, lambda v: v**4 - v):
+            a = np.sum(trap_weights * f(trap_nodes))
+            b = np.sum(gh_weights * f(gh_nodes))
+            assert abs(a - b) < 1e-6
+
+    @pytest.mark.parametrize("n, mu, span", [(2561, 530.0, 3.0), (401, 2.0, 5.0)])
+    def test_cached_rule_is_bitwise_the_direct_one(self, n, mu, span):
+        # built once per config, read-only, and the same bytes
+        nodes = np.linspace(-span * mu, span * mu, n)
+        w = np.exp(-((nodes / mu) ** 2))
+        w[[0, -1]] *= 0.5
+        for _ in range(2):
+            got_nodes, got_weights = trapezoid(n, mu, span)
+            assert np.array_equal(got_nodes, nodes)
+            assert np.array_equal(got_weights, w / w.sum())
+            assert not got_nodes.flags.writeable and not got_weights.flags.writeable
+        assert trapezoid(n, mu, span)[0] is got_nodes
 
 
 class TestBuildClasses:

@@ -190,9 +190,8 @@ class TestRunScenario:
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
-    def test_every_kind_uses_the_pool(self, outputs, fast_doppler, recording_pool,
-                                      monkeypatch):
-        monkeypatch.setattr(fl.os, "cpu_count", lambda: 2)
+    def test_every_kind_uses_the_pool(self, outputs, fast_doppler, recording_pool, core_mask):
+        core_mask(2)
         ex.run_scenario(_small_scenario(outputs, fast_doppler), jobs=2)
         assert recording_pool == [(2, fl._set_blas_threads)]
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import package_env, per_class_field_system, symmetrized_diffusion_min_eig
-from laddertangle import bloch, fluctuations as fl, numerics
+from laddertangle import bloch, cli, fluctuations as fl, numerics
 from laddertangle.bloch import PROD
 from laddertangle.doppler import build_classes
 from laddertangle.errors import NoSteadyStateError, ResonanceError
@@ -453,8 +453,8 @@ class TestFieldCovariance:
         assert np.array_equal(a.v12, b.v12)
         assert np.array_equal(a.absorption, b.absorption)
 
-    def test_pool_sized_to_rows(self, fast_params, recording_pool, monkeypatch):
-        monkeypatch.setattr(fl.os, "cpu_count", lambda: 8)
+    def test_pool_sized_to_rows(self, fast_params, recording_pool, core_mask):
+        core_mask(8)
         params = fast_params(p=0.5)
         fl.v12_spectrum(params, [-10.0, 0.0, 10.0], jobs=4)
         assert recording_pool == [(3, fl._set_blas_threads)]
@@ -462,13 +462,24 @@ class TestFieldCovariance:
         assert recording_pool == [(3, fl._set_blas_threads)]
 
     @pytest.mark.parametrize("cores", [2, 1, None])
-    def test_pool_capped_at_the_core_count(self, fast_params, recording_pool, monkeypatch,
+    def test_pool_capped_at_the_core_count(self, fast_params, recording_pool, core_mask,
                                            cores):
         # the stand-in pool starts no process; an unknown core count is one,
         # and a single possible worker runs the rows here, without a pool
-        monkeypatch.setattr(fl.os, "cpu_count", lambda: cores)
+        core_mask(cores)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], jobs=5000)
         assert recording_pool == ([(2, fl._set_blas_threads)] if cores == 2 else [])
+
+    def test_one_core_mask_runs_serially(self, fast_params, recording_pool, core_mask,
+                                         monkeypatch):
+        # taskset -c 0 on a 2-core host: the pool and the default --jobs
+        # count the one core this process may run on, not the host's two
+        monkeypatch.setattr(fl.os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LADDERTANGLE_JOBS", raising=False)
+        core_mask(1)
+        fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], jobs=2)
+        assert recording_pool == []
+        assert cli._default_jobs(None) == 1
 
 
 # Reads the thread count of every loaded OpenBLAS, independently of the

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from laddertangle import numerics
 from laddertangle.bloch import REAL_BASIS, drift_pencil, steady_state_pencil
 from laddertangle.doppler import build_classes
-from laddertangle.errors import ContractError, ResonanceError, UnsupportedOrderError
+from laddertangle.errors import ContractError, ResonanceError
 from laddertangle.experiments import all_scenarios, baseline_params, pump_sweep_transform
 
 
@@ -59,76 +59,6 @@ class TestMatrixExponential:
     def test_dimension_cap(self):
         with pytest.raises(ContractError):
             numerics.matrix_exponential(np.zeros((17, 17)))
-
-
-class TestGaussHermite:
-    def test_normalization(self):
-        _, weights = numerics.gauss_hermite_rule(64, 530.0)
-        assert abs(np.sum(weights) - 1.0) < 1e-12
-
-    def test_second_moment(self):
-        nodes, weights = numerics.gauss_hermite_rule(32, 1.0)
-        assert abs(np.sum(weights * nodes**2) - 0.5) < 1e-12
-
-    def test_nodes_symmetric(self):
-        nodes, _ = numerics.gauss_hermite_rule(33, 2.0)
-        assert np.allclose(np.sort(nodes), -np.sort(-nodes)[::-1])
-
-    def test_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            numerics.gauss_hermite_rule(513, 1.0)
-
-    @pytest.mark.parametrize("n", [1, 64, 128])
-    def test_cached_rule_is_bitwise_the_direct_one(self, n):
-        # the unit rule is built once per order and scaled per call
-        x, w = np.polynomial.hermite.hermgauss(n)
-        w = w / np.sqrt(np.pi)
-        for mu in (530.0, 2.0, 530.0):
-            nodes, weights = numerics.gauss_hermite_rule(n, mu)
-            assert np.array_equal(nodes, mu * x)
-            assert np.array_equal(weights, w / w.sum())
-            assert not weights.flags.writeable
-
-    def test_lorentzian_vs_trapezoid(self):
-        # broad Lorentzian is smooth on the Gaussian scale, so 128 nodes suffice
-        mu = 1.0
-        nodes, weights = numerics.gauss_hermite_rule(128, mu)
-
-        def f(v):
-            return 50.0**2 / (50.0**2 + (v - 0.3) ** 2)
-
-        gh = np.sum(weights * f(nodes))
-        v = np.linspace(-6 * mu, 6 * mu, 200001)
-        w = np.exp(-(v / mu) ** 2)
-        dense = np.trapezoid(w * f(v), v) / np.trapezoid(w, v)
-        assert abs(gh - dense) < 1e-8
-
-
-class TestGaussianTrapezoid:
-    def test_normalization(self):
-        _, weights = numerics.gaussian_trapezoid_rule(401, 530.0)
-        assert abs(np.sum(weights) - 1.0) < 1e-12
-
-    def test_matches_hermite_on_polynomial(self):
-        trap_nodes, trap_weights = numerics.gaussian_trapezoid_rule(4001, 1.0, span=6.0)
-        gh_nodes, gh_weights = numerics.gauss_hermite_rule(16, 1.0)
-        for f in (lambda v: v**2, lambda v: v**4 - v):
-            a = np.sum(trap_weights * f(trap_nodes))
-            b = np.sum(gh_weights * f(gh_nodes))
-            assert abs(a - b) < 1e-6
-
-    @pytest.mark.parametrize("n, mu, span", [(2561, 530.0, 3.0), (401, 2.0, 5.0)])
-    def test_cached_rule_is_bitwise_the_direct_one(self, n, mu, span):
-        # built once per (n, mu, span), read-only, and the same bytes
-        nodes = np.linspace(-span * mu, span * mu, n)
-        w = np.exp(-((nodes / mu) ** 2))
-        w[[0, -1]] *= 0.5
-        for _ in range(2):
-            got_nodes, got_weights = numerics.gaussian_trapezoid_rule(n, mu, span)
-            assert np.array_equal(got_nodes, nodes)
-            assert np.array_equal(got_weights, w / w.sum())
-            assert not got_nodes.flags.writeable and not got_weights.flags.writeable
-        assert numerics.gaussian_trapezoid_rule(n, mu, span)[0] is got_nodes
 
 
 class TestPropagationIntegral:
