@@ -31,7 +31,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
-from itertools import repeat
+from itertools import repeat, starmap
+from time import perf_counter
 
 import numpy as np
 
@@ -54,6 +55,15 @@ RIDX = {lab: k for k, lab in enumerate(REDUCED_LABELS)}
 # the symbol-prefixed builds that scipy and numpy (64-bit integer) wheels bundle
 _BLAS_THREAD_CALLS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads",
                       "scipy_openblas_{}_num_threads64_")
+
+# Seconds of serial row time a process pool must save before sweep_rows
+# opens one.  Pooled time is about c + serial/2 at two workers; medians of 7
+# alternating calls on fig2-a at 8 and 32 rows and fig2-g at 16 and 64 rows
+# (one BLAS thread, 2-core x86-64) put the start-and-stop cost c at 18-23 ms
+# on a quiet host and up to 52 ms on a busy one.  Short sweeps (16 fig2-g or
+# 12 fig4-c rows, about 0.5 and 2 ms each) stay here; full scenarios still
+# pool (801 fig2-a rows project about 0.8 s of saving).
+POOL_START_S = 0.05
 
 # field pairing involution (a1 <-> a1+, a2 <-> a2+)
 FIELD_CONJ = (1, 0, 3, 2)
@@ -335,25 +345,40 @@ def usable_cores() -> int:
 
 
 def sweep_rows(point, rows, jobs: int = 1):
-    """Ordered map of the picklable row function point over argument tuples.
+    """Ordered map of the picklable row function point over a sequence of
+    argument tuples.
 
     Rows run with every loaded OpenBLAS at one thread, and the caller's
-    thread counts are restored afterwards.  When more than one worker is
-    possible (jobs, rows and usable_cores() allowing), rows run in worker
-    processes in ordered chunks; this process is pinned before they start, so a
-    forked worker inherits the pin and the library lookup.  Otherwise they
-    run here.  Results come back in row order, so they do not depend on the
-    parallelism degree.
+    thread counts are restored afterwards.  Rows run here, in order.  When
+    more than one worker is possible (jobs, rows and usable_cores()
+    allowing), each row is timed, and once the serial time projected for
+    the rows left from the mean row time so far, times (1 - 1/workers),
+    exceeds POOL_START_S, the rows left go to one pool of
+    min(jobs, rows left, usable_cores()) worker processes in ordered
+    chunks.  This process is already pinned when the pool starts, so a
+    forked worker inherits the pin and the library lookup.  Results come
+    back in row order, so they do not depend on where a row ran.
     """
-    args = (point, *zip(*rows))
     n = len(rows)
-    workers = min(jobs, n, usable_cores())
+    cap = min(jobs, usable_cores())
     counts = _set_blas_threads()
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads) as pool:
-                return list(pool.map(*args, chunksize=max(1, n // (4 * workers))))
-        return list(map(*args))
+        if min(cap, n) < 2:
+            return list(starmap(point, rows))
+        results = []
+        start = perf_counter()
+        for done, row in enumerate(rows, 1):
+            results.append(point(*row))
+            left = n - done
+            workers = min(cap, left)
+            if workers > 1 and ((perf_counter() - start) / done * left * (1 - 1 / workers)
+                                > POOL_START_S):
+                with ProcessPoolExecutor(max_workers=workers,
+                                         initializer=_set_blas_threads) as pool:
+                    results.extend(pool.map(point, *zip(*rows[done:]),
+                                            chunksize=max(1, left // (4 * workers))))
+                break
+        return results
     finally:
         _set_blas_threads(counts)
 

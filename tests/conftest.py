@@ -52,6 +52,13 @@ def recording_pool(monkeypatch):
 
 
 @pytest.fixture
+def eager_pool(monkeypatch):
+    """Let the sweep hand its rows left to a process pool after the first
+    row, however cheap the rows are."""
+    monkeypatch.setattr(fluctuations, "POOL_START_S", 0.0)
+
+
+@pytest.fixture
 def core_mask(monkeypatch):
     """Setter for the cores fluctuations.usable_cores sees: an affinity
     mask of n cores, or for n None a platform without affinity masks that

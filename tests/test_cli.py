@@ -96,7 +96,8 @@ class TestRun:
         table.write_csv(again)
         assert again.read_bytes() == csv_path.read_bytes()
 
-    def test_jobs_do_not_change_bytes(self, tmp_path, fast_config):
+    def test_jobs_do_not_change_bytes(self, tmp_path, fast_config, eager_pool):
+        # at jobs=3 the first row runs here and a real pool runs the rest
         outs = []
         for jobs in (1, 3):
             out = tmp_path / f"out{jobs}"
@@ -413,7 +414,7 @@ class TestDeterminism:
         ("fig3", [])])
     def test_bytes_independent_of_blas_threads_and_jobs(self, tmp_path, scenario, grid):
         # each run is a fresh process, so the BLAS thread count applies
-        # from the start; jobs=2 runs its rows in pool workers
+        # from the start; jobs=2 lets a long sweep hand rows to pool workers
         payloads = {}
         for threads in ("1", "2"):
             for jobs in ("1", "2"):

@@ -178,8 +178,9 @@ class TestRunScenario:
         assert report.population_error < 1e-9
         assert report.max_drift_eigenvalue < 0.0
 
-    @pytest.mark.parametrize("outputs", ["absorption", "pump-sweep"])
-    def test_jobs_do_not_change_bytes(self, outputs, fast_doppler, tmp_path):
+    @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
+    def test_jobs_do_not_change_bytes(self, outputs, fast_doppler, tmp_path, eager_pool):
+        # at jobs=2 the first row runs here and a real pool runs the rest
         scenario = _small_scenario(outputs, fast_doppler)
         payloads = []
         for jobs in (1, 2):
@@ -190,7 +191,8 @@ class TestRunScenario:
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
-    def test_every_kind_uses_the_pool(self, outputs, fast_doppler, recording_pool, core_mask):
+    def test_every_kind_uses_the_pool(self, outputs, fast_doppler, recording_pool, core_mask,
+                                      eager_pool):
         core_mask(2)
         ex.run_scenario(_small_scenario(outputs, fast_doppler), jobs=2)
         assert recording_pool == [(2, fl._set_blas_threads)]

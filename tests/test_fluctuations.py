@@ -453,17 +453,18 @@ class TestFieldCovariance:
         assert np.array_equal(a.v12, b.v12)
         assert np.array_equal(a.absorption, b.absorption)
 
-    def test_pool_sized_to_rows(self, fast_params, recording_pool, core_mask):
+    def test_pool_sized_to_rows(self, fast_params, recording_pool, core_mask, eager_pool):
+        # the first row runs here, so the pool takes the three rows left
         core_mask(8)
         params = fast_params(p=0.5)
-        fl.v12_spectrum(params, [-10.0, 0.0, 10.0], jobs=4)
+        fl.v12_spectrum(params, [-10.0, 0.0, 10.0, 20.0], jobs=4)
         assert recording_pool == [(3, fl._set_blas_threads)]
         fl.v12_spectrum(params, [0.0], jobs=4)
         assert recording_pool == [(3, fl._set_blas_threads)]
 
     @pytest.mark.parametrize("cores", [2, 1, None])
     def test_pool_capped_at_the_core_count(self, fast_params, recording_pool, core_mask,
-                                           cores):
+                                           eager_pool, cores):
         # the stand-in pool starts no process; an unknown core count is one,
         # and a single possible worker runs the rows here, without a pool
         core_mask(cores)
@@ -480,6 +481,35 @@ class TestFieldCovariance:
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], jobs=2)
         assert recording_pool == []
         assert cli._default_jobs(None) == 1
+
+    def test_cheap_sweep_runs_here(self, fast_params, recording_pool, core_mask):
+        # two workers are possible, but a pool would cost more than the
+        # rows left; the first call warms this process's caches
+        core_mask(2)
+        params = fast_params(p=0.5)
+        fl.v12_spectrum(params, [0.0], jobs=1)
+        fl.v12_spectrum(params, [-10.0, 0.0, 10.0], jobs=2)
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("jobs, cores, rows, workers", [
+        (4, 8, 6, 4), (8, 8, 3, 2), (8, 3, 6, 3)])
+    def test_slow_rows_hand_the_rest_to_a_pool(self, recording_pool, core_mask, monkeypatch,
+                                               jobs, cores, rows, workers):
+        # a clock that advances a second per reading makes every row slow;
+        # each row records how many pools had opened when it ran
+        core_mask(cores)
+        ticks = iter(range(100))
+        monkeypatch.setattr(fl, "perf_counter", lambda: float(next(ticks)))
+        opened = []
+
+        def square(k):
+            opened.append(len(recording_pool))
+            return k * k
+
+        assert fl.sweep_rows(square, [(k,) for k in range(rows)], jobs) == [
+            k * k for k in range(rows)]
+        assert recording_pool == [(workers, fl._set_blas_threads)]
+        assert opened == [0] + [1] * (rows - 1)
 
 
 # Reads the thread count of every loaded OpenBLAS, independently of the
@@ -528,12 +558,14 @@ print(json.dumps({"before": before, "inside": inside, "after": after,
                   "initialized": counts(), "loads": len(loads)}))
 """
 
-# The counts before a pooled sweep, in its worker rows with the worker's
-# OS thread count, and after it.
+# The counts before a pooled sweep, in its rows with the OS thread count
+# of the process that ran them, and after it; the pool takes every row
+# after the first.
 _POOL_THREADS_SCRIPT = _BLAS_COUNTS + """
 def probe(k):
     return counts(), len(os.listdir("/proc/self/task"))
 
+fl.POOL_START_S = 0.0
 before = counts()
 rows = fl.sweep_rows(probe, [(k,) for k in range(4)], jobs=2)
 print(json.dumps({"before": before, "rows": rows, "after": counts()}))
@@ -578,7 +610,9 @@ def test_forked_pool_workers_inherit_one_blas_thread():
         pytest.skip("needs forked pool workers on at least two cores")
     counts = _blas_counts_run(_POOL_THREADS_SCRIPT)
     n = len(counts["before"])
-    assert counts["rows"] == [[[1] * n, 1]] * 4
+    # row 0 runs in the pinned parent, rows 1-3 in one-thread workers
+    assert counts["rows"][0][0] == [1] * n
+    assert counts["rows"][1:] == [[[1] * n, 1]] * 3
     assert counts["after"] == counts["before"]
 
 
