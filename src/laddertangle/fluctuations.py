@@ -31,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
-from itertools import repeat, starmap
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -357,14 +357,13 @@ def sweep_rows(point, rows, jobs: int = 1):
     min(jobs, rows left, usable_cores()) worker processes in ordered
     chunks.  This process is already pinned when the pool starts, so a
     forked worker inherits the pin and the library lookup.  Results come
-    back in row order, so they do not depend on where a row ran.
+    back in row order, so they do not depend on where a row ran.  With
+    one possible worker no pool is opened.
     """
     n = len(rows)
     cap = min(jobs, usable_cores())
     counts = _set_blas_threads()
     try:
-        if min(cap, n) < 2:
-            return list(starmap(point, rows))
         results = []
         start = perf_counter()
         for done, row in enumerate(rows, 1):
