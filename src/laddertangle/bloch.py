@@ -13,6 +13,7 @@ and O2 = g2*alpha2 (undepleted pump and probe).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -199,35 +200,119 @@ def class_steady_states(pencil: SteadyPencil, shifts) -> np.ndarray:
     return factors @ pencil.states.T
 
 
-def drift_bound(b0: np.ndarray, e: np.ndarray, shifts) -> float:
+def metric_log_norm(b: np.ndarray) -> float:
+    """Largest eigenvalue mu of Herm(P b) y = mu P y, with P = HS_METRIC:
+    the logarithmic norm of the reduced drift b in the Hilbert-Schmidt
+    metric, so an upper bound on the real parts of its eigenvalues."""
+    pb = HS_METRIC @ b
+    return float(sla.eigh(0.5 * (pb + pb.conj().T), HS_METRIC, eigvals_only=True)[-1])
+
+
+@lru_cache(maxsize=64)
+def relaxation_log_norm(params: SystemParams) -> float:
+    """metric_log_norm of the relaxation part of the reduced drift, once
+    per parameter set."""
+    return metric_log_norm(reduce_generator(decay_generator(params)))
+
+
+def drift_bound(params: SystemParams, b0: np.ndarray, e: np.ndarray, shifts) -> float:
     """Upper bound on the real parts of the eigenvalues of the reduced
     drifts B0 - s diag(e) of the classes with the given probe shifts.
 
     The Hamiltonian part of the drift, detunings and velocity shift
     included, is skew in the Hilbert-Schmidt metric P = LIFT^T LIFT.  So
-    for every class and every detuning, Re(lambda) is at most the largest
-    eigenvalue mu of Herm(P B0) y = mu P y, the logarithmic norm of B0 in
-    that metric.  When mu >= 0 it certifies nothing, and the largest real
-    part over the classes is computed from their eigenvalues instead.
+    for every class and every detuning, Re(lambda) is at most the
+    metric_log_norm of B0, which is that of its relaxation part alone
+    (relaxation_log_norm).  When that is >= 0 it certifies nothing, and
+    the largest real part over the classes is computed from their
+    eigenvalues instead.
     """
-    pb = HS_METRIC @ b0
-    top = float(sla.eigh(0.5 * (pb + pb.conj().T), HS_METRIC, eigvals_only=True)[-1])
+    top = relaxation_log_norm(params)
     if top < 0.0:
         return top
     b = b0 - np.asarray(shifts, dtype=float)[:, None, None] * np.diag(e)
     return float(np.max(np.linalg.eigvals(b).real))
 
 
-def steady_state_errors(means: np.ndarray) -> tuple[float, float, float]:
-    """Worst trace, hermiticity and population-range errors over a stack
-    of steady states; all three are zero for physical density matrices."""
-    pops = means[:, list(POPULATIONS)]
-    trace_err = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
-    upper, lower = zip(*[(IDX[i, j], IDX[j, i]) for (i, j) in LABELS if i < j])
-    herm = max(float(np.max(np.abs(means[:, list(upper)] - np.conj(means[:, list(lower)])))),
-               float(np.max(np.abs(pops.imag))))
-    pop_err = max(0.0, float(np.max(np.maximum(-pops.real, pops.real - 1.0))))
-    return trace_err, herm, pop_err
+# The coefficient checks of pencil_errors, as maps of the states and of their
+# conjugates at the mirrored points, states[:, mirror].conj() (conj r(t) =
+# r(conj t)): the trace row rho11 + rho22 + rho33 less its 1 at point 0, the
+# gap rho_ij - conj(rho_ji) of every component, and rho + conj(rho) of rho22
+# and rho33, from which the populations are evaluated.
+_ADJOINT = np.eye(9)[[IDX[j, i] for (i, j) in LABELS]]
+_ON_STATES = np.vstack([[1.0 if i == j else 0.0 for (i, j) in LABELS], np.eye(9), np.eye(9)[1:3]])
+_ON_MIRRORED = np.vstack([np.zeros(9), -_ADJOINT, _ADJOINT[1:3]])
+_TRACE_ONE = np.zeros((12, 9))
+_TRACE_ONE[0, 0] = 1.0
+# a population's gap is twice its imaginary part
+_CHECK_WEIGHTS = np.array([1.0] + [0.5 if i == j else 1.0 for (i, j) in LABELS])
+
+
+def _pencil_check(pencil: SteadyPencil, shifts: np.ndarray):
+    """Trace and hermiticity error bounds and the (3, K) populations of
+    the classes with the given probe shifts (pencil_errors)."""
+    points = pencil.points.tolist()
+    index = {t: k for k, t in enumerate(points)}
+    mirror, live, zeros = [], [], []      # live: nonzero, a pair by its member above the axis
+    for k, t in enumerate(points):
+        mirror.append(k if t.imag == 0.0 else index[t.conjugate()])
+        if t == 0.0:
+            zeros.append(k)
+        elif t.imag >= 0.0:
+            live.append(k)
+    checks = (_ON_STATES @ pencil.states + _ON_MIRRORED @ pencil.states[:, mirror].conj()
+              - _TRACE_ONE)
+    # A population is sum_j h_j r_j(s) / 2 with h its row of rho + conj(rho).
+    # A point 0 adds Re h_j / 2, and with x = 1 - s Re t and y = s Im t
+    # another adds Re(h r) / 2 = (x Re h - y Im h) / (x^2 + y^2) / 2, a
+    # denominator without cancellation; a pair adds twice that at its
+    # member above the axis.
+    m = len(live)
+    coef = []
+    for h in checks[10:].tolist():
+        c = [h[k] if points[k].imag else 0.5 * h[k] for k in live]
+        coef.append([z.real for z in c] + [-z.imag for z in c] + [0.5 * sum(h[k].real for k in zeros)])
+    coef.insert(0, [-a - b for a, b in zip(*coef)])     # rho11 = 1 - rho22 - rho33
+    coef[0][-1] += 1.0
+    # rows x and y per live point, then ones
+    factors = np.empty((2 * m + 1, len(shifts)))
+    for j, k in enumerate(live):
+        np.multiply(shifts, -points[k].real, out=factors[j])
+        factors[j] += 1.0
+        np.multiply(shifts, points[k].imag, out=factors[m + j])
+    factors[-1] = 1.0
+    xy = factors[:-1].reshape(2, m, len(shifts))
+    size = np.square(xy).sum(axis=0)
+    xy /= size
+    # the largest |r| = 1 / |1 - s t| over the classes at each point
+    largest = dict(zip(live, (1.0 / np.sqrt(size.min(axis=1))).tolist()))
+    reach = [largest.get(k, largest.get(mirror[k], 1.0)) for k in range(len(points))]
+    errors = (_CHECK_WEIGHTS * (np.abs(checks[:10]) @ reach)).tolist()
+    return errors[0], max(errors[1:]), np.array(coef) @ factors
+
+
+def class_populations(pencil: SteadyPencil, shifts) -> np.ndarray:
+    """The (3, K) populations rho11, rho22, rho33 (real parts) of the
+    classes with the given probe shifts, in real arithmetic with the
+    cancellation-free denominators |1 - s t|^2 (_pencil_check);
+    rho11 = 1 - rho22 - rho33."""
+    return _pencil_check(pencil, np.asarray(shifts, dtype=float))[2]
+
+
+def pencil_errors(pencil: SteadyPencil, shifts) -> tuple[float, float, float]:
+    """Worst trace, hermiticity and population-range errors over the
+    steady states of the classes with the given probe shifts; all three
+    are zero for physical density matrices.
+
+    The trace and the hermiticity gaps are linear in the factors r, so
+    each is bounded over the classes by the sum over the points of its
+    coefficient error times the largest |r| over the classes there: the
+    row rho11 + rho22 + rho33 against its value 1 at point 0, and each
+    rho_ij row against the conjugated rho_ji row at the conjugate points.
+    The population range is exact per class (class_populations).
+    """
+    trace, herm, pops = _pencil_check(pencil, np.asarray(shifts, dtype=float))
+    return trace, herm, max(0.0, -float(pops.min()), float(pops.max()) - 1.0)
 
 
 def eq1_terms(params: SystemParams, d1, d2):

@@ -40,9 +40,8 @@ import numpy as np
 # perfbench's tracer test wraps the drift builder through it
 from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,  # noqa: F401
                     SOP_O1, SOP_O1C, SOP_O2, SOP_O2C,
-                    averaged_absorption, class_steady_states, decay_generator,
-                    drift_bound, drift_pencil, generator_matrix,
-                    steady_state_errors, steady_state_pencil)
+                    averaged_absorption, decay_generator, drift_bound, drift_pencil,
+                    generator_matrix, pencil_errors, steady_state_pencil)
 from .doppler import build_classes, factor_moments
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
@@ -237,6 +236,8 @@ def quadrature_variances(sigma: np.ndarray) -> list[tuple[float, float]]:
 class PhysicalityReport:
     """Worst-case physicality diagnostics over a computed sweep.
 
+    The trace, hermiticity and population errors are those of the rows'
+    steady states, read from their pencils (bloch.pencil_errors).
     max_drift_eigenvalue is an upper bound on the real part of every
     class's reduced drift eigenvalues (bloch.drift_bound), not their
     maximum; a value < 0 still certifies that every class is dissipative.
@@ -275,11 +276,11 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     m_tot = m + (1j * omega / C_M_MHZ) * np.eye(4)
     report = None
     if collect:
-        trace_err, herm_err, pop_err = steady_state_errors(
-            class_steady_states(pencil, classes.shifts))
+        trace_err, herm_err, pop_err = pencil_errors(pencil, classes.shifts)
         report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
                                    population_error=pop_err,
-                                   max_drift_eigenvalue=drift_bound(b0, e, classes.shifts),
+                                   max_drift_eigenvalue=drift_bound(params, b0, e,
+                                                                    classes.shifts),
                                    eigenvector_condition=max(pencil.resolvent[3], resolvent[3]))
     return m_tot, s_tot, absorption, report
 

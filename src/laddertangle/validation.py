@@ -56,7 +56,8 @@ def check_decoupled_limits() -> CheckResult:
 def check_steady_state_physicality(draws: int = 25, seed: int = 20240817) -> CheckResult:
     """Random parameter sweeps: the reduced drift is dissipative (its
     eigenvalue bound, bloch.drift_bound, is negative), and steady states
-    keep unit trace, Hermitian coherence pairs and populations in [0, 1]."""
+    keep unit trace, Hermitian coherence pairs and populations in [0, 1]
+    (bloch.pencil_errors)."""
     rng = np.random.default_rng(seed)
     worst_trace = worst_herm = worst_pop = 0.0
     worst_drift = -math.inf
@@ -70,9 +71,9 @@ def check_steady_state_physicality(draws: int = 25, seed: int = 20240817) -> Che
                               delta2=rng.uniform(-300.0, 300.0)),
         )
         b0, h, e = bloch.drift_pencil(params, rng.uniform(-600.0, 600.0))
-        means = bloch.class_steady_states(bloch.steady_state_pencil(b0, h, e, [0.0]), [0.0])
-        worst_drift = max(worst_drift, bloch.drift_bound(b0, e, [0.0]))
-        trace, herm, pop = bloch.steady_state_errors(means)
+        pencil = bloch.steady_state_pencil(b0, h, e, [0.0])
+        worst_drift = max(worst_drift, bloch.drift_bound(params, b0, e, [0.0]))
+        trace, herm, pop = bloch.pencil_errors(pencil, [0.0])
         worst_trace = max(worst_trace, trace)
         worst_herm = max(worst_herm, herm)
         worst_pop = max(worst_pop, pop)

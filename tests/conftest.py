@@ -98,6 +98,19 @@ def per_class_field_system(params, delta1, omega=0.0):
     return m, average(sv, classes), bloch.absorption_exact_batch(params, means, classes)
 
 
+def steady_state_errors(means: np.ndarray) -> tuple[float, float, float]:
+    """Oracle for bloch.pencil_errors: worst trace, hermiticity and
+    population-range errors over a stack of per-class steady states; all
+    three are zero for physical density matrices."""
+    pops = means[:, list(bloch.POPULATIONS)]
+    trace_err = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
+    upper, lower = zip(*[(bloch.IDX[i, j], bloch.IDX[j, i]) for (i, j) in bloch.LABELS if i < j])
+    herm = max(float(np.max(np.abs(means[:, list(upper)] - np.conj(means[:, list(lower)])))),
+               float(np.max(np.abs(pops.imag))))
+    pop_err = max(0.0, float(np.max(np.maximum(-pops.real, pops.real - 1.0))))
+    return trace_err, herm, pop_err
+
+
 def symmetrized_diffusion_min_eig(d: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetrized noise kernel.
 

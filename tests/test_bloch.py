@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import steady_state_errors
 from laddertangle import bloch, doppler
 from laddertangle.bloch import IDX, LABELS, PROD
 from laddertangle.errors import ContractError, NoSteadyStateError
@@ -60,7 +61,7 @@ class TestSteadyState:
         params = fast_params(p=6.0)
         d1, d2 = rng.uniform(-800, 800, size=(2, 25))
         means = class_steady_states(params, d1, d2)
-        trace_err, herm_err, pop_err = bloch.steady_state_errors(means)
+        trace_err, herm_err, pop_err = steady_state_errors(means)
         assert trace_err < 1e-10
         assert herm_err < 1e-10
         assert pop_err <= 1e-10
@@ -75,13 +76,13 @@ class TestSteadyState:
     def test_errors_flag_unphysical_states(self):
         state = np.zeros((2, 9), dtype=complex)
         state[:, IDX[1, 1]] = 1.0
-        assert bloch.steady_state_errors(state) == (0.0, 0.0, 0.0)
+        assert steady_state_errors(state) == (0.0, 0.0, 0.0)
         state[1, IDX[1, 1]] = 1.5
         state[1, IDX[2, 2]] = -0.5
         state[1, IDX[2, 1]] = 0.25j
-        assert bloch.steady_state_errors(state) == (0.0, 0.25, 0.5)
+        assert steady_state_errors(state) == (0.0, 0.25, 0.5)
         state[1, IDX[3, 3]] = 0.125
-        assert bloch.steady_state_errors(state) == (0.125, 0.25, 0.5)
+        assert steady_state_errors(state) == (0.125, 0.25, 0.5)
 
     def test_pencil_refuses_a_drift_that_breaks_hermiticity(self, fast_params):
         # 0.5i from rho12 into rho21 maps Hermitian states to non-Hermitian
@@ -123,8 +124,13 @@ class TestDriftBound:
                 doppler=DopplerConfig(width=530.0, nodes=41, rule="trapezoid"))
             b0, _, e = bloch.drift_pencil(params, rng.uniform(-600.0, 600.0))
             shifts, _ = doppler.maxwellian_rule(params.doppler)
-            bound = bloch.drift_bound(b0, e, shifts)
+            bound = bloch.drift_bound(params, b0, e, shifts)
             assert class_drift_max(b0, e, shifts) - 1e-12 <= bound < 0.0
+            # the Hamiltonian part is skew in the metric, so B0's own
+            # logarithmic norm is the relaxation part's, once per parameter set
+            top = bloch.relaxation_log_norm(params)
+            assert top == pytest.approx(bloch.metric_log_norm(b0), rel=1e-13, abs=1e-15)
+            assert top >= 0.0 or bound == top
 
     def test_falls_back_to_class_eigenvalues(self, fast_doppler):
         # at gamma1/gamma2 = 10.9 the metric bound is not negative, so the
@@ -135,7 +141,8 @@ class TestDriftBound:
         shifts, _ = doppler.maxwellian_rule(params.doppler)
         exact = class_drift_max(b0, e, shifts)
         assert exact < 0.0
-        assert bloch.drift_bound(b0, e, shifts) == exact
+        assert bloch.metric_log_norm(b0) >= 0.0
+        assert bloch.drift_bound(params, b0, e, shifts) == exact
 
 
 class TestAbsorption:

@@ -141,6 +141,20 @@ class TestPumpSweepTransform:
         assert params.rates == derive_coherence_rates(base.decay)
         assert params == base
 
+    @pytest.mark.parametrize("p", [0.0, 20.0])
+    @pytest.mark.parametrize("alpha2", [1.0, 6.0, 150.0])
+    def test_row_is_base_row_with_scaled_width(self, alpha2, p, fast_doppler):
+        # the transform scales every rate, Rabi frequency and the density by
+        # alpha2 / 50 at zero detunings, which is the base with the Doppler
+        # width scaled by 50 / alpha2
+        base = ex.baseline_params(p=p, doppler=fast_doppler)
+        wide = replace(base, doppler=replace(fast_doppler, width=fast_doppler.width * 50.0 / alpha2))
+        v12, _, _, absorption, _ = fl._spectrum_point(ex.pump_sweep_transform(base, alpha2),
+                                                      0.0, 0.0, False)
+        v12_wide, _, _, absorption_wide, _ = fl._spectrum_point(wide, 0.0, 0.0, False)
+        assert v12 == pytest.approx(v12_wide, rel=1e-12)
+        assert absorption == pytest.approx(absorption_wide, rel=1e-12)
+
     @pytest.mark.parametrize("alpha2", [5.0, 50.0, 150.0])
     def test_explicit_coherence_scaled(self, alpha2):
         coherence = CoherenceRates(gamma12=5.0, gamma13=4.0, gamma23=7.0)

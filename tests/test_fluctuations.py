@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import package_env, per_class_field_system, symmetrized_diffusion_min_eig
+from conftest import (package_env, per_class_field_system, steady_state_errors,
+                      symmetrized_diffusion_min_eig)
 from laddertangle import bloch, cli, fluctuations as fl, numerics
 from laddertangle.bloch import PROD
-from laddertangle.doppler import build_classes
+from laddertangle.doppler import build_classes, maxwellian_rule
 from laddertangle.errors import NoSteadyStateError, ResonanceError
 from laddertangle.experiments import all_scenarios, baseline_params, pump_sweep_transform
-from laddertangle.model import (C_M_MHZ, DecayConfig, DopplerConfig, FieldConfig,
-                                GeometryConfig, SystemParams)
+from laddertangle.model import (C_M_MHZ, CoherenceRates, DecayConfig, DopplerConfig,
+                                FieldConfig, GeometryConfig, SystemParams, params_to_config)
 
 
 def stationary(**kwargs):
@@ -370,14 +371,21 @@ class TestFactoredAverage:
             assert abs(absorption - abs_ref) <= 1e-10 * abs(abs_ref)
 
     @pytest.mark.parametrize("omega", [0.0, 3.0])
-    def test_no_class_steady_states_unless_collected(self, fast_params, monkeypatch, omega):
+    def test_no_class_steady_states_built(self, fast_params, monkeypatch, tmp_path, omega):
+        # the collected diagnostics come from the pencil too, so neither a
+        # sweep, collected or not, nor 'laddertangle run' builds per-class states
         def per_class(*args):
             raise AssertionError("per-class steady states built")
 
-        monkeypatch.setattr(fl, "class_steady_states", per_class)
+        monkeypatch.setattr(bloch, "class_steady_states", per_class)
+        monkeypatch.setattr(bloch, "steady_state_batch", per_class)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0], omega=omega)
-        with pytest.raises(AssertionError, match="per-class"):
-            fl.v12_spectrum(fast_params(p=0.5), [0.0], omega=omega, collect=True)
+        fl.v12_spectrum(fast_params(p=0.5), [0.0], omega=omega, collect=True)
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps(params_to_config(fast_params(p=0.5))), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                         "--jobs", "1", "--omega", str(omega), "--delta1-min", "-10",
+                         "--delta1-max", "10", "--delta1-points", "2"]) == 0
 
     def test_singular_drift_has_no_steady_state(self):
         # no decay, no fields: the populations are conserved and the
@@ -399,6 +407,69 @@ class TestFactoredAverage:
             fl.field_system_at(fast_params(), 0.0)
         with pytest.raises(ResonanceError, match="condition number"):
             bloch.absorption_exact(fast_params(), 0.0)
+
+
+class TestPencilPhysicality:
+    @pytest.mark.parametrize("omega", [0.0, 3.0])
+    @pytest.mark.parametrize("case", ["fig2-a", "fig4-a", "fig4-c", "fig3-p0-alpha2-1",
+                                      "fig3-p0-alpha2-150", "fig3-p20-alpha2-1",
+                                      "fig3-p20-alpha2-150"])
+    def test_matches_per_class_oracle(self, case, omega):
+        # the collected errors, read from the pencil, against the per-class
+        # states; the drift certificate against B0's own
+        params = ORACLE_CASES[case]
+        for delta1 in (params.field.delta1, 35.0, 200.0):
+            report = fl.field_system_at(params, delta1, omega, collect=True)[3]
+            classes = build_classes(params, delta1, params.field.delta2)
+            b0, h, e = bloch.drift_pencil(params, delta1)
+            pencil = bloch.steady_state_pencil(b0, h, e, classes.shifts)
+            states = bloch.class_steady_states(pencil, classes.shifts)
+            got = (report.trace_error, report.hermiticity_error, report.population_error)
+            assert np.max(np.abs(np.subtract(got, steady_state_errors(states)))) <= 1e-15
+            pops = bloch.class_populations(pencil, classes.shifts)
+            assert np.max(np.abs(pops - states[:, list(bloch.POPULATIONS)].real.T)) <= 1e-15
+            assert report.max_drift_eigenvalue == pytest.approx(bloch.metric_log_norm(b0),
+                                                                rel=1e-13)
+
+
+def scaled(params: SystemParams, c: float) -> SystemParams:
+    """params with every rate, Rabi frequency (through the amplitudes),
+    detuning, the Doppler width and the density times c."""
+    coherence = None if params.coherence is None else CoherenceRates(
+        *(c * rate for rate in (params.coherence.gamma12, params.coherence.gamma13,
+                                params.coherence.gamma23)))
+    d, f = params.decay, params.field
+    return replace(
+        params, decay=DecayConfig(gamma1=c * d.gamma1, gamma2=c * d.gamma2, p=c * d.p),
+        field=replace(f, alpha1=c * f.alpha1, alpha2=c * f.alpha2, delta1=c * f.delta1,
+                      delta2=c * f.delta2),
+        geometry=replace(params.geometry, n=c * params.geometry.n),
+        doppler=replace(params.doppler, width=c * params.doppler.width), coherence=coherence)
+
+
+class TestScalingSymmetry:
+    def test_rows_invariant_under_frequency_scaling(self, rng):
+        # every frequency scales the drift by c, and the density keeps the
+        # gain N g^2 / rate, so the row (at omega times c) is unchanged
+        for draw in range(12):
+            params = SystemParams(
+                decay=DecayConfig(gamma1=rng.uniform(0.5, 6.0), gamma2=rng.uniform(0.1, 2.0),
+                                  p=rng.uniform(0.0, 10.0)),
+                field=FieldConfig(alpha1=rng.uniform(0.5, 20.0), alpha2=rng.uniform(5.0, 80.0),
+                                  delta2=rng.uniform(-100.0, 100.0)),
+                doppler=DopplerConfig(width=rng.uniform(100.0, 600.0), nodes=201,
+                                      rule="trapezoid"))
+            if draw % 3 == 2:
+                rates = params.rates
+                params = replace(params, coherence=CoherenceRates(
+                    rates.gamma12 + 1.0, rates.gamma13 + 2.0, rates.gamma23 + 0.5))
+            delta1, omega, c = rng.uniform(-60.0, 60.0), rng.uniform(0.5, 20.0), rng.uniform(0.2, 5.0)
+            for w in (0.0, omega):
+                v12, _, _, absorption, _ = fl._spectrum_point(params, delta1, w, False)
+                v12_c, _, _, absorption_c, _ = fl._spectrum_point(scaled(params, c), c * delta1,
+                                                                  c * w, False)
+                assert v12_c == pytest.approx(v12, rel=1e-12)
+                assert absorption_c == pytest.approx(absorption, rel=1e-12)
 
 
 class TestFieldCovariance:
@@ -642,18 +713,87 @@ def test_set_blas_threads_skips_counts_already_set(monkeypatch):
     assert [lib.set_calls for lib in libs] == [[], [1, 4]]
 
 
+def corrupted_report(monkeypatch, params, delta1, corrupt):
+    """The collected report of a row whose steady-state pencil passes
+    through corrupt(pencil, shifts) before its diagnostics, the corrupted
+    pencil and shifts, and the per-class oracle's errors of its states."""
+    real, seen = fl.pencil_errors, []
+
+    def corrupting(pencil, shifts):
+        seen.append((corrupt(pencil, shifts), shifts))
+        return real(*seen[-1])
+
+    monkeypatch.setattr(fl, "pencil_errors", corrupting)
+    report = fl.field_system_at(params, delta1, collect=True)[3]
+    (pencil, shifts), = seen
+    return report, pencil, shifts, steady_state_errors(bloch.class_steady_states(pencil, shifts))
+
+
+def with_states(pencil, change):
+    states = pencil.states.copy()
+    change(states)
+    return pencil._replace(states=states)
+
+
 class TestPhysicalityReport:
     def test_population_error_reported(self, monkeypatch):
-        real = fl.class_steady_states
+        # rho33 = -0.1 in every class
+        def negative_population(pencil, shifts):
+            def change(states):
+                states[bloch.IDX[3, 3]] = 0.0
+                states[bloch.IDX[3, 3], 0] = -0.1
+            return with_states(pencil, change)
 
-        def negative_population(*args):
-            means = real(*args)
-            means[:, bloch.POPULATIONS[2]] = -0.1
-            return means
-
-        monkeypatch.setattr(fl, "class_steady_states", negative_population)
-        _, report = fl.v12_spectrum(stationary(), [0.0], collect=True)
+        report, *_, oracle = corrupted_report(monkeypatch, stationary(), 0.0, negative_population)
         assert report.population_error == 0.1
+        assert oracle[2] == 0.1
+
+    def test_broken_conjugate_coefficient_reported(self, monkeypatch, fast_params):
+        # rho12 at one point above the axis no longer mirrors rho21 at its
+        # conjugate; the bound takes that factor's largest modulus over the classes
+        def broken(pencil, shifts):
+            k = int(np.argmax(pencil.points.imag))
+            return with_states(pencil, lambda states: states.__setitem__(
+                (bloch.IDX[1, 2], k), states[bloch.IDX[1, 2], k] + 1e-3))
+
+        report, pencil, shifts, oracle = corrupted_report(monkeypatch, fast_params(p=0.5), 5.0,
+                                                          broken)
+        k = int(np.argmax(pencil.points.imag))
+        largest = np.max(np.abs(1.0 / (1.0 - shifts * pencil.points[k])))
+        assert report.hermiticity_error == pytest.approx(1e-3 * largest, rel=1e-9)
+        assert report.hermiticity_error == pytest.approx(oracle[1], rel=1e-9)
+        assert report.trace_error < 1e-15 and report.population_error == 0.0
+
+    def test_broken_trace_row_reported(self, monkeypatch, fast_params):
+        def broken(pencil, shifts):
+            return with_states(pencil, lambda states: states.__setitem__(
+                (bloch.IDX[1, 1], 0), states[bloch.IDX[1, 1], 0] + 1e-3))
+
+        report, *_, oracle = corrupted_report(monkeypatch, fast_params(p=0.5), 5.0, broken)
+        assert report.trace_error == pytest.approx(1e-3, abs=1e-15)
+        assert report.trace_error == pytest.approx(oracle[0], abs=1e-15)
+        assert report.hermiticity_error < 1e-15
+
+    def test_edge_class_population_reported(self, monkeypatch, fast_params):
+        # a real point just beyond the edge class: 1 / (1 - s t) is 1e6 at
+        # the edge and about 200 at its neighbour, and its coefficient takes
+        # rho22 to -1e-3 at the edge alone (rho11 keeps the trace)
+        def edge(pencil, shifts):
+            k = int(np.flatnonzero(pencil.points == 0.0)[-1])
+            t = 1.0 / (shifts.max() * (1.0 + 1e-6))
+            weight = (bloch.class_populations(pencil, shifts)[1, -1] + 1e-3) * (1.0 - shifts.max() * t)
+            points, states = pencil.points.copy(), pencil.states.copy()
+            states[:, 0] += states[:, k]      # both factors are 1
+            states[:, k] = 0.0
+            states[bloch.IDX[2, 2], k], states[bloch.IDX[1, 1], k] = -weight, weight
+            points[k] = t
+            return pencil._replace(points=points, states=states)
+
+        report, pencil, shifts, oracle = corrupted_report(monkeypatch, fast_params(p=0.5), 0.0,
+                                                          edge)
+        assert report.population_error == pytest.approx(1e-3, rel=1e-6)
+        assert abs(report.population_error - oracle[2]) <= 1e-15
+        assert bloch.pencil_errors(pencil, shifts[:-1])[2] == 0.0
 
     def test_merge_takes_worst_value(self):
         a = fl.PhysicalityReport(trace_error=1e-12, population_error=0.2,
