@@ -271,7 +271,8 @@ def _pencil_check(pencil: SteadyPencil, shifts: np.ndarray):
     coef = []
     for h in checks[10:].tolist():
         c = [h[k] if points[k].imag else 0.5 * h[k] for k in live]
-        coef.append([z.real for z in c] + [-z.imag for z in c] + [0.5 * sum(h[k].real for k in zeros)])
+        coef.append([z.real for z in c] + [-z.imag for z in c]
+                    + [0.5 * sum(h[k].real for k in zeros)])
     coef.insert(0, [-a - b for a, b in zip(*coef)])     # rho11 = 1 - rho22 - rho33
     coef[0][-1] += 1.0
     # rows x and y per live point, then ones

@@ -276,12 +276,10 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     m_tot = m + (1j * omega / C_M_MHZ) * np.eye(4)
     report = None
     if collect:
-        trace_err, herm_err, pop_err = pencil_errors(pencil, classes.shifts)
-        report = PhysicalityReport(trace_error=trace_err, hermiticity_error=herm_err,
-                                   population_error=pop_err,
-                                   max_drift_eigenvalue=drift_bound(params, b0, e,
-                                                                    classes.shifts),
-                                   eigenvector_condition=max(pencil.resolvent[3], resolvent[3]))
+        report = PhysicalityReport(
+            *pencil_errors(pencil, classes.shifts),
+            max_drift_eigenvalue=drift_bound(params, b0, e, classes.shifts),
+            eigenvector_condition=max(pencil.resolvent[3], resolvent[3]))
     return m_tot, s_tot, absorption, report
 
 

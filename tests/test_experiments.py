@@ -148,7 +148,8 @@ class TestPumpSweepTransform:
         # alpha2 / 50 at zero detunings, which is the base with the Doppler
         # width scaled by 50 / alpha2
         base = ex.baseline_params(p=p, doppler=fast_doppler)
-        wide = replace(base, doppler=replace(fast_doppler, width=fast_doppler.width * 50.0 / alpha2))
+        wide = replace(base, doppler=replace(fast_doppler,
+                                             width=fast_doppler.width * 50.0 / alpha2))
         v12, _, _, absorption, _ = fl._spectrum_point(ex.pump_sweep_transform(base, alpha2),
                                                       0.0, 0.0, False)
         v12_wide, _, _, absorption_wide, _ = fl._spectrum_point(wide, 0.0, 0.0, False)

@@ -13,7 +13,7 @@ from conftest import (package_env, per_class_field_system, steady_state_errors,
                       symmetrized_diffusion_min_eig)
 from laddertangle import bloch, cli, fluctuations as fl, numerics
 from laddertangle.bloch import PROD
-from laddertangle.doppler import build_classes, maxwellian_rule
+from laddertangle.doppler import build_classes
 from laddertangle.errors import NoSteadyStateError, ResonanceError
 from laddertangle.experiments import all_scenarios, baseline_params, pump_sweep_transform
 from laddertangle.model import (C_M_MHZ, CoherenceRates, DecayConfig, DopplerConfig,
@@ -463,7 +463,8 @@ class TestScalingSymmetry:
                 rates = params.rates
                 params = replace(params, coherence=CoherenceRates(
                     rates.gamma12 + 1.0, rates.gamma13 + 2.0, rates.gamma23 + 0.5))
-            delta1, omega, c = rng.uniform(-60.0, 60.0), rng.uniform(0.5, 20.0), rng.uniform(0.2, 5.0)
+            delta1, omega = rng.uniform(-60.0, 60.0), rng.uniform(0.5, 20.0)
+            c = rng.uniform(0.2, 5.0)
             for w in (0.0, omega):
                 v12, _, _, absorption, _ = fl._spectrum_point(params, delta1, w, False)
                 v12_c, _, _, absorption_c, _ = fl._spectrum_point(scaled(params, c), c * delta1,
@@ -750,16 +751,22 @@ class TestPhysicalityReport:
 
     def test_broken_conjugate_coefficient_reported(self, monkeypatch, fast_params):
         # rho12 at one point above the axis no longer mirrors rho21 at its
-        # conjugate; the bound takes that factor's largest modulus over the classes
+        # conjugate; the bound takes that factor's largest modulus over the
+        # classes, at the point where it peaks highest
+        def peak(pencil, shifts):
+            factors = np.abs(1.0 / (1.0 - shifts[:, None] * pencil.points)).max(axis=0)
+            k = int(np.argmax(np.where(pencil.points.imag > 0.0, factors, 0.0)))
+            return k, factors[k]
+
         def broken(pencil, shifts):
-            k = int(np.argmax(pencil.points.imag))
+            k = peak(pencil, shifts)[0]
             return with_states(pencil, lambda states: states.__setitem__(
                 (bloch.IDX[1, 2], k), states[bloch.IDX[1, 2], k] + 1e-3))
 
         report, pencil, shifts, oracle = corrupted_report(monkeypatch, fast_params(p=0.5), 5.0,
                                                           broken)
-        k = int(np.argmax(pencil.points.imag))
-        largest = np.max(np.abs(1.0 / (1.0 - shifts * pencil.points[k])))
+        largest = peak(pencil, shifts)[1]
+        assert largest > 2.0
         assert report.hermiticity_error == pytest.approx(1e-3 * largest, rel=1e-9)
         assert report.hermiticity_error == pytest.approx(oracle[1], rel=1e-9)
         assert report.trace_error < 1e-15 and report.population_error == 0.0
@@ -781,7 +788,8 @@ class TestPhysicalityReport:
         def edge(pencil, shifts):
             k = int(np.flatnonzero(pencil.points == 0.0)[-1])
             t = 1.0 / (shifts.max() * (1.0 + 1e-6))
-            weight = (bloch.class_populations(pencil, shifts)[1, -1] + 1e-3) * (1.0 - shifts.max() * t)
+            edge_rho22 = bloch.class_populations(pencil, shifts)[1, -1]
+            weight = (edge_rho22 + 1e-3) * (1.0 - shifts.max() * t)
             points, states = pencil.points.copy(), pencil.states.copy()
             states[:, 0] += states[:, k]      # both factors are 1
             states[:, k] = 0.0
