@@ -101,10 +101,9 @@ def generator_matrix(params: SystemParams, d1, d2, o1=None, o1c=None, o2=None, o
     be overridden independently (used for linear-response columns and for
     holding the conjugate amplitude fixed in derivative oracles).
     """
-    g1, g2 = params.couplings
-    o1 = g1 * params.field.alpha1 if o1 is None else o1
+    o1 = params.rabi1 if o1 is None else o1
     o1c = np.conj(o1) if o1c is None else o1c
-    o2 = g2 * params.field.alpha2 if o2 is None else o2
+    o2 = params.rabi2 if o2 is None else o2
     o2c = np.conj(o2) if o2c is None else o2c
     d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
     base = (decay_generator(params)
@@ -194,12 +193,6 @@ def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) ->
     return SteadyPencil(np.concatenate([[0.0], theta]), states, (v, left, theta, cond))
 
 
-def class_steady_states(pencil: SteadyPencil, shifts) -> np.ndarray:
-    """The (K, 9) steady states of the classes with the given probe shifts."""
-    factors = 1.0 / (1.0 - np.asarray(shifts, dtype=float)[:, None] * pencil.points)
-    return factors @ pencil.states.T
-
-
 def metric_log_norm(b: np.ndarray) -> float:
     """Largest eigenvalue mu of Herm(P b) y = mu P y, with P = HS_METRIC:
     the logarithmic norm of the reduced drift b in the Hilbert-Schmidt
@@ -249,8 +242,9 @@ _CHECK_WEIGHTS = np.array([1.0] + [0.5 if i == j else 1.0 for (i, j) in LABELS])
 
 
 def _pencil_check(pencil: SteadyPencil, shifts: np.ndarray):
-    """Trace and hermiticity error bounds and the (3, K) populations of
-    the classes with the given probe shifts (pencil_errors)."""
+    """Trace and hermiticity error bounds and the (3, K) populations
+    rho11, rho22, rho33 of the classes with the given probe shifts
+    (pencil_errors), in real arithmetic with denominators |1 - s t|^2."""
     points = pencil.points.tolist()
     index = {t: k for k, t in enumerate(points)}
     mirror, live, zeros = [], [], []      # live: nonzero, a pair by its member above the axis
@@ -292,14 +286,6 @@ def _pencil_check(pencil: SteadyPencil, shifts: np.ndarray):
     return errors[0], max(errors[1:]), np.array(coef) @ factors
 
 
-def class_populations(pencil: SteadyPencil, shifts) -> np.ndarray:
-    """The (3, K) populations rho11, rho22, rho33 (real parts) of the
-    classes with the given probe shifts, in real arithmetic with the
-    cancellation-free denominators |1 - s t|^2 (_pencil_check);
-    rho11 = 1 - rho22 - rho33."""
-    return _pencil_check(pencil, np.asarray(shifts, dtype=float))[2]
-
-
 def pencil_errors(pencil: SteadyPencil, shifts) -> tuple[float, float, float]:
     """Worst trace, hermiticity and population-range errors over the
     steady states of the classes with the given probe shifts; all three
@@ -310,7 +296,7 @@ def pencil_errors(pencil: SteadyPencil, shifts) -> tuple[float, float, float]:
     coefficient error times the largest |r| over the classes there: the
     row rho11 + rho22 + rho33 against its value 1 at point 0, and each
     rho_ij row against the conjugated rho_ji row at the conjugate points.
-    The population range is exact per class (class_populations).
+    The population range is exact per class (_pencil_check).
     """
     trace, herm, pops = _pencil_check(pencil, np.asarray(shifts, dtype=float))
     return trace, herm, max(0.0, -float(pops.min()), float(pops.max()) - 1.0)

@@ -206,6 +206,8 @@ def cmd_validate(args) -> int:
 
     if args.out is not None:
         _check_output_dir(args.out.parent)
+        if args.out.is_dir():
+            raise ConfigError(f"cannot write the report to {args.out}: it is a directory")
     results = run_all()
     report = {"schema_version": SCHEMA_VERSION,
               "passed": all(r.passed for r in results),

@@ -219,9 +219,10 @@ class SystemParams:
     """Complete, validated parameter set of the driven ladder medium.
 
     coherence holds explicit total coherence rates when they were given
-    and None otherwise.  rates is what the engine reads: coherence, or the
-    rates derived from decay, resolved on every construction (including
-    dataclasses.replace), so it always follows decay.
+    and None otherwise.  The engine reads rates (coherence, or the rates
+    derived from decay) and couplings (derive_couplings), both resolved on
+    every construction (including dataclasses.replace), so they always
+    follow the sections, and a set without derivable couplings is not built.
     """
 
     decay: DecayConfig = _field(default_factory=DecayConfig)
@@ -230,10 +231,12 @@ class SystemParams:
     doppler: DopplerConfig = _field(default_factory=DopplerConfig)
     coherence: CoherenceRates | None = None
     rates: CoherenceRates = _field(init=False, repr=False, compare=False)
+    couplings: tuple[float, float] = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rates = derive_coherence_rates(self.decay) if self.coherence is None else self.coherence
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "couplings", derive_couplings(self.field, self.geometry))
         # Below the radiative floor the master equation is not of Lindblad
         # form and its Einstein noise kernel is not positive.
         d = self.decay
@@ -244,10 +247,6 @@ class SystemParams:
             _require(rate >= least * (1.0 - RADIATIVE_FLOOR_RTOL),
                      f"coherence.{name} = {rate:.6g} MHz is below its radiative "
                      f"floor {least:.6g} MHz set by gamma1/gamma2")
-
-    @property
-    def couplings(self) -> tuple[float, float]:
-        return derive_couplings(self.field, self.geometry)
 
     @property
     def rabi1(self) -> float:

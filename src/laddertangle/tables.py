@@ -52,9 +52,6 @@ class SweepTable:
 
     HEADER: list[str]
 
-    def __len__(self) -> int:
-        return len(getattr(self, fields(self)[0].name))
-
     def write_csv(self, path: str | Path):
         _write_rows(path, self.HEADER, [getattr(self, f.name) for f in fields(self)])
 

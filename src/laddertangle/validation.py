@@ -18,6 +18,7 @@ from .model import (DecayConfig, DopplerConfig, FieldConfig, GeometryConfig,
                     SystemParams)
 
 _FAST_DOPPLER = DopplerConfig(width=530.0, nodes=401, rule="trapezoid", span=3.0)
+_STATIONARY = DopplerConfig(width=0.0)
 
 
 def _fast_params(**kwargs) -> SystemParams:
@@ -55,12 +56,12 @@ def check_decoupled_limits() -> CheckResult:
 
 def check_steady_state_physicality(draws: int = 25, seed: int = 20240817) -> CheckResult:
     """Random parameter sweeps: the reduced drift is dissipative (its
-    eigenvalue bound, bloch.drift_bound, is negative), and steady states
-    keep unit trace, Hermitian coherence pairs and populations in [0, 1]
-    (bloch.pencil_errors)."""
+    eigenvalue bound is negative), and steady states keep unit trace,
+    Hermitian coherence pairs and populations in [0, 1].  Each draw is one
+    stationary class, checked by its row's collected report
+    (fluctuations.field_system_at)."""
     rng = np.random.default_rng(seed)
-    worst_trace = worst_herm = worst_pop = 0.0
-    worst_drift = -math.inf
+    worst = fluctuations.PhysicalityReport()
     for _ in range(draws):
         params = _fast_params(
             decay=DecayConfig(gamma1=rng.uniform(0.5, 6.0),
@@ -69,22 +70,17 @@ def check_steady_state_physicality(draws: int = 25, seed: int = 20240817) -> Che
             field=FieldConfig(alpha1=rng.uniform(0.1, 30.0),
                               alpha2=rng.uniform(0.1, 120.0),
                               delta2=rng.uniform(-300.0, 300.0)),
+            doppler=_STATIONARY,
         )
-        b0, h, e = bloch.drift_pencil(params, rng.uniform(-600.0, 600.0))
-        pencil = bloch.steady_state_pencil(b0, h, e, [0.0])
-        worst_drift = max(worst_drift, bloch.drift_bound(params, b0, e, [0.0]))
-        trace, herm, pop = bloch.pencil_errors(pencil, [0.0])
-        worst_trace = max(worst_trace, trace)
-        worst_herm = max(worst_herm, herm)
-        worst_pop = max(worst_pop, pop)
-    ok = (worst_drift < 0.0 and worst_trace <= 1e-10 and worst_herm <= 1e-10
-          and worst_pop <= 1e-10)
+        worst = worst.merged(fluctuations.field_system_at(
+            params, rng.uniform(-600.0, 600.0), collect=True)[3])
+    metrics = {"max_drift_eigenvalue": worst.max_drift_eigenvalue, "trace": worst.trace_error,
+               "hermiticity": worst.hermiticity_error, "population": worst.population_error}
+    drift, *errors = metrics.values()
     return CheckResult(
-        "steady-state-physicality", ok,
-        f"max drift eigenvalue {worst_drift:.2e}, trace {worst_trace:.2e}, "
-        f"hermiticity {worst_herm:.2e}, population bound {worst_pop:.2e}",
-        {"max_drift_eigenvalue": worst_drift, "trace": worst_trace,
-         "hermiticity": worst_herm, "population": worst_pop})
+        "steady-state-physicality", drift < 0.0 and max(errors) <= 1e-10,
+        "max drift eigenvalue {:.2e}, trace {:.2e}, hermiticity {:.2e}, "
+        "population bound {:.2e}".format(*metrics.values()), metrics)
 
 
 def check_quadrature_convergence() -> CheckResult:
@@ -108,11 +104,9 @@ def check_weak_probe_oracle() -> CheckResult:
     two-photon coherence ig1*a1 / (gamma12 + i d1 + (g2 a2)^2/(gamma13 + i(d1+d2)))."""
     params = _fast_params(field=FieldConfig(alpha1=1e-4, alpha2=50.0))
     d1 = np.array([-40.0, -3.0, 0.0, 2.5, 60.0])
-    rho21 = np.empty(len(d1), dtype=complex)
-    for k, d in enumerate(d1):
-        pencil = bloch.steady_state_pencil(*bloch.drift_pencil(params, d), [0.0])
-        means = bloch.class_steady_states(pencil, [0.0])
-        rho21[k] = means[0, bloch.IDX[2, 1]]
+    # the stationary class's state: every factor of the pencil is 1 at s = 0
+    rho21 = np.array([bloch.steady_state_pencil(*bloch.drift_pencil(params, d), [0.0])
+                      .states[bloch.IDX[2, 1]].sum() for d in d1])
     c = params.rates
     expected = 1j * params.rabi1 / (c.gamma12 + 1j * d1
                                     + params.rabi2 ** 2 / (c.gamma13 + 1j * d1))

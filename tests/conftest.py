@@ -98,6 +98,13 @@ def per_class_field_system(params, delta1, omega=0.0):
     return m, average(sv, classes), bloch.absorption_exact_batch(params, means, classes)
 
 
+def pencil_class_states(pencil, shifts) -> np.ndarray:
+    """The (K, 9) steady states of the classes with the given probe
+    shifts, each the pencil's state map times its factors 1 / (1 - s t)."""
+    factors = 1.0 / (1.0 - np.asarray(shifts, dtype=float)[:, None] * pencil.points)
+    return factors @ pencil.states.T
+
+
 def steady_state_errors(means: np.ndarray) -> tuple[float, float, float]:
     """Oracle for bloch.pencil_errors: worst trace, hermiticity and
     population-range errors over a stack of per-class steady states; all

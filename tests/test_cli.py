@@ -96,14 +96,16 @@ class TestRun:
         table.write_csv(again)
         assert again.read_bytes() == csv_path.read_bytes()
 
-    def test_jobs_do_not_change_bytes(self, tmp_path, fast_config, eager_pool):
-        # at jobs=3 the first row runs here and a real pool runs the rest
+    @pytest.mark.parametrize("omega", [0, 50])
+    def test_jobs_do_not_change_bytes(self, tmp_path, fast_config, eager_pool, omega):
+        # at jobs=3 the first row runs here and a real pool runs the rest;
+        # at omega != 0 the rows take the complex-QZ resolvent
         outs = []
         for jobs in (1, 3):
             out = tmp_path / f"out{jobs}"
             code = _run(["run", "--config", fast_config, "--out", out,
                          "--jobs", jobs, "--delta1-min", -20,
-                         "--delta1-max", 20, "--delta1-points", 7])
+                         "--delta1-max", 20, "--delta1-points", 7, "--omega", omega])
             assert code == 0
             outs.append((out / "custom.csv").read_bytes())
         assert outs[0] == outs[1]
@@ -312,6 +314,12 @@ def wide_span_config(doc, path):
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
+def no_coupling_route_config(doc, path):
+    # neither a direct g1 nor a dipole moment to derive it from
+    doc["field"].update(g1=None, mu12=None)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
 def wide_span_absorption_config(doc, path):
     wide_span_config(doc, path)
     return ["--scenario", "fig2-g"]
@@ -339,6 +347,7 @@ class TestBadInput:
         ("run", trapezoid_nodes_config),
         ("run", wide_span_config),
         ("run", wide_span_absorption_config),
+        ("run", no_coupling_route_config),
         ("run", ["--delta1-min", "0", "--delta1-max", "1", "--delta1-points", "1000000000000"]),
     ])
     def test_exit_2(self, tmp_path, fast_config, capsys, command, change):
@@ -397,6 +406,17 @@ class TestOutPath:
         assert capsys.readouterr().err.startswith("error:")
         assert blocker.read_text(encoding="utf-8") == "kept\n"
 
+    def test_validate_rejects_a_directory_before_checking(self, tmp_path, monkeypatch,
+                                                          capsys):
+        from laddertangle import validation
+
+        report = tmp_path / "report"
+        report.mkdir()
+        monkeypatch.setattr(validation, "run_all", lambda: pytest.fail("checks ran"))
+        assert _run(["validate", "--out", report]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert report.is_dir() and not any(report.iterdir())
+
     def test_write_failure_exit_2(self, tmp_path, fast_config, monkeypatch, capsys):
         def full_disk(self, path):
             raise OSError(28, "No space left on device")
@@ -411,7 +431,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("scenario, grid", [
         ("fig2-c", ["--delta1-min", "-40", "--delta1-max", "40", "--delta1-points", "9"]),
         ("fig4-c", ["--delta1-min", "190", "--delta1-max", "210", "--delta1-points", "9"]),
-        ("fig3", [])])
+        ("fig3", []),
+        ("fig2-a", ["--omega", "50", "--delta1-min", "-4", "--delta1-max", "4",
+                    "--delta1-points", "9"])])
     def test_bytes_independent_of_blas_threads_and_jobs(self, tmp_path, scenario, grid):
         # each run is a fresh process, so the BLAS thread count applies
         # from the start; jobs=2 lets a long sweep hand rows to pool workers

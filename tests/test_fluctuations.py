@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (package_env, per_class_field_system, steady_state_errors,
-                      symmetrized_diffusion_min_eig)
+from conftest import (package_env, pencil_class_states, per_class_field_system,
+                      steady_state_errors, symmetrized_diffusion_min_eig)
 from laddertangle import bloch, cli, fluctuations as fl, numerics
 from laddertangle.bloch import PROD
 from laddertangle.doppler import build_classes
@@ -377,7 +377,6 @@ class TestFactoredAverage:
         def per_class(*args):
             raise AssertionError("per-class steady states built")
 
-        monkeypatch.setattr(bloch, "class_steady_states", per_class)
         monkeypatch.setattr(bloch, "steady_state_batch", per_class)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0], omega=omega)
         fl.v12_spectrum(fast_params(p=0.5), [0.0], omega=omega, collect=True)
@@ -423,10 +422,10 @@ class TestPencilPhysicality:
             classes = build_classes(params, delta1, params.field.delta2)
             b0, h, e = bloch.drift_pencil(params, delta1)
             pencil = bloch.steady_state_pencil(b0, h, e, classes.shifts)
-            states = bloch.class_steady_states(pencil, classes.shifts)
+            states = pencil_class_states(pencil, classes.shifts)
             got = (report.trace_error, report.hermiticity_error, report.population_error)
             assert np.max(np.abs(np.subtract(got, steady_state_errors(states)))) <= 1e-15
-            pops = bloch.class_populations(pencil, classes.shifts)
+            pops = bloch._pencil_check(pencil, classes.shifts)[2]
             assert np.max(np.abs(pops - states[:, list(bloch.POPULATIONS)].real.T)) <= 1e-15
             assert report.max_drift_eigenvalue == pytest.approx(bloch.metric_log_norm(b0),
                                                                 rel=1e-13)
@@ -727,7 +726,7 @@ def corrupted_report(monkeypatch, params, delta1, corrupt):
     monkeypatch.setattr(fl, "pencil_errors", corrupting)
     report = fl.field_system_at(params, delta1, collect=True)[3]
     (pencil, shifts), = seen
-    return report, pencil, shifts, steady_state_errors(bloch.class_steady_states(pencil, shifts))
+    return report, pencil, shifts, steady_state_errors(pencil_class_states(pencil, shifts))
 
 
 def with_states(pencil, change):
@@ -788,7 +787,7 @@ class TestPhysicalityReport:
         def edge(pencil, shifts):
             k = int(np.flatnonzero(pencil.points == 0.0)[-1])
             t = 1.0 / (shifts.max() * (1.0 + 1e-6))
-            edge_rho22 = bloch.class_populations(pencil, shifts)[1, -1]
+            edge_rho22 = bloch._pencil_check(pencil, shifts)[2][1, -1]
             weight = (edge_rho22 + 1e-3) * (1.0 - shifts.max() * t)
             points, states = pencil.points.copy(), pencil.states.copy()
             states[:, 0] += states[:, k]      # both factors are 1

@@ -44,6 +44,23 @@ class TestCouplings:
         g1, g2 = model.derive_couplings(f, model.GeometryConfig(r=4.5e-4, L=0.06, n=8.5e15))
         assert (g1, g2) == (0.25, 0.125)
 
+    def test_resolved_on_construction(self):
+        # like the rates: every construction, replace included, derives
+        # them, and they take no part in equality, hashing or repr
+        params = baseline_params()
+        assert params.couplings == model.derive_couplings(params.field, params.geometry)
+        moved = replace(params, field=replace(params.field, g1=0.25))
+        assert moved.couplings == (0.25, params.couplings[1])
+        assert params == baseline_params() and hash(params) == hash(baseline_params())
+        assert "couplings" not in repr(params)
+
+    def test_no_coupling_route_rejected_on_construction(self):
+        with pytest.raises(ConfigError, match="field.g1: neither"):
+            model.SystemParams(field=model.FieldConfig(g1=None, mu12=None))
+        with pytest.raises(ConfigError, match="field.g2: interaction volume is zero"):
+            model.SystemParams(field=model.FieldConfig(g1=0.5),
+                               geometry=model.GeometryConfig(L=0.0))
+
     def test_zero_volume_rejected(self):
         with pytest.raises(ParameterError):
             model.GeometryConfig(r=0.0, L=0.0, n=8.5e15)

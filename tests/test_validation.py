@@ -33,13 +33,13 @@ def test_physicality_check_certifies_dissipative_drift(monkeypatch):
     assert result.passed
     assert result.metrics["max_drift_eigenvalue"] < 0.0
     # a drift with a growing mode fails the check instead of raising
-    real = validation.bloch.drift_pencil
+    real = validation.fluctuations.drift_pencil
 
     def growing(params, delta1):
         _, h, e = real(params, delta1)
         return 0.5 * np.eye(8), h, e
 
-    monkeypatch.setattr(validation.bloch, "drift_pencil", growing)
+    monkeypatch.setattr(validation.fluctuations, "drift_pencil", growing)
     result = validation.check_steady_state_physicality(draws=3)
     assert not result.passed
     assert result.metrics["max_drift_eigenvalue"] == pytest.approx(0.5)
