@@ -14,7 +14,7 @@ import numpy as np
 
 from .bloch import absorption_exact
 from .errors import ConfigError, ContractError
-from .fluctuations import _spectrum_point, spectrum_columns, sweep_rows, v12_spectrum
+from .fluctuations import spectrum_columns, sweep_rows, v12_spectrum
 from .model import (CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
                     GeometryConfig, RB_SATURATION_DENSITY, SystemParams)
 from .tables import PumpSweepTable, SpectrumTable
@@ -25,13 +25,9 @@ from .tables import PumpSweepTable, SpectrumTable
 _FEATURE_BACKGROUND_FACTOR = 4.0
 _FEATURE_NOISE_FRACTION = 0.02
 
-DEFAULT_GRID_HALFSPAN = 800.0
-DEFAULT_GRID_POINTS = 801
 
-
-def default_delta1_grid(halfspan: float = DEFAULT_GRID_HALFSPAN,
-                        points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    return np.linspace(-halfspan, halfspan, points)
+def default_delta1_grid() -> np.ndarray:
+    return np.linspace(-800.0, 800.0, 801)
 
 
 def baseline_params(p: float = 0.0, alpha1: float = 10.0, alpha2: float = 50.0,
@@ -88,11 +84,10 @@ def fig2_scenarios() -> list[Scenario]:
     return out
 
 
-def fig3_scenario(points: int = 150, alpha2_max: float = 150.0) -> Scenario:
+def fig3_scenario() -> Scenario:
     """Pump-amplitude sweep at line center with the ratio transform."""
-    grid = np.linspace(1.0, alpha2_max, points)
     return Scenario(name="fig3", base=baseline_params(p=0.0), kind="pump-sweep",
-                    grid=grid, outputs="both")
+                    grid=np.linspace(1.0, 150.0, 150), outputs="both")
 
 
 def fig4_scenarios() -> list[Scenario]:
@@ -155,8 +150,8 @@ def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.
     bases = [replace(base, decay=replace(base.decay, p=p)) for p in (0.0, 20.0)]
     params = [pump_sweep_transform(base, float(alpha2))
               for base in bases for alpha2 in scenario.grid]
-    v12, _, _, absorption, report = spectrum_columns(sweep_rows(
-        _spectrum_point, [(prm, prm.field.delta1, omega, collect) for prm in params], jobs))
+    v12, _, _, absorption, report = spectrum_columns(
+        [(prm, prm.field.delta1) for prm in params], omega, jobs, collect)
     n = len(scenario.grid)
     table = PumpSweepTable(alpha2=np.asarray(scenario.grid, dtype=float),
                            v12_p0=v12[:n], v12_p20=v12[n:],

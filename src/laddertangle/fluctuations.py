@@ -18,6 +18,8 @@ class, and the steady state and the resolvent depend on s only through
 factors 1/(1 - s theta).  M and S are then contractions with class
 averages of products of two and three such factors, computed from the
 rule's resolvent function (see _eliminate); no per-class tensor is built.
+M leaves out the common phase i w / c of free propagation: a multiple of
+the identity, it cancels from every second moment of the output.
 
 Covariances are stored as Sigma_ij = <dA_i dA_j+> in shot-noise units, so
 vacuum/coherent inputs give Sigma = diag(1, 0, 1, 0) and two uncorrelated
@@ -67,9 +69,11 @@ POOL_START_S = 0.05
 # field pairing involution (a1 <-> a1+, a2 <-> a2+)
 FIELD_CONJ = (1, 0, 3, 2)
 
-# Duan quadrature coefficient vectors: du = dx1 - dx2, dv = dp1 + dp2
-_CU = np.array([1.0, 1.0, -1.0, -1.0], dtype=complex)
-_CV = np.array([-1j, 1j, -1j, 1j], dtype=complex)
+# quadrature rows x1, p1, x2, p2 (x = a + a+, p = -i a + i a+) on the field
+# order (da1, da1+, da2, da2+), and the Duan rows du = dx1 - dx2, dv = dp1 + dp2
+_QUADRATURES = np.array([[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0, 0, -1j, 1j]])
+_CU = _QUADRATURES[0] - _QUADRATURES[2]
+_CV = _QUADRATURES[1] + _QUADRATURES[3]
 
 # one-hot product table: _PROD_ONEHOT[k, a, b] = 1 when sigma_a sigma_b = sigma_k
 _PROD_ONEHOT = (PROD[None, :, :] == np.arange(9)[:, None, None]).astype(complex)
@@ -220,16 +224,8 @@ def covariance_hermiticity_error(sigma: np.ndarray) -> float:
 def quadrature_variances(sigma: np.ndarray) -> list[tuple[float, float]]:
     """Per-mode (Var x, Var p); vacuum gives (1, 1) for each mode."""
     moments = full_second_moments(sigma)
-    out = []
-    for k in (0, 2):
-        cx = np.zeros(4, dtype=complex)
-        cx[k] = cx[k + 1] = 1.0
-        cp = np.zeros(4, dtype=complex)
-        cp[k] = -1j
-        cp[k + 1] = 1j
-        out.append((float(np.real(cx @ moments @ cx)),
-                    float(np.real(cp @ moments @ cp))))
-    return out
+    var = [float(np.real(c @ moments @ c)) for c in _QUADRATURES]
+    return [(var[0], var[1]), (var[2], var[3])]
 
 
 @dataclass(frozen=True)
@@ -260,8 +256,9 @@ class PhysicalityReport:
 
 def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
                     collect: bool = False):
-    """Maxwellian-averaged field generator M(w) and noise density S(w)
-    at one probe detuning, plus exact absorption and diagnostics."""
+    """Maxwellian-averaged field generator M(w), without the free-propagation
+    phase i w / c (it cancels from every second moment), and noise density
+    S(w) at one probe detuning, plus exact absorption and diagnostics."""
     classes = build_classes(params, delta1, params.field.delta2)
     b0, h, e = drift_pencil(params, delta1)
     pencil = steady_state_pencil(b0, h, e, classes.shifts)
@@ -272,21 +269,20 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
             resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), np.diag(e), classes.shifts)
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
-    m, s_tot = _eliminate(params, pencil, classes, resolvent)
-    m_tot = m + (1j * omega / C_M_MHZ) * np.eye(4)
+    m, s = _eliminate(params, pencil, classes, resolvent)
     report = None
     if collect:
         report = PhysicalityReport(
             *pencil_errors(pencil, classes.shifts),
             max_drift_eigenvalue=drift_bound(params, b0, e, classes.shifts),
             eigenvector_condition=max(pencil.resolvent[3], resolvent[3]))
-    return m_tot, s_tot, absorption, report
+    return m, s, absorption, report
 
 
 def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: bool):
     """One V12 sweep row: (v12, du2, dv2, absorption, report)."""
-    m_tot, s_tot, absorption, report = field_system_at(params, delta1, omega, collect)
-    sigma = propagate(m_tot, s_tot, params.geometry.L, vacuum_covariance())
+    m, s, absorption, report = field_system_at(params, delta1, omega, collect)
+    sigma = propagate(m, s, params.geometry.L, vacuum_covariance())
     duan = duan_v12(sigma)
     if report is not None:
         report = replace(report, covariance_error=covariance_hermiticity_error(sigma))
@@ -381,11 +377,13 @@ def sweep_rows(point, rows, jobs: int = 1):
         _set_blas_threads(counts)
 
 
-def spectrum_columns(results):
-    """The v12, du2, dv2 and absorption columns of _spectrum_point rows and
-    their merged PhysicalityReport, which is None unless collected."""
-    *columns, reports = zip(*results)
-    report = reduce(PhysicalityReport.merged, reports, PhysicalityReport()) if reports[0] else None
+def spectrum_columns(rows, omega: float, jobs: int, collect: bool):
+    """V12 rows at the (params, delta1) pairs of rows, run by sweep_rows:
+    their v12, du2, dv2 and absorption columns in row order, and their
+    merged PhysicalityReport, which is None unless collected."""
+    *columns, reports = zip(*sweep_rows(
+        _spectrum_point, [(params, delta1, omega, collect) for params, delta1 in rows], jobs))
+    report = reduce(PhysicalityReport.merged, reports, PhysicalityReport()) if collect else None
     return (*(np.array(c) for c in columns), report)
 
 
@@ -402,7 +400,7 @@ def v12_spectrum(params: SystemParams, delta1_grid, omega: float = 0.0,
     grid = np.asarray(delta1_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ContractError("delta1 grid must be a non-empty 1-d array")
-    v12s, du2, dv2, absorption, report = spectrum_columns(sweep_rows(
-        _spectrum_point, [(params, float(d), omega, collect) for d in grid], jobs))
+    v12s, du2, dv2, absorption, report = spectrum_columns(
+        [(params, float(d)) for d in grid], omega, jobs, collect)
     table = SpectrumTable(delta1=grid, v12=v12s, du2=du2, dv2=dv2, absorption=absorption)
     return table, report

@@ -142,10 +142,11 @@ class GeometryConfig:
         _require(self.r > 0.0, "geometry.r must be > 0")
         _require(self.L >= 0.0, "geometry.L must be >= 0")
         _require(self.n >= 0.0, "geometry.n must be >= 0")
+        _require(math.isfinite(self.N), "the atom number n * pi r^2 L must be finite")
 
     @property
     def volume(self) -> float:
-        return math.pi * self.r**2 * self.L
+        return math.pi * self.r * self.r * self.L
 
     @property
     def N(self) -> float:

@@ -46,8 +46,8 @@ def check_decoupled_limits() -> CheckResult:
     }
     metrics = {}
     for label, params in cases.items():
-        v12, _, _, _, _ = fluctuations._spectrum_point(params, 0.0, 0.0, False)
-        err = abs(v12 - 4.0)
+        table, _ = fluctuations.v12_spectrum(params, [0.0])
+        err = float(abs(table.v12[0] - 4.0))
         metrics[label] = err
         worst = max(worst, err)
     return CheckResult("decoupled-limits", worst <= 1e-12,

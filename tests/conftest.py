@@ -94,8 +94,8 @@ def per_class_field_system(params, delta1, omega=0.0):
     scale = params.geometry.N / C_M_MHZ
     mv = scale * t @ c
     sv = scale * t @ corr @ conj @ np.conj(t).transpose(0, 2, 1)
-    m = average(mv, classes) + (1j * omega / C_M_MHZ) * np.eye(4)
-    return m, average(sv, classes), bloch.absorption_exact_batch(params, means, classes)
+    return (average(mv, classes), average(sv, classes),
+            bloch.absorption_exact_batch(params, means, classes))
 
 
 def pencil_class_states(pencil, shifts) -> np.ndarray:

@@ -320,6 +320,18 @@ def no_coupling_route_config(doc, path):
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
+def huge_radius_config(doc, path):
+    # r * r overflows the float range
+    doc["geometry"].update(r=1e200)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def huge_volume_config(doc, path):
+    # r and L are finite, their volume is not
+    doc["geometry"].update(r=100.0, L=1e308)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
 def wide_span_absorption_config(doc, path):
     wide_span_config(doc, path)
     return ["--scenario", "fig2-g"]
@@ -348,6 +360,8 @@ class TestBadInput:
         ("run", wide_span_config),
         ("run", wide_span_absorption_config),
         ("run", no_coupling_route_config),
+        ("run", huge_radius_config),
+        ("run", huge_volume_config),
         ("run", ["--delta1-min", "0", "--delta1-max", "1", "--delta1-points", "1000000000000"]),
     ])
     def test_exit_2(self, tmp_path, fast_config, capsys, command, change):
@@ -427,26 +441,53 @@ class TestOutPath:
         assert "error: cannot write outputs" in capsys.readouterr().err
 
 
+_DETERMINISM_RUNS = [
+    ("fig2-c", ["--delta1-min", "-40", "--delta1-max", "40", "--delta1-points", "9"]),
+    ("fig4-c", ["--delta1-min", "190", "--delta1-max", "210", "--delta1-points", "9"]),
+    ("fig3", []),
+    ("fig2-a", ["--omega", "50", "--delta1-min", "-4", "--delta1-max", "4",
+                "--delta1-points", "9"])]
+
+# runs the cli.main argument lists of argv[1] (JSON) in order, and stops at
+# the first nonzero exit
+_RUN_IN_ORDER = """import json, sys
+from laddertangle import cli
+for args in json.loads(sys.argv[1]):
+    if cli.main(args) != 0:
+        sys.exit(f"nonzero exit of {args}")
+"""
+
+
+@pytest.fixture(scope="module")
+def determinism_csvs(tmp_path_factory):
+    """CSV bytes of every _DETERMINISM_RUNS scenario, keyed by (scenario,
+    OPENBLAS_NUM_THREADS, --jobs).  Each (threads, jobs) pair is one fresh
+    interpreter, so the BLAS thread count applies from the start; it runs
+    the scenarios in a fixed order, and jobs=2 lets a long sweep hand rows
+    to pool workers."""
+    csvs = {}
+    for threads in ("1", "2"):
+        for jobs in ("1", "2"):
+            out = tmp_path_factory.mktemp(f"t{threads}-j{jobs}")
+            runs = [["run", "--scenario", scenario, "--out", str(out), "--jobs", jobs, *grid]
+                    for scenario, grid in _DETERMINISM_RUNS]
+            done = subprocess.run([sys.executable, "-c", _RUN_IN_ORDER, json.dumps(runs)],
+                                  env=package_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True)
+            if done.returncode != 0:
+                pytest.fail(f"threads={threads} jobs={jobs}: {done.stderr}")
+            for scenario, _ in _DETERMINISM_RUNS:
+                csvs[scenario, threads, jobs] = (out / f"{scenario}.csv").read_bytes()
+    return csvs
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("scenario, grid", [
-        ("fig2-c", ["--delta1-min", "-40", "--delta1-max", "40", "--delta1-points", "9"]),
-        ("fig4-c", ["--delta1-min", "190", "--delta1-max", "210", "--delta1-points", "9"]),
-        ("fig3", []),
-        ("fig2-a", ["--omega", "50", "--delta1-min", "-4", "--delta1-max", "4",
-                    "--delta1-points", "9"])])
-    def test_bytes_independent_of_blas_threads_and_jobs(self, tmp_path, scenario, grid):
-        # each run is a fresh process, so the BLAS thread count applies
-        # from the start; jobs=2 lets a long sweep hand rows to pool workers
-        payloads = {}
-        for threads in ("1", "2"):
-            for jobs in ("1", "2"):
-                out = tmp_path / f"t{threads}-j{jobs}"
-                subprocess.run([sys.executable, "-m", "laddertangle.cli", "run",
-                                "--scenario", scenario, "--out", str(out), "--jobs", jobs,
-                                *grid], env=package_env(OPENBLAS_NUM_THREADS=threads),
-                               check=True, capture_output=True)
-                payloads[threads, jobs] = (out / f"{scenario}.csv").read_bytes()
-        assert len(set(payloads.values())) == 1
+    @pytest.mark.parametrize("scenario, grid", _DETERMINISM_RUNS)
+    def test_bytes_independent_of_blas_threads_and_jobs(self, determinism_csvs, scenario,
+                                                         grid):
+        payloads = {determinism_csvs[scenario, threads, jobs]
+                    for threads in ("1", "2") for jobs in ("1", "2")}
+        assert len(payloads) == 1
 
 
 class TestValidate:

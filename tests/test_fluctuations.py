@@ -489,6 +489,14 @@ class TestFieldCovariance:
         dense = replace(params, doppler=replace(params.doppler, nodes=32769, span=6.0))
         assert fl.v12_spectrum(dense, [0.0], omega=50.0)[0].v12[0] == pytest.approx(v12, abs=1e-6)
 
+    @pytest.mark.parametrize("omega", [1e12, 1e14, 1e300])
+    def test_far_sideband_is_vacuum(self, omega):
+        # far off every atomic resonance the medium neither couples nor
+        # adds noise; M leaves out the free-propagation phase, which would
+        # otherwise swamp the atomic part of M at such frequencies
+        params = all_scenarios()["fig2-a"].base
+        assert fl.v12_spectrum(params, [1.0], omega=omega)[0].v12[0] == pytest.approx(4.0, abs=1e-9)
+
     def test_weak_probe_preserves_vacuum(self):
         params = stationary(alpha1=1e-4, alpha2=0.0)
         tab, _ = fl.v12_spectrum(params, [0.0, 2.0, -5.0])

@@ -65,6 +65,12 @@ class TestCouplings:
         with pytest.raises(ParameterError):
             model.GeometryConfig(r=0.0, L=0.0, n=8.5e15)
 
+    @pytest.mark.parametrize("r, L", [(1e200, 0.06), (100.0, 1e308)])
+    def test_infinite_atom_number_rejected(self, r, L):
+        # r * r overflows, or a finite volume overflows once L multiplies it
+        with pytest.raises(ParameterError, match="atom number"):
+            model.GeometryConfig(r=r, L=L)
+
     def test_baseline_regime_condition(self):
         # pump Rabi coupling must exceed sqrt(gamma12 * gamma13) at baseline
         params = baseline_params(p=0.0)
