@@ -21,8 +21,8 @@ import scipy.linalg as sla
 
 from .doppler import average, build_classes, pump_shift_ratio, resolvent_series
 from .errors import ContractError, NoSteadyStateError, ParameterError
-from .model import SystemParams
-from .numerics import shifted_inverse
+from .model import CoherenceRates, DecayConfig, SystemParams
+from .numerics import check_shifts, factor_pencil
 
 LABELS = ((1, 1), (2, 2), (3, 3), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
 IDX = {lab: k for k, lab in enumerate(LABELS)}
@@ -78,11 +78,10 @@ for _a, (_i, _j) in enumerate(LABELS):
             PROD[_a, _b] = IDX[_k, _j]
 
 
-def decay_generator(params: SystemParams) -> np.ndarray:
-    """Field-independent relaxation part of the component drift matrix."""
+def decay_generator(d: DecayConfig, c: CoherenceRates) -> np.ndarray:
+    """Field-independent relaxation part of the component drift matrix:
+    population decay d and coherence rates c (SystemParams.rates)."""
     g = np.zeros((9, 9), dtype=complex)
-    d = params.decay
-    c = params.rates
     g[IDX[1, 1], IDX[2, 2]] += 2.0 * d.gamma1
     g[IDX[2, 2], IDX[2, 2]] -= 2.0 * d.gamma1
     g[IDX[2, 2], IDX[3, 3]] += 2.0 * d.gamma2
@@ -106,7 +105,7 @@ def generator_matrix(params: SystemParams, d1, d2, o1=None, o1c=None, o2=None, o
     o2 = params.rabi2 if o2 is None else o2
     o2c = np.conj(o2) if o2c is None else o2c
     d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-    base = (decay_generator(params)
+    base = (decay_generator(params.decay, params.rates)
             + o1 * SOP_O1 + o1c * SOP_O1C + o2 * SOP_O2 + o2c * SOP_O2C)
     return (base[None, :, :]
             + d1[:, None, None] * SOP_D1
@@ -154,7 +153,7 @@ class SteadyPencil(NamedTuple):
     factors.
 
     The reduced state of class s is V (y / (1 - s theta)) with
-    y = (B0 V)^-1 (-h) (see drift_pencil and numerics.shifted_inverse), and
+    y = (B0 V)^-1 (-h) (see drift_pencil and numerics.factor_pencil), and
     rho11 = 1 - rho22 - rho33.  So with the points (0, theta) and the
     factors r(s) = 1 / (1 - s points), the full state is states @ r(s).
     The theta come in exact conjugate pairs (steady_state_pencil).
@@ -167,14 +166,41 @@ class SteadyPencil(NamedTuple):
     resolvent: tuple
 
 
+# Pencils whose factorization steady_state_pencil keeps: each p of the pump
+# sweep runs every row from one pencil (experiments.run_pump_sweep_scenario),
+# and a spectrum sweep, with a new pencil on every row, only cycles through.
+PENCIL_MEMO_SIZE = 8
+
+
 def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) -> SteadyPencil:
     """Factor the drift pencil of the classes with the given probe shifts.
+
+    The factorization depends on the pencil alone, so the last
+    PENCIL_MEMO_SIZE are kept, keyed on the exact bytes, dtype and shape of
+    (b0, h, e): a hit returns the read-only arrays a miss computed from
+    the same bytes.  The checks that depend on the shifts and on
+    numerics.MAX_EIGENVECTOR_CONDITION (numerics.check_shifts) run on
+    every call."""
+    pencil = _factored_pencil(tuple((a.dtype.str, a.shape, a.tobytes())
+                                    for a in map(np.asarray, (b0, h, e))))
+    try:
+        check_shifts(pencil.resolvent, shifts)
+    except np.linalg.LinAlgError as exc:
+        raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
+    return pencil
+
+
+@lru_cache(maxsize=PENCIL_MEMO_SIZE)
+def _factored_pencil(key) -> SteadyPencil:
+    """steady_state_pencil's factorization of the pencil whose (dtype,
+    shape, bytes) are key.
 
     The drift keeps states Hermitian, so in U = REAL_BASIS the pencil
     (B0, diag(e)) is real up to rounding, which is dropped, and real QZ
     pairs its theta exactly; V = U^H V_r and (B0 V)^-1 = (B_r V_r)^-1 U.
     An imaginary part above rounding is a drift that does not keep states
     Hermitian, and raises ContractError."""
+    b0, h, e = (np.frombuffer(data, dtype).reshape(shape) for dtype, shape, data in key)
     u, uh = REAL_BASIS, REAL_BASIS.conj().T
     b_r, e_r = u @ b0 @ uh, (u * e) @ uh
     for name, real, given in (("B0", b_r, b0), ("diag(e)", e_r, e)):
@@ -183,14 +209,17 @@ def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) ->
             raise ContractError(f"the drift pencil's {name} does not keep states Hermitian: "
                                 f"imaginary part {dropped:.3g} in the real basis")
     try:
-        v, left, theta, cond = shifted_inverse(b_r.real, e_r.real, shifts)
+        v, left, theta, cond = factor_pencil(b_r.real, e_r.real)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
     v, left = uh @ v, left @ u
     states = np.zeros((9, 9), dtype=complex)
     states[0, 0] = 1.0
     states[:, 1:] = LIFT @ v * (left @ -h)
-    return SteadyPencil(np.concatenate([[0.0], theta]), states, (v, left, theta, cond))
+    points = np.concatenate([[0.0], theta])
+    for array in (points, states, v, left, theta):
+        array.flags.writeable = False
+    return SteadyPencil(points, states, (v, left, theta, cond))
 
 
 def metric_log_norm(b: np.ndarray) -> float:
@@ -202,10 +231,11 @@ def metric_log_norm(b: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=64)
-def relaxation_log_norm(params: SystemParams) -> float:
+def relaxation_log_norm(decay: DecayConfig, rates: CoherenceRates) -> float:
     """metric_log_norm of the relaxation part of the reduced drift, once
-    per parameter set."""
-    return metric_log_norm(reduce_generator(decay_generator(params)))
+    per set of relaxation inputs: rows that differ only in their fields,
+    geometry or Doppler width share it."""
+    return metric_log_norm(reduce_generator(decay_generator(decay, rates)))
 
 
 def drift_bound(params: SystemParams, b0: np.ndarray, e: np.ndarray, shifts) -> float:
@@ -220,7 +250,7 @@ def drift_bound(params: SystemParams, b0: np.ndarray, e: np.ndarray, shifts) -> 
     the largest real part over the classes is computed from their
     eigenvalues instead.
     """
-    top = relaxation_log_norm(params)
+    top = relaxation_log_norm(params.decay, params.rates)
     if top < 0.0:
         return top
     b = b0 - np.asarray(shifts, dtype=float)[:, None, None] * np.diag(e)

@@ -15,7 +15,7 @@ import numpy as np
 from .bloch import absorption_exact
 from .errors import ConfigError, ContractError
 from .fluctuations import spectrum_columns, sweep_rows, v12_spectrum
-from .model import (CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
+from .model import (MAX_DOPPLER_WIDTH, CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
                     GeometryConfig, RB_SATURATION_DENSITY, SystemParams)
 from .tables import PumpSweepTable, SpectrumTable
 
@@ -142,19 +142,39 @@ def check_pump_sweep_base(base: SystemParams):
 
 def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
                             collect: bool = False):
-    """Evaluate the pump-amplitude sweep for p = 0 and p = 20."""
+    """Evaluate the pump-amplitude sweep for p = 0 and p = 20.
+
+    The row at alpha2 is pump_sweep_transform(base, alpha2), the alpha2 = 50
+    row with every rate, Rabi frequency and the density times c = alpha2 / 50.
+    It runs as the alpha2 = 50 row with the Doppler width, the detunings and
+    omega divided by c, which has the same columns
+    (fluctuations.spectrum_columns).  So at line centre every row of one p
+    has the same drift pencil, which bloch.steady_state_pencil factors once.
+    """
     if scenario.kind != "pump-sweep":
         raise ContractError(f"scenario {scenario.name} is not a pump sweep")
     check_pump_sweep_base(scenario.base)
-    base = scenario.base
-    bases = [replace(base, decay=replace(base.decay, p=p)) for p in (0.0, 20.0)]
-    params = [pump_sweep_transform(base, float(alpha2))
-              for base in bases for alpha2 in scenario.grid]
-    v12, _, _, absorption, report = spectrum_columns(
-        [(prm, prm.field.delta1) for prm in params], omega, jobs, collect)
-    n = len(scenario.grid)
-    table = PumpSweepTable(alpha2=np.asarray(scenario.grid, dtype=float),
-                           v12_p0=v12[:n], v12_p20=v12[n:],
+    grid = np.asarray(scenario.grid, dtype=float)
+    if grid[0] <= 0.0:
+        raise ContractError("pump sweep amplitudes alpha2 must be positive")
+    scales = (grid / 50.0).tolist()
+    widest = scenario.base.doppler.width / scales[0]
+    if not widest <= MAX_DOPPLER_WIDTH:
+        raise ConfigError(f"the pump sweep runs its alpha2 = {grid[0]:g} row at the Doppler "
+                          f"width {widest:.6g} MHz (width * 50 / alpha2), above "
+                          f"{MAX_DOPPLER_WIDTH:g} MHz")
+    rows = []
+    for p in (0.0, 20.0):
+        base = pump_sweep_transform(
+            replace(scenario.base, decay=replace(scenario.base.decay, p=p)), 50.0)
+        f, width = base.field, base.doppler.width
+        for c in scales:
+            params = replace(base, field=replace(f, delta1=f.delta1 / c, delta2=f.delta2 / c),
+                             doppler=replace(base.doppler, width=width / c))
+            rows.append((params, f.delta1 / c, omega / c, c))
+    v12, _, _, absorption, report = spectrum_columns(rows, jobs, collect)
+    n = len(grid)
+    table = PumpSweepTable(alpha2=grid, v12_p0=v12[:n], v12_p20=v12[n:],
                            absorption_p0=absorption[:n], absorption_p20=absorption[n:])
     return table, report
 

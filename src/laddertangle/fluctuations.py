@@ -137,7 +137,7 @@ def _diffusion_map(params: SystemParams) -> np.ndarray:
     zero when that product vanishes.  Hamiltonian drift terms are derivations
     of the operator algebra and cancel identically.
     """
-    gdec = decay_generator(params)
+    gdec = decay_generator(params.decay, params.rates)
     return ((gdec.T @ _PROD_ONEHOT.reshape(9, 81)).reshape(9, 9, 9)
             - gdec @ _PROD_ONEHOT - _PROD_ONEHOT @ gdec.T)
 
@@ -245,13 +245,18 @@ class PhysicalityReport:
     max_drift_eigenvalue: float = -np.inf
     covariance_error: float = 0.0
     # largest condition number of the eigenvector bases that factor the
-    # class dependence (numerics.shifted_inverse), each with its theta = 0
+    # class dependence (numerics.factor_pencil), each with its theta = 0
     # columns (the populations) orthonormalized
     eigenvector_condition: float = 0.0
 
     def merged(self, other: "PhysicalityReport") -> "PhysicalityReport":
         return PhysicalityReport(**{f.name: max(getattr(self, f.name), getattr(other, f.name))
                                     for f in fields(self)})
+
+    def scaled(self, scale: float) -> "PhysicalityReport":
+        """The report with every rate times scale: of the fields, only the
+        drift bound is a rate, and the others are ratios."""
+        return replace(self, max_drift_eigenvalue=scale * self.max_drift_eigenvalue)
 
 
 def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
@@ -377,13 +382,24 @@ def sweep_rows(point, rows, jobs: int = 1):
         _set_blas_threads(counts)
 
 
-def spectrum_columns(rows, omega: float, jobs: int, collect: bool):
-    """V12 rows at the (params, delta1) pairs of rows, run by sweep_rows:
-    their v12, du2, dv2 and absorption columns in row order, and their
-    merged PhysicalityReport, which is None unless collected."""
+def spectrum_columns(rows, jobs: int, collect: bool):
+    """V12 rows at the (params, delta1, omega, scale) of rows, run by
+    sweep_rows: their v12, du2, dv2 and absorption columns in row order,
+    and their merged PhysicalityReport, which is None unless collected.
+
+    A row stands for the row with every rate, Rabi frequency, detuning,
+    omega and the Doppler width times its scale, and the density too.
+    The drift is homogeneous of degree one in all of them and the noise
+    kernel linear in the rates, so the two rows have the same columns;
+    each row's report is scaled to the row it stands for before the merge.
+    """
     *columns, reports = zip(*sweep_rows(
-        _spectrum_point, [(params, delta1, omega, collect) for params, delta1 in rows], jobs))
-    report = reduce(PhysicalityReport.merged, reports, PhysicalityReport()) if collect else None
+        _spectrum_point, [(params, delta1, omega, collect)
+                          for params, delta1, omega, _ in rows], jobs))
+    report = None
+    if collect:
+        report = reduce(PhysicalityReport.merged,
+                        (r.scaled(row[3]) for r, row in zip(reports, rows)), PhysicalityReport())
     return (*(np.array(c) for c in columns), report)
 
 
@@ -401,6 +417,6 @@ def v12_spectrum(params: SystemParams, delta1_grid, omega: float = 0.0,
     if grid.ndim != 1 or len(grid) == 0:
         raise ContractError("delta1 grid must be a non-empty 1-d array")
     v12s, du2, dv2, absorption, report = spectrum_columns(
-        [(params, float(d)) for d in grid], omega, jobs, collect)
+        [(params, float(d), omega, 1.0) for d in grid], jobs, collect)
     table = SpectrumTable(delta1=grid, v12=v12s, du2=du2, dv2=dv2, absorption=absorption)
     return table, report

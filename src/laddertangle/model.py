@@ -41,6 +41,12 @@ MAX_HERMITE_ORDER = 512
 # stays far from underflow (exp(-745)), where normalization gives NaN.
 MAX_TRAPEZOID_NODES = 131073
 MAX_TRAPEZOID_SPAN = 20.0
+# Doppler width bound (MHz).  The model's rotating-wave approximation needs
+# every Doppler shift far below the optical frequencies, 2.4e9 MHz at 780 nm in
+# these units, and the widest trapezoid rule (span 20) reaches about a tenth of
+# that here.  Far beyond, the squared shift factors of the steady-state checks
+# overflow (bloch._pencil_check) and the absorption rounds to noise.
+MAX_DOPPLER_WIDTH = 1e7
 
 # relative slack when checking explicit coherence rates against the
 # radiative floor gamma12 >= gamma1, gamma13 >= gamma2, gamma23 >= gamma1+gamma2
@@ -180,7 +186,8 @@ class DopplerConfig:
     span: float = 3.0
 
     def __post_init__(self):
-        _require(self.width >= 0.0, "doppler.width must be >= 0")
+        _require(0.0 <= self.width <= MAX_DOPPLER_WIDTH,
+                 f"doppler.width must be >= 0 and <= {MAX_DOPPLER_WIDTH:g}")
         _require(self.nodes >= 1, "doppler.nodes must be >= 1")
         _require(0.0 < self.span <= MAX_TRAPEZOID_SPAN,
                  f"doppler.span must be > 0 and <= {MAX_TRAPEZOID_SPAN:g}")

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 from .errors import ContractError, ResonanceError
 
 MAX_DIM = 16
-# Largest eigenvector condition number shifted_inverse accepts.  Its
+# Largest eigenvector condition number check_shifts accepts.  Its
 # factored inverses lose about log10(cond) digits against a direct solve;
 # the shipped scenarios stay below 100.
 MAX_EIGENVECTOR_CONDITION = 1e6
@@ -35,7 +35,7 @@ def matrix_exponential(a) -> np.ndarray:
     return sla.expm(a)
 
 
-def shifted_inverse(a, b, shifts):
+def factor_pencil(a, b):
     """Factor (A - s B)^-1 for every shift s at once.
 
     QZ (Moler & Stewart, SIAM J. Numer. Anal. 10, 241, 1973) gives beta A V =
@@ -50,13 +50,12 @@ def shifted_inverse(a, b, shifts):
     rounding); a complex pencil goes to zggev.  The columns at theta = 0,
     LAPACK's arbitrary basis of ker B, are orthonormalized so that cond(V)
     does not depend on it.  Returns V (unit columns), (A V)^-1, theta and
-    cond(V); the factors 1 / (1 - s theta) are left to the caller.  Raises
-    LinAlgError for a singular or non-finite A or a shift on a pole of the
-    pencil, and ResonanceError when cond(V) exceeds MAX_EIGENVECTOR_CONDITION.
+    cond(V); the factors 1 / (1 - s theta) are left to the caller, and so
+    are the checks of check_shifts.  Raises LinAlgError for a singular or
+    non-finite A.
     """
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     a, b = _as_square(a, float if real else complex), _as_square(b, float if real else complex)
-    shifts = np.asarray(shifts, dtype=float)
     # LAPACK's QZ drivers themselves: scipy.linalg.eig wraps them in ~0.1 ms of Python
     if real:
         alphar, alphai, beta, _, vr, _, info = sla.lapack.dggev(a, b, compute_vl=False)
@@ -77,14 +76,30 @@ def shifted_inverse(a, b, shifts):
     v /= np.linalg.norm(v, axis=0)
     kernel = theta == 0.0     # QR through LAPACK itself: numpy's wrapper costs 3x as much
     v[:, kernel] = sla.lapack.zungqr(*sla.lapack.zgeqrf(v[:, kernel])[:2])[0]
-    cond = float(np.linalg.cond(v))
+    return v, np.linalg.inv(a @ v), theta, float(np.linalg.cond(v))
+
+
+def check_shifts(factors, shifts):
+    """Refuse a factor_pencil factorization for the given shifts: raise
+    ResonanceError when cond(V) exceeds MAX_EIGENVECTOR_CONDITION, and
+    LinAlgError when a shift lies on a pole of the pencil.  Both depend
+    on the call, not on the pencil alone, so a stored factorization is
+    checked again on every use."""
+    _, _, theta, cond = factors
+    shifts = np.asarray(shifts, dtype=float)
     if not cond <= MAX_EIGENVECTOR_CONDITION:
         raise ResonanceError(f"eigenvector condition number {cond:.3g} of the shifted "
                              f"inverse exceeds {MAX_EIGENVECTOR_CONDITION:.0e}")
     # 1 - s theta vanishes only for a real, nonzero theta
     if np.any(np.multiply.outer(shifts, theta.real[(theta.imag == 0.0) & (theta != 0.0)]) == 1.0):
         raise np.linalg.LinAlgError("a shift lies on a pole of the pencil")
-    return v, np.linalg.inv(a @ v), theta, cond
+
+
+def shifted_inverse(a, b, shifts):
+    """factor_pencil of (A, B), checked for the shifts (check_shifts)."""
+    factors = factor_pencil(a, b)
+    check_shifts(factors, shifts)
+    return factors
 
 
 def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import steady_state_errors
-from laddertangle import bloch, doppler
+from laddertangle import bloch, doppler, numerics
 from laddertangle.bloch import IDX, LABELS, PROD
-from laddertangle.errors import ContractError, NoSteadyStateError
+from laddertangle.errors import ContractError, NoSteadyStateError, ResonanceError
 from laddertangle.experiments import baseline_params
 from laddertangle.model import (DecayConfig, DopplerConfig, FieldConfig,
                                 GeometryConfig, SystemParams)
@@ -105,6 +105,54 @@ class TestSteadyState:
             class_steady_states(params, [12.0], [0.0])
 
 
+class TestPencilMemo:
+    # steady_state_pencil keeps factorizations keyed on the pencil's bytes;
+    # the checks that depend on the call must still run on every hit
+
+    @staticmethod
+    def hit(b0, h, e, shifts):
+        """steady_state_pencil on a pencil factored just before, asserting
+        that the call is a memo hit."""
+        hits = bloch._factored_pencil.cache_info().hits
+        try:
+            return bloch.steady_state_pencil(b0, h, e, shifts)
+        finally:
+            assert bloch._factored_pencil.cache_info().hits == hits + 1
+
+    def test_hit_is_bit_identical_to_miss(self, fast_params):
+        b0, h, e = bloch.drift_pencil(fast_params(p=0.5), 3.0)
+        bloch._factored_pencil.cache_clear()
+        miss = bloch.steady_state_pencil(b0, h, e, [0.0])
+        assert self.hit(b0.copy(), h.copy(), e.copy(), [0.0]) is miss
+        bloch._factored_pencil.cache_clear()
+        again = bloch.steady_state_pencil(b0, h, e, [0.0])
+        for a, b in zip((miss.points, miss.states, *miss.resolvent),
+                        (again.points, again.states, *again.resolvent)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_cached_arrays_are_read_only(self, fast_params):
+        pencil = bloch.steady_state_pencil(*bloch.drift_pencil(fast_params(), 0.0), [0.0])
+        v, left, theta, _ = pencil.resolvent
+        for array in (pencil.points, pencil.states, v, left, theta):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_cached_pencil_checks_the_condition_bound(self, fast_params, monkeypatch):
+        pencil = bloch.drift_pencil(fast_params(), 0.0)
+        bloch.steady_state_pencil(*pencil, [0.0])
+        monkeypatch.setattr(numerics, "MAX_EIGENVECTOR_CONDITION", 0.5)
+        with pytest.raises(ResonanceError, match="condition number"):
+            self.hit(*pencil, [0.0])
+
+    def test_cached_pencil_checks_its_shifts(self):
+        # B0 = -1, diag(e) = 1: theta = -1 on every component, a pole at s = -1
+        b0, h, e = -np.eye(8, dtype=complex), np.ones(8, dtype=complex), np.ones(8, dtype=complex)
+        bloch.steady_state_pencil(b0, h, e, [0.0, 2.0])
+        with pytest.raises(NoSteadyStateError, match="pole"):
+            self.hit(b0, h, e, [0.0, -1.0])
+
+
 def class_drift_max(b0, e, shifts):
     """Oracle: largest real part over the eigenvalues of every class drift."""
     b = b0 - np.asarray(shifts)[:, None, None] * np.diag(e)
@@ -128,7 +176,7 @@ class TestDriftBound:
             assert class_drift_max(b0, e, shifts) - 1e-12 <= bound < 0.0
             # the Hamiltonian part is skew in the metric, so B0's own
             # logarithmic norm is the relaxation part's, once per parameter set
-            top = bloch.relaxation_log_norm(params)
+            top = bloch.relaxation_log_norm(params.decay, params.rates)
             assert top == pytest.approx(bloch.metric_log_norm(b0), rel=1e-13, abs=1e-15)
             assert top >= 0.0 or bound == top
 

@@ -254,6 +254,22 @@ class TestRun:
         assert _run(["run", "--scenario", "fig3", "--config", path,
                      "--out", tmp_path / "o", "--jobs", 1]) == 0
 
+    @pytest.mark.parametrize("width, message", [(1e6, "alpha2 = 1 row at the Doppler width"),
+                                                (1e307, "doppler.width must be")])
+    def test_pump_sweep_refuses_a_width_its_rows_exceed(self, tmp_path, capsys, width,
+                                                        message):
+        # the rows run at the width times 50 / alpha2, up to 50 times the
+        # config's, and are checked before any row runs
+        cfg = params_to_config(baseline_params())
+        cfg["doppler"]["width"] = width
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = _run(["run", "--scenario", "fig3", "--config", path, "--out", tmp_path / "o",
+                     "--jobs", 1])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
     def test_jobs_below_one_exit_2(self, tmp_path, fast_config, monkeypatch, capsys,
                                    flag, env):
@@ -332,6 +348,13 @@ def huge_volume_config(doc, path):
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
+def huge_width_fig2_config(doc, path):
+    # squared velocity shifts overflow, and the absorption rounds to noise
+    doc["doppler"].update(width=1e200)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["--scenario", "fig2-a"]
+
+
 def wide_span_absorption_config(doc, path):
     wide_span_config(doc, path)
     return ["--scenario", "fig2-g"]
@@ -359,6 +382,7 @@ class TestBadInput:
         ("run", trapezoid_nodes_config),
         ("run", wide_span_config),
         ("run", wide_span_absorption_config),
+        ("run", huge_width_fig2_config),
         ("run", no_coupling_route_config),
         ("run", huge_radius_config),
         ("run", huge_volume_config),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import symmetrized_diffusion_min_eig
 from laddertangle import bloch
@@ -192,6 +193,61 @@ class TestRunScenario:
         assert report.trace_error < 1e-9
         assert report.population_error < 1e-9
         assert report.max_drift_eigenvalue < 0.0
+
+    @pytest.mark.parametrize("omega", [0.0, 50.0])
+    @pytest.mark.parametrize("detunings", [(0.0, 0.0), (7.0, -40.0)])
+    def test_pump_sweep_rows_are_transform_rows(self, omega, detunings, fast_doppler):
+        # the sweep runs each row as the alpha2 = 50 row with the width, the
+        # detunings and omega divided by alpha2 / 50; its columns and its
+        # diagnostics are those of the pump_sweep_transform rows, here from a
+        # base with alpha1 = 7 and both detunings set
+        delta1, delta2 = detunings
+        base = ex.baseline_params(alpha1=7.0, delta2=delta2, doppler=fast_doppler)
+        base = replace(base, field=replace(base.field, delta1=delta1))
+        grid = np.array([1.0, 6.0, 150.0])
+        scenario = ex.Scenario(name="t", base=base, kind="pump-sweep", grid=grid,
+                               outputs="both")
+        table, report = ex.run_scenario(scenario, omega=omega, collect=True)
+        expected = fl.PhysicalityReport()
+        for p in (0.0, 20.0):
+            v12, absorption = [], []
+            for alpha2 in grid:
+                params = ex.pump_sweep_transform(replace(base, decay=replace(base.decay, p=p)),
+                                                 alpha2)
+                row = fl._spectrum_point(params, params.field.delta1, omega, True)
+                v12.append(row[0])
+                absorption.append(row[3])
+                expected = expected.merged(row[4])
+            assert getattr(table, f"v12_p{p:g}") == pytest.approx(v12, rel=1e-12)
+            assert getattr(table, f"absorption_p{p:g}") == pytest.approx(absorption, rel=1e-12)
+        assert report.max_drift_eigenvalue == pytest.approx(expected.max_drift_eigenvalue,
+                                                            rel=1e-12)
+        assert report.eigenvector_condition == pytest.approx(expected.eigenvector_condition,
+                                                             rel=1e-9)
+        for name in ("trace_error", "hermiticity_error", "population_error",
+                     "covariance_error"):
+            assert getattr(report, name) == pytest.approx(getattr(expected, name), abs=1e-13)
+
+    @pytest.mark.parametrize("points", [2, 9])
+    def test_line_centre_pump_sweep_factors_one_pencil_per_p(self, points, fast_doppler,
+                                                             monkeypatch):
+        # every row of one p shares the drift pencil and the relaxation part
+        calls = []
+        dggev = scipy.linalg.lapack.dggev
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return dggev(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dggev", counting)
+        bloch._factored_pencil.cache_clear()
+        bloch.relaxation_log_norm.cache_clear()
+        scenario = ex.Scenario(name="t", base=ex.baseline_params(doppler=fast_doppler),
+                               kind="pump-sweep", grid=np.linspace(1.0, 150.0, points),
+                               outputs="both")
+        ex.run_scenario(scenario, collect=True)
+        assert len(calls) == 2
+        assert bloch.relaxation_log_norm.cache_info().misses == 2
 
     @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
     def test_jobs_do_not_change_bytes(self, outputs, fast_doppler, tmp_path, eager_pool):
