@@ -76,6 +76,12 @@ class TestScenarioCatalog:
         with pytest.raises(ContractError):
             ex.run_pump_sweep_scenario(ex.fig2_scenarios()[0])
 
+    def test_pump_sweep_refuses_a_pump_amplitude_it_cannot_scale(self):
+        # each row runs at the width and detunings divided by alpha2 / 50
+        scenario = replace(ex.fig3_scenario(), grid=np.array([0.0, 50.0]))
+        with pytest.raises(ContractError, match="must be positive"):
+            ex.run_pump_sweep_scenario(scenario)
+
     def test_pump_sweep_refuses_a_base_it_would_discard(self):
         # the sweep runs its own p = 0 and p = 20 bases
         scenario = replace(ex.fig3_scenario(), base=ex.baseline_params(p=6.0))
