@@ -13,6 +13,7 @@ and O2 = g2*alpha2 (undepleted pump and probe).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -133,56 +134,90 @@ def steady_state_batch(g: np.ndarray) -> np.ndarray:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
 
 
-def drift_pencil(params: SystemParams, delta1: float):
-    """Reduced drift B0 and source h of the stationary class, and the
-    velocity diagonal e.
+def drift_pencil(params: SystemParams, delta1s):
+    """Reduced drifts B0 and sources h of the stationary class at each
+    probe detuning of delta1s, stacked as (R, 8, 8) and (R, 8), and the
+    velocity diagonal e, which they share.
 
     A class with probe shift s sees d1 = delta1 - s and d1 + d2 =
     delta1 + delta2 + (k2/k1 - 1) s, and both detunings enter the drift
     through diagonal superoperators, so its reduced drift is
     B(s) = B0 - s diag(e) and its steady state solves B(s) x = -h.
     """
-    g0 = generator_matrix(params, [delta1], [params.field.delta2])[0]
+    d1 = np.asarray(delta1s, dtype=float)
+    g0 = generator_matrix(params, d1, np.full(d1.shape, params.field.delta2))
     ratio = pump_shift_ratio(params)
     e = np.diag(SOP_D1 - (ratio - 1.0) * SOP_DSUM)[1:]
-    return reduce_generator(g0), g0[1:, 0], e
+    return reduce_generator(g0), g0[:, 1:, 0], e
 
 
 class SteadyPencil(NamedTuple):
-    """Steady states of a row's velocity classes, affine in the pencil
-    factors.
+    """Steady states of the velocity classes of a stack of rows, affine in
+    the pencil factors.
 
     The reduced state of class s is V (y / (1 - s theta)) with
     y = (B0 V)^-1 (-h) (see drift_pencil and numerics.factor_pencil), and
-    rho11 = 1 - rho22 - rho33.  So with the points (0, theta) and the
-    factors r(s) = 1 / (1 - s points), the full state is states @ r(s).
+    rho11 = 1 - rho22 - rho33.  So with a row's points (0, theta) and the
+    factors r(s) = 1 / (1 - s points), its full state is states @ r(s).
     The theta come in exact conjugate pairs (steady_state_pencil).
-    resolvent is the factorization (V, (B0 V)^-1, theta, cond(V)), which
-    the atomic elimination at w = 0 reuses.
+    resolvent is the stacked factorization (V, (B0 V)^-1, theta, cond(V)),
+    which the atomic elimination at w = 0 reuses.
     """
 
-    points: np.ndarray       # (9,)
-    states: np.ndarray       # (9, 9)
+    points: np.ndarray       # (R, 9)
+    states: np.ndarray       # (R, 9, 9)
     resolvent: tuple
 
+    def take(self, index) -> "SteadyPencil":
+        """The rows at index of every array: for an integer, the pencil of
+        that row alone, points (9,), states (9, 9) and its factorization."""
+        return SteadyPencil(self.points[index], self.states[index],
+                            tuple(a[index] for a in self.resolvent))
 
-# Pencils whose factorization steady_state_pencil keeps: each p of the pump
-# sweep runs every row from one pencil (experiments.run_pump_sweep_scenario),
-# and a spectrum sweep, with a new pencil on every row, only cycles through.
+
+# Row pencils that steady_state_pencil keeps, most recent last, each as the
+# stack it was factored in and its row there: each p of the pump sweep runs
+# every row from one pencil (experiments.run_pump_sweep_scenario), and a
+# spectrum sweep, with a new pencil on every row, only cycles through.
 PENCIL_MEMO_SIZE = 8
+_PENCILS = OrderedDict()
 
 
 def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) -> SteadyPencil:
-    """Factor the drift pencil of the classes with the given probe shifts.
+    """Factor the drift pencils of a stack of rows (drift_pencil) for the
+    classes with the given probe shifts.
 
-    The factorization depends on the pencil alone, so the last
-    PENCIL_MEMO_SIZE are kept, keyed on the exact bytes, dtype and shape of
-    (b0, h, e): a hit returns the read-only arrays a miss computed from
-    the same bytes.  The checks that depend on the shifts and on
-    numerics.MAX_EIGENVECTOR_CONDITION (numerics.check_shifts) run on
-    every call."""
-    pencil = _factored_pencil(tuple((a.dtype.str, a.shape, a.tobytes())
-                                    for a in map(np.asarray, (b0, h, e))))
+    A row's factorization depends on its pencil alone, so the last
+    PENCIL_MEMO_SIZE row pencils are kept, read-only, keyed on the exact
+    bytes, dtype and shape of (b0[r], h[r], e): a hit gives the bytes a
+    miss computed from the same bytes, and the rows missed are factored
+    together (_factor_rows).  The checks that depend on the shifts and on
+    numerics.MAX_EIGENVECTOR_CONDITION (numerics.check_shifts) run on every
+    call, for every row."""
+    b0, h, e = np.asarray(b0), np.asarray(h), np.asarray(e)
+    shared = (b0.dtype.str, b0.shape[1:], h.dtype.str, h.shape[1:], e.dtype.str, e.shape,
+              e.tobytes())
+    keys = [(shared, b0_r.tobytes(), h_r.tobytes()) for b0_r, h_r in zip(b0, h)]
+    kept = [_PENCILS.get(key) for key in keys]
+    for key, row in zip(keys, kept):
+        if row is not None:
+            _PENCILS.move_to_end(key)
+    new = [r for r, row in enumerate(kept) if row is None]
+    if len(new) == len(keys):
+        pencil = factored = _factor_rows(b0, h, e)      # every row new: the stack as factored
+    else:
+        if new:
+            factored = _factor_rows(b0[new], h[new], e)
+            for k, r in enumerate(new):
+                kept[r] = factored, k
+        rows = [stack.take(slice(k, k + 1)) for stack, k in kept]
+        pencil = SteadyPencil(np.concatenate([p.points for p in rows]),
+                              np.concatenate([p.states for p in rows]),
+                              tuple(map(np.concatenate, zip(*(p.resolvent for p in rows)))))
+    for k, r in list(enumerate(new))[-PENCIL_MEMO_SIZE:]:
+        _PENCILS[keys[r]] = factored, k
+    while len(_PENCILS) > PENCIL_MEMO_SIZE:
+        _PENCILS.popitem(last=False)
     try:
         check_shifts(pencil.resolvent, shifts)
     except np.linalg.LinAlgError as exc:
@@ -190,34 +225,34 @@ def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) ->
     return pencil
 
 
-@lru_cache(maxsize=PENCIL_MEMO_SIZE)
-def _factored_pencil(key) -> SteadyPencil:
-    """steady_state_pencil's factorization of the pencil whose (dtype,
-    shape, bytes) are key.
+def _factor_rows(b0: np.ndarray, h: np.ndarray, e: np.ndarray) -> SteadyPencil:
+    """steady_state_pencil's factorization of a stack of row pencils, its
+    arrays read-only.
 
     The drift keeps states Hermitian, so in U = REAL_BASIS the pencil
     (B0, diag(e)) is real up to rounding, which is dropped, and real QZ
     pairs its theta exactly; V = U^H V_r and (B0 V)^-1 = (B_r V_r)^-1 U.
-    An imaginary part above rounding is a drift that does not keep states
-    Hermitian, and raises ContractError."""
-    b0, h, e = (np.frombuffer(data, dtype).reshape(shape) for dtype, shape, data in key)
+    An imaginary part above rounding, on any row, is a drift that does not
+    keep states Hermitian, and raises ContractError."""
     u, uh = REAL_BASIS, REAL_BASIS.conj().T
     b_r, e_r = u @ b0 @ uh, (u * e) @ uh
-    for name, real, given in (("B0", b_r, b0), ("diag(e)", e_r, e)):
-        dropped = np.max(np.abs(real.imag))
-        if dropped > 8.0 * np.finfo(float).eps * np.max(np.abs(given)):
+    for name, dropped, scale in (
+            ("B0", np.abs(b_r.imag).max(axis=(1, 2)), np.abs(b0).max(axis=(1, 2))),
+            ("diag(e)", np.abs(e_r.imag).max(), np.abs(e).max())):
+        refused = dropped > 8.0 * np.finfo(float).eps * scale
+        if np.any(refused):
             raise ContractError(f"the drift pencil's {name} does not keep states Hermitian: "
-                                f"imaginary part {dropped:.3g} in the real basis")
+                                f"imaginary part {np.max(dropped * refused):.3g} in the real basis")
     try:
         v, left, theta, cond = factor_pencil(b_r.real, e_r.real)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
     v, left = uh @ v, left @ u
-    states = np.zeros((9, 9), dtype=complex)
-    states[0, 0] = 1.0
-    states[:, 1:] = LIFT @ v * (left @ -h)
-    points = np.concatenate([[0.0], theta])
-    for array in (points, states, v, left, theta):
+    states = np.zeros((len(b0), 9, 9), dtype=complex)
+    states[:, 0, 0] = 1.0
+    states[:, :, 1:] = LIFT @ v * (left @ -h[:, :, None]).transpose(0, 2, 1)
+    points = np.concatenate([np.zeros((len(b0), 1)), theta], axis=1)
+    for array in (points, states, v, left, theta, cond):
         array.flags.writeable = False
     return SteadyPencil(points, states, (v, left, theta, cond))
 
@@ -387,20 +422,29 @@ def absorption_exact_batch(params: SystemParams, mean_vecs: np.ndarray, classes)
     return float(average(vals, classes))
 
 
-def averaged_absorption(params: SystemParams, pencil: SteadyPencil, classes) -> float:
-    """Doppler average of (gamma12/(g1 alpha1)) Im rho21 from the class
-    averages <1 / (1 - s t)> at the points of the pencil alone
-    (doppler.resolvent_series)."""
+def averaged_absorption(params: SystemParams, pencil: SteadyPencil, classes) -> np.ndarray:
+    """Doppler average of (gamma12/(g1 alpha1)) Im rho21 of each row of a
+    stacked pencil, from the class averages <1 / (1 - s t)> at the row's
+    points alone (doppler.resolvent_series)."""
     o1 = params.rabi1
     if o1 == 0.0:
-        return 0.0
+        return np.zeros(len(pencil.points))
     factors = resolvent_series(classes, pencil.points, 0)[0]
-    return float(params.rates.gamma12 / o1 * (pencil.states[IDX[2, 1]] @ factors).imag)
+    rho21 = pencil.states[:, None, IDX[2, 1]] @ factors[:, :, None]
+    return params.rates.gamma12 / o1 * rho21[:, 0, 0].imag
+
+
+def absorption_rows(params: SystemParams, delta1s) -> np.ndarray:
+    """Exact-steady-state probe absorption at each probe detuning of
+    delta1s, through one stacked pencil layer; same normalization
+    convention as the perturbative expression.  The class averages need
+    the class rule alone, which the rows share, so the classes are built
+    once, at delta1 = 0."""
+    classes = build_classes(params, 0.0, params.field.delta2)
+    pencil = steady_state_pencil(*drift_pencil(params, delta1s), classes.shifts)
+    return averaged_absorption(params, pencil, classes)
 
 
 def absorption_exact(params: SystemParams, delta1: float) -> float:
-    """Exact-steady-state probe absorption, same normalization convention
-    as the perturbative expression."""
-    classes = build_classes(params, delta1, params.field.delta2)
-    pencil = steady_state_pencil(*drift_pencil(params, delta1), classes.shifts)
-    return averaged_absorption(params, pencil, classes)
+    """absorption_rows of the one probe detuning delta1."""
+    return float(absorption_rows(params, [delta1])[0])

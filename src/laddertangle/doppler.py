@@ -134,25 +134,34 @@ def resolvent_taylor(classes: VelocityClasses, points, order: int) -> np.ndarray
 
 def resolvent_series(classes: VelocityClasses, points, orders) -> np.ndarray:
     """Taylor coefficients g^(m)(t) / m!, m = 0..orders, of g at each point t
-    (zero beyond the point's order), shape (max(orders) + 1, len(points)),
-    from which every class average of pencil factors is built.  A point 0
-    is the factor 1, and of an exact conjugate pair the member above the
-    real axis is evaluated (to the pair's larger order) and the other
-    mirrored, as g(conj t) = conj g(t) on a real rule."""
-    t = np.asarray(points, dtype=complex)
-    mirror = np.argmax(t.conj()[:, None] == t, axis=1)
+    of a row of points, or of each row of a stack of them (zero beyond the
+    point's order), shape (max(orders) + 1, *points.shape), from which every
+    class average of pencil factors is built.  A point 0 is the factor 1,
+    and of an exact conjugate pair within a row the member above the real
+    axis is evaluated (to the pair's larger order) and the other mirrored,
+    as g(conj t) = conj g(t) on a real rule.  Each row's class sums are
+    taken apart (resolvent_taylor), so no K-length temporary spans rows."""
+    shape = np.shape(points)
+    n = shape[-1]
+    rows = np.asarray(points, dtype=complex).reshape(-1, n)
+    # flat index of each point's conjugate partner within its row, or of itself
+    mirror = (np.argmax(rows.conj()[:, :, None] == rows[:, None, :], axis=2)
+              + n * np.arange(len(rows))[:, None]).ravel()
+    t = rows.ravel()
     paired = t[mirror] == t.conj()
     mirrored = paired & (t.imag < 0.0)
-    orders = np.zeros(len(t), dtype=int) + orders
+    orders = (np.zeros(shape, dtype=int) + orders).ravel()
     orders = np.maximum(orders, np.where(paired, orders[mirror], 0))
     own = ~mirrored & (t != 0.0)
     g = np.zeros((orders.max() + 1, len(t)), dtype=complex)
     g[0, t == 0.0] = 1.0
     for order in set(orders[own].tolist()):
         at = own & (orders == order)
-        g[:order + 1, at] = resolvent_taylor(classes, t[at], order)
+        for start in range(0, len(t), n):
+            row = slice(start, start + n)
+            g[:order + 1, row][:, at[row]] = resolvent_taylor(classes, t[row][at[row]], order)
     g[:, mirrored] = g[:, mirror[mirrored]].conj()
-    return g
+    return g.reshape(-1, *shape)
 
 
 def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:

@@ -9,10 +9,11 @@ ratios, and strong-pump / detuned-pump variants.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .bloch import absorption_exact
+from .bloch import absorption_rows
 from .errors import ConfigError, ContractError
 from .fluctuations import spectrum_columns, sweep_rows, v12_spectrum
 from .model import (MAX_DOPPLER_WIDTH, CoherenceRates, DecayConfig, DopplerConfig, FieldConfig,
@@ -198,7 +199,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.0,
         return v12_spectrum(scenario.base, scenario.grid, omega, jobs, collect)
     grid = np.asarray(scenario.grid, dtype=float)
     nan = np.full(len(grid), np.nan)
-    absorption = sweep_rows(absorption_exact, [(scenario.base, float(d)) for d in grid], jobs)
+    absorption = sweep_rows(partial(absorption_rows, scenario.base), grid.tolist(), jobs)
     return SpectrumTable(grid, nan, nan, nan, np.array(absorption)), None
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
 from itertools import repeat
@@ -57,13 +58,16 @@ RIDX = {lab: k for k, lab in enumerate(REDUCED_LABELS)}
 _BLAS_THREAD_CALLS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads",
                       "scipy_openblas_{}_num_threads64_")
 
+# Thread-count variables that a BLAS or OpenMP runtime reads when it loads
+_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 # Seconds of serial row time a process pool must save before sweep_rows
 # opens one.  Pooled time is about c + serial/2 at two workers; medians of 7
 # alternating calls on fig2-a at 8 and 32 rows and fig2-g at 16 and 64 rows
 # (one BLAS thread, 2-core x86-64) put the start-and-stop cost c at 18-23 ms
 # on a quiet host and up to 52 ms on a busy one.  Short sweeps (16 fig2-g or
-# 12 fig4-c rows, about 0.5 and 2 ms each) stay here; full scenarios still
-# pool (801 fig2-a rows project about 0.8 s of saving).
+# 12 fig4-c rows) stay here; full scenarios still pool (801 fig2-a rows
+# project about 0.8 s of saving).
 POOL_START_S = 0.05
 
 # field pairing involution (a1 <-> a1+, a2 <-> a2+)
@@ -265,22 +269,25 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     phase i w / c (it cancels from every second moment), and noise density
     S(w) at one probe detuning, plus exact absorption and diagnostics."""
     classes = build_classes(params, delta1, params.field.delta2)
-    b0, h, e = drift_pencil(params, delta1)
-    pencil = steady_state_pencil(b0, h, e, classes.shifts)
-    absorption = averaged_absorption(params, pencil, classes)
+    b0, h, e = drift_pencil(params, [delta1])
+    pencils = steady_state_pencil(b0, h, e, classes.shifts)
+    absorption = float(averaged_absorption(params, pencils, classes)[0])
+    pencil = pencils.take(0)
     resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
     if omega != 0.0:
         try:
-            resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), np.diag(e), classes.shifts)
+            v, left, theta, cond = shifted_inverse(b0 + (1j * omega) * np.eye(8), np.diag(e),
+                                                   classes.shifts)
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
+        resolvent = (v[0], left[0], theta[0], cond[0])
     m, s = _eliminate(params, pencil, classes, resolvent)
     report = None
     if collect:
         report = PhysicalityReport(
             *pencil_errors(pencil, classes.shifts),
-            max_drift_eigenvalue=drift_bound(params, b0, e, classes.shifts),
-            eigenvector_condition=max(pencil.resolvent[3], resolvent[3]))
+            max_drift_eigenvalue=drift_bound(params, b0[0], e, classes.shifts),
+            eigenvector_condition=float(max(pencil.resolvent[3], resolvent[3])))
     return m, s, absorption, report
 
 
@@ -344,42 +351,70 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def sweep_rows(point, rows, jobs: int = 1):
-    """Ordered map of the picklable row function point over a sequence of
-    argument tuples.
+@contextmanager
+def _one_blas_thread_env():
+    """Set every _BLAS_THREAD_ENV variable to 1, and restore the caller's
+    values (or their absence) on exit."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_ENV}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_ENV, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def sweep_rows(batch, rows, jobs: int = 1):
+    """Ordered map of the picklable batch function over a sequence of
+    rows: batch(chunk) takes a contiguous list of rows and returns one
+    result per row, each independent of the chunk's other rows.
 
     Rows run with every loaded OpenBLAS at one thread, and the caller's
-    thread counts are restored afterwards.  Rows run here, in order.  When
-    more than one worker is possible (jobs, rows and usable_cores()
-    allowing), each row is timed, and once the serial time projected for
-    the rows left from the mean row time so far, times (1 - 1/workers),
-    exceeds POOL_START_S, the rows left go to one pool of
-    min(jobs, rows left, usable_cores()) worker processes in ordered
-    chunks.  This process is already pinned when the pool starts, so a
-    forked worker inherits the pin and the library lookup.  Results come
-    back in row order, so they do not depend on where a row ran.  With
-    one possible worker no pool is opened.
+    thread counts are restored afterwards.  Rows run here, in order, in
+    chunks of 1, 2, 4, ... rows.  When more than one worker is possible
+    (jobs, rows and usable_cores() allowing), each chunk is timed, and once
+    the serial time projected for the rows left from the mean row time so
+    far, times (1 - 1/workers), exceeds POOL_START_S, the rows left go to
+    one pool of min(jobs, rows left, usable_cores()) worker processes in
+    contiguous chunks, about four per worker.  This process is already
+    pinned when the pool starts, so a forked worker inherits the pin and
+    the library lookup; and while the pool runs, the _BLAS_THREAD_ENV
+    variables read 1, so a worker that loads OpenBLAS afresh (the spawn
+    and forkserver start methods) starts it on one thread.  Results come
+    back in row order, so they do not depend on where a row ran.  With one
+    possible worker no pool is opened.
     """
     n = len(rows)
     cap = min(jobs, usable_cores())
     counts = _set_blas_threads()
     try:
-        results = []
+        results, size = [], 1
         start = perf_counter()
-        for done, row in enumerate(rows, 1):
-            results.append(point(*row))
+        while len(results) < n:
+            results.extend(batch(rows[len(results):len(results) + size]))
+            size *= 2
+            done = len(results)
             left = n - done
             workers = min(cap, left)
             if workers > 1 and ((perf_counter() - start) / done * left * (1 - 1 / workers)
                                 > POOL_START_S):
-                with ProcessPoolExecutor(max_workers=workers,
-                                         initializer=_set_blas_threads) as pool:
-                    results.extend(pool.map(point, *zip(*rows[done:]),
-                                            chunksize=max(1, left // (4 * workers))))
+                chunk = max(1, left // (4 * workers))
+                with _one_blas_thread_env(), ProcessPoolExecutor(
+                        max_workers=workers, initializer=_set_blas_threads) as pool:
+                    for part in pool.map(batch, [rows[k:k + chunk] for k in range(done, n, chunk)]):
+                        results.extend(part)
                 break
         return results
     finally:
         _set_blas_threads(counts)
+
+
+def _spectrum_rows(rows):
+    """_spectrum_point of each (params, delta1, omega, collect) of rows."""
+    return [_spectrum_point(*row) for row in rows]
 
 
 def spectrum_columns(rows, jobs: int, collect: bool):
@@ -394,8 +429,8 @@ def spectrum_columns(rows, jobs: int, collect: bool):
     each row's report is scaled to the row it stands for before the merge.
     """
     *columns, reports = zip(*sweep_rows(
-        _spectrum_point, [(params, delta1, omega, collect)
-                          for params, delta1, omega, _ in rows], jobs))
+        _spectrum_rows, [(params, delta1, omega, collect)
+                         for params, delta1, omega, _ in rows], jobs))
     report = None
     if collect:
         report = reduce(PhysicalityReport.merged,

@@ -35,8 +35,16 @@ def matrix_exponential(a) -> np.ndarray:
     return sla.expm(a)
 
 
+def _as_stack(a, dtype) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ContractError(f"expected a stack of square matrices, got shape {a.shape}")
+    return a
+
+
 def factor_pencil(a, b):
-    """Factor (A - s B)^-1 for every shift s at once.
+    """Factor (A_r - s B)^-1 for every row r of a stack of matrices A and
+    every shift s at once.
 
     QZ (Moler & Stewart, SIAM J. Numer. Anal. 10, 241, 1973) gives beta A V =
     alpha B V without forming A^-1 B, which loses digits when its
@@ -49,50 +57,67 @@ def factor_pencil(a, b):
     theta and V column of the first (their computed beta differ by
     rounding); a complex pencil goes to zggev.  The columns at theta = 0,
     LAPACK's arbitrary basis of ker B, are orthonormalized so that cond(V)
-    does not depend on it.  Returns V (unit columns), (A V)^-1, theta and
-    cond(V); the factors 1 / (1 - s theta) are left to the caller, and so
-    are the checks of check_shifts.  Raises LinAlgError for a singular or
-    non-finite A.
+    does not depend on it.  QZ and that QR run row by row (LAPACK has no
+    batched QZ), the rest on the whole stack, and every stacked step acts
+    on each row alone, so a row's factors do not depend on the others.
+    Returns the stacks of V (unit columns), (A V)^-1, theta and cond(V);
+    the factors 1 / (1 - s theta) are left to the caller, and so are the
+    checks of check_shifts.  Raises LinAlgError when A is singular or
+    non-finite on any row.
     """
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    a, b = _as_square(a, float if real else complex), _as_square(b, float if real else complex)
+    a, b = _as_stack(a, float if real else complex), _as_square(b, float if real else complex)
+    rows, n = a.shape[:2]
+    alpha, alphai = np.empty((rows, n), dtype=complex), np.zeros((rows, n))
+    beta, info = np.empty((rows, n), dtype=a.dtype), np.zeros(rows, dtype=int)
+    # each V column-major, as LAPACK returns it: numpy then sums its column
+    # norms pairwise, for any number of rows
+    v = np.empty((rows, n, n), dtype=complex).transpose(0, 2, 1)
     # LAPACK's QZ drivers themselves: scipy.linalg.eig wraps them in ~0.1 ms of Python
-    if real:
-        alphar, alphai, beta, _, vr, _, info = sla.lapack.dggev(a, b, compute_vl=False)
-        alpha = alphar + 1j * alphai
-    else:
-        alpha, beta, _, v, _, info = sla.lapack.zggev(a, b, compute_vl=False)
+    for r, a_r in enumerate(a):
+        if real:
+            alphar, alphai[r], beta[r], _, v[r], _, info[r] = sla.lapack.dggev(
+                a_r, b, compute_vl=False)
+            alpha[r] = alphar + 1j * alphai[r]
+        else:
+            alpha[r], beta[r], _, v[r], _, info[r] = sla.lapack.zggev(a_r, b, compute_vl=False)
     # checked before dividing: alpha = 0 is a singular A, and LAPACK passes NaN on
-    if info != 0 or np.any(alpha == 0.0) or not np.isfinite(a + b).all():
-        raise np.linalg.LinAlgError(f"singular or non-finite matrix, or QZ failed ({info})")
+    if info.any() or (alpha == 0.0).any() or not np.isfinite(a + b).all():
+        raise np.linalg.LinAlgError(f"singular or non-finite matrix, or QZ failed "
+                                    f"({info[np.argmax(info != 0)]})")
     theta = beta / alpha
     if real:
         # pair j, j + 1 (alphai[j] > 0): columns j, j + 1 hold the first eigenvector's Re, Im
-        j = np.flatnonzero(alphai > 0.0)
-        v = vr.astype(complex)
-        v[:, j] += 1j * vr[:, j + 1]
-        v[:, j + 1] = v[:, j].conj()
-        theta[j + 1] = theta[j].conj()
-    v /= np.linalg.norm(v, axis=0)
+        r, j = np.nonzero(alphai > 0.0)
+        v[r, :, j] += 1j * v[r, :, j + 1]
+        v[r, :, j + 1] = v[r, :, j].conj()
+        theta[r, j + 1] = theta[r, j].conj()
+    v /= np.linalg.norm(v, axis=1)[:, None, :]
     kernel = theta == 0.0     # QR through LAPACK itself: numpy's wrapper costs 3x as much
-    v[:, kernel] = sla.lapack.zungqr(*sla.lapack.zgeqrf(v[:, kernel])[:2])[0]
-    return v, np.linalg.inv(a @ v), theta, float(np.linalg.cond(v))
+    for r in np.flatnonzero(kernel.any(axis=1)):
+        v[r][:, kernel[r]] = sla.lapack.zungqr(*sla.lapack.zgeqrf(v[r][:, kernel[r]])[:2])[0]
+    sigma = np.linalg.svd(v, compute_uv=False)     # cond(V) = sigma_max / sigma_min
+    return v, np.linalg.inv(a @ v), theta, sigma[:, 0] / sigma[:, -1]
 
 
 def check_shifts(factors, shifts):
-    """Refuse a factor_pencil factorization for the given shifts: raise
-    ResonanceError when cond(V) exceeds MAX_EIGENVECTOR_CONDITION, and
-    LinAlgError when a shift lies on a pole of the pencil.  Both depend
-    on the call, not on the pencil alone, so a stored factorization is
-    checked again on every use."""
+    """Refuse a stack of factor_pencil factorizations for the given shifts:
+    raise ResonanceError when a row's cond(V) exceeds
+    MAX_EIGENVECTOR_CONDITION, and LinAlgError when a shift lies on a pole
+    of a row's pencil.  Both depend on the call, not on the pencil alone,
+    so a stored factorization is checked again on every use."""
     _, _, theta, cond = factors
     shifts = np.asarray(shifts, dtype=float)
-    if not cond <= MAX_EIGENVECTOR_CONDITION:
-        raise ResonanceError(f"eigenvector condition number {cond:.3g} of the shifted "
-                             f"inverse exceeds {MAX_EIGENVECTOR_CONDITION:.0e}")
-    # 1 - s theta vanishes only for a real, nonzero theta
-    if np.any(np.multiply.outer(shifts, theta.real[(theta.imag == 0.0) & (theta != 0.0)]) == 1.0):
-        raise np.linalg.LinAlgError("a shift lies on a pole of the pencil")
+    accepted = cond <= MAX_EIGENVECTOR_CONDITION
+    if not accepted.all():
+        raise ResonanceError(f"eigenvector condition number {cond[np.argmin(accepted)]:.3g} of "
+                             f"the shifted inverse exceeds {MAX_EIGENVECTOR_CONDITION:.0e}")
+    # 1 - s theta vanishes only for a real, nonzero theta, which the
+    # shipped scenarios' rows do not have
+    poles = (theta.imag == 0.0) & (theta != 0.0)
+    for r in np.flatnonzero(poles.any(axis=1)):
+        if np.any(np.multiply.outer(shifts, theta[r].real[poles[r]]) == 1.0):
+            raise np.linalg.LinAlgError("a shift lies on a pole of the pencil")
 
 
 def shifted_inverse(a, b, shifts):

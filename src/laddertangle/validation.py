@@ -105,8 +105,8 @@ def check_weak_probe_oracle() -> CheckResult:
     params = _fast_params(field=FieldConfig(alpha1=1e-4, alpha2=50.0))
     d1 = np.array([-40.0, -3.0, 0.0, 2.5, 60.0])
     # the stationary class's state: every factor of the pencil is 1 at s = 0
-    rho21 = np.array([bloch.steady_state_pencil(*bloch.drift_pencil(params, d), [0.0])
-                      .states[bloch.IDX[2, 1]].sum() for d in d1])
+    rho21 = bloch.steady_state_pencil(*bloch.drift_pencil(params, d1), [0.0]).states[
+        :, bloch.IDX[2, 1]].sum(axis=1)
     c = params.rates
     expected = 1j * params.rabi1 / (c.gamma12 + 1j * d1
                                     + params.rabi2 ** 2 / (c.gamma13 + 1j * d1))

@@ -5,7 +5,7 @@ from conftest import steady_state_errors
 from laddertangle import bloch, doppler, numerics
 from laddertangle.bloch import IDX, LABELS, PROD
 from laddertangle.errors import ContractError, NoSteadyStateError, ResonanceError
-from laddertangle.experiments import baseline_params
+from laddertangle.experiments import all_scenarios, baseline_params
 from laddertangle.model import (DecayConfig, DopplerConfig, FieldConfig,
                                 GeometryConfig, SystemParams)
 
@@ -86,12 +86,16 @@ class TestSteadyState:
 
     def test_pencil_refuses_a_drift_that_breaks_hermiticity(self, fast_params):
         # 0.5i from rho12 into rho21 maps Hermitian states to non-Hermitian
-        # ones, so the pencil in the real basis is not real
-        _, h, e = bloch.drift_pencil(fast_params(), 0.0)
-        b0 = -np.eye(8, dtype=complex)
-        b0[IDX[2, 1] - 1, IDX[1, 2] - 1] = 0.5j
-        with pytest.raises(ContractError, match="does not keep states Hermitian"):
-            bloch.steady_state_pencil(b0, h, e, [0.0])
+        # ones, so the pencil in the real basis is not real; in a stack the
+        # rows that keep states Hermitian do not hide it
+        b0, h, e = bloch.drift_pencil(fast_params(), [0.0, 1.0])
+        b0 = b0.copy()
+        b0[1] = -np.eye(8)
+        b0[1, IDX[2, 1] - 1, IDX[1, 2] - 1] = 0.5j
+        for rows in (slice(1, 2), slice(0, 2)):
+            bloch._PENCILS.clear()
+            with pytest.raises(ContractError, match="does not keep states Hermitian"):
+                bloch.steady_state_pencil(b0[rows], h[rows], e, [0.0])
 
     def test_undamped_drift_has_no_steady_state(self):
         # no decay, no fields: every population is conserved, so the
@@ -105,52 +109,91 @@ class TestSteadyState:
             class_steady_states(params, [12.0], [0.0])
 
 
+def pencil_arrays(pencil):
+    """Every array of a SteadyPencil, the condition numbers included."""
+    return [np.asarray(a) for a in (pencil.points, pencil.states, *pencil.resolvent)]
+
+
+def same_bytes(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(pencil_arrays(a), pencil_arrays(b)))
+
+
 class TestPencilMemo:
-    # steady_state_pencil keeps factorizations keyed on the pencil's bytes;
-    # the checks that depend on the call must still run on every hit
+    # steady_state_pencil keeps row factorizations keyed on each row's
+    # bytes; the checks that depend on the call must still run on every hit
 
     @staticmethod
-    def hit(b0, h, e, shifts):
-        """steady_state_pencil on a pencil factored just before, asserting
-        that the call is a memo hit."""
-        hits = bloch._factored_pencil.cache_info().hits
-        try:
-            return bloch.steady_state_pencil(b0, h, e, shifts)
-        finally:
-            assert bloch._factored_pencil.cache_info().hits == hits + 1
+    def hit(monkeypatch, b0, h, e, shifts):
+        """steady_state_pencil on rows factored just before, asserting that
+        no row is factored again."""
+        def factor_again(*args):
+            raise AssertionError("a kept row was factored again")
 
-    def test_hit_is_bit_identical_to_miss(self, fast_params):
-        b0, h, e = bloch.drift_pencil(fast_params(p=0.5), 3.0)
-        bloch._factored_pencil.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bloch, "factor_pencil", factor_again)
+            return bloch.steady_state_pencil(b0, h, e, shifts)
+
+    def test_hit_is_bit_identical_to_miss(self, fast_params, monkeypatch):
+        b0, h, e = bloch.drift_pencil(fast_params(p=0.5), [3.0, -40.0])
+        bloch._PENCILS.clear()
         miss = bloch.steady_state_pencil(b0, h, e, [0.0])
-        assert self.hit(b0.copy(), h.copy(), e.copy(), [0.0]) is miss
-        bloch._factored_pencil.cache_clear()
-        again = bloch.steady_state_pencil(b0, h, e, [0.0])
-        for a, b in zip((miss.points, miss.states, *miss.resolvent),
-                        (again.points, again.states, *again.resolvent)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert same_bytes(self.hit(monkeypatch, b0.copy(), h.copy(), e.copy(), [0.0]), miss)
+        # a row of the stack hits alone, and rows in another order
+        assert same_bytes(self.hit(monkeypatch, b0[1:], h[1:], e, [0.0]).take(0), miss.take(1))
+        swapped = self.hit(monkeypatch, b0[::-1], h[::-1], e, [0.0])
+        assert same_bytes(swapped.take(0), miss.take(1)) and same_bytes(swapped.take(1), miss.take(0))
+        bloch._PENCILS.clear()
+        assert same_bytes(bloch.steady_state_pencil(b0, h, e, [0.0]), miss)
+
+    def test_stack_factors_only_its_missed_rows(self, fast_params, monkeypatch):
+        # one row kept from before, and a missed row repeated in the stack
+        b0, h, e = bloch.drift_pencil(fast_params(p=0.5), [-5.0, 0.0, 5.0, 0.0, 5.0])
+        bloch._PENCILS.clear()
+        alone = bloch.steady_state_pencil(b0[1:2], h[1:2], e, [0.0])
+        factored, factor = [], bloch.factor_pencil
+        monkeypatch.setattr(bloch, "factor_pencil",
+                            lambda a, b: factored.append(len(a)) or factor(a, b))
+        stack = bloch.steady_state_pencil(b0, h, e, [0.0])
+        assert factored == [3]
+        assert same_bytes(stack.take(1), alone.take(0)) and same_bytes(stack.take(3), alone.take(0))
+        assert same_bytes(stack.take(2), stack.take(4))
+        assert same_bytes(self.hit(monkeypatch, b0[4:], h[4:], e, [0.0]), stack.take(slice(4, 5)))
+
+    def test_memo_keeps_the_last_rows(self, fast_params, monkeypatch):
+        b0, h, e = bloch.drift_pencil(fast_params(), np.linspace(-50.0, 50.0, 12))
+        bloch._PENCILS.clear()
+        bloch.steady_state_pencil(b0, h, e, [0.0])
+        assert len(bloch._PENCILS) == bloch.PENCIL_MEMO_SIZE
+        self.hit(monkeypatch, b0[-bloch.PENCIL_MEMO_SIZE:], h[-bloch.PENCIL_MEMO_SIZE:], e, [0.0])
 
     def test_cached_arrays_are_read_only(self, fast_params):
-        pencil = bloch.steady_state_pencil(*bloch.drift_pencil(fast_params(), 0.0), [0.0])
-        v, left, theta, _ = pencil.resolvent
-        for array in (pencil.points, pencil.states, v, left, theta):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
+        bloch._PENCILS.clear()
+        bloch.steady_state_pencil(*bloch.drift_pencil(fast_params(), [0.0, 1.0]), [0.0])
+        assert len(bloch._PENCILS) == 2
+        for stack, _ in bloch._PENCILS.values():
+            pencil = stack.take(0)
+            v, left, theta, _ = pencil.resolvent
+            for array in (pencil.points, pencil.states, v, left, theta):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
 
     def test_cached_pencil_checks_the_condition_bound(self, fast_params, monkeypatch):
-        pencil = bloch.drift_pencil(fast_params(), 0.0)
+        pencil = bloch.drift_pencil(fast_params(), [0.0])
         bloch.steady_state_pencil(*pencil, [0.0])
         monkeypatch.setattr(numerics, "MAX_EIGENVECTOR_CONDITION", 0.5)
         with pytest.raises(ResonanceError, match="condition number"):
-            self.hit(*pencil, [0.0])
+            self.hit(monkeypatch, *pencil, [0.0])
 
-    def test_cached_pencil_checks_its_shifts(self):
-        # B0 = -1, diag(e) = 1: theta = -1 on every component, a pole at s = -1
-        b0, h, e = -np.eye(8, dtype=complex), np.ones(8, dtype=complex), np.ones(8, dtype=complex)
-        bloch.steady_state_pencil(b0, h, e, [0.0, 2.0])
-        with pytest.raises(NoSteadyStateError, match="pole"):
-            self.hit(b0, h, e, [0.0, -1.0])
+    def test_cached_pencil_checks_its_shifts(self, monkeypatch):
+        # B0 = -c, diag(e) = 1: theta = -1/c on every component, a pole at s = -c
+        b0 = -np.array([1.0, 2.0])[:, None, None] * np.eye(8, dtype=complex)
+        h, e = np.ones((2, 8), dtype=complex), np.ones(8, dtype=complex)
+        bloch.steady_state_pencil(b0, h, e, [0.0, 3.0])
+        for rows, shifts in ((slice(0, 1), [0.0, -1.0]), (slice(0, 2), [0.0, -2.0])):
+            with pytest.raises(NoSteadyStateError, match="pole"):
+                self.hit(monkeypatch, b0[rows], h[rows], e, shifts)
 
 
 def class_drift_max(b0, e, shifts):
@@ -170,7 +213,7 @@ class TestDriftBound:
                 field=FieldConfig(alpha1=rng.uniform(0.1, 30.0), alpha2=rng.uniform(0.1, 120.0),
                                   delta2=rng.uniform(-300.0, 300.0)),
                 doppler=DopplerConfig(width=530.0, nodes=41, rule="trapezoid"))
-            b0, _, e = bloch.drift_pencil(params, rng.uniform(-600.0, 600.0))
+            (b0,), _, e = bloch.drift_pencil(params, [rng.uniform(-600.0, 600.0)])
             shifts, _ = doppler.maxwellian_rule(params.doppler)
             bound = bloch.drift_bound(params, b0, e, shifts)
             assert class_drift_max(b0, e, shifts) - 1e-12 <= bound < 0.0
@@ -185,7 +228,7 @@ class TestDriftBound:
         # bound is the largest real part of the class eigenvalues itself
         params = SystemParams(decay=DecayConfig(gamma1=5.45, gamma2=0.5),
                               doppler=fast_doppler)
-        b0, _, e = bloch.drift_pencil(params, 20.0)
+        (b0,), _, e = bloch.drift_pencil(params, [20.0])
         shifts, _ = doppler.maxwellian_rule(params.doppler)
         exact = class_drift_max(b0, e, shifts)
         assert exact < 0.0
@@ -268,3 +311,54 @@ class TestAbsorption:
         left = [bloch.absorption_exact(params, -d) for d in (100.0, 400.0)]
         right = [bloch.absorption_exact(params, d) for d in (100.0, 400.0)]
         assert np.allclose(left, right, rtol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def row_by_row():
+    """name -> (base, grid, absorption_exact of each grid row, each row's
+    pencil factored alone) on the fig2-g and fig4-d grids."""
+    out = {}
+    for name in ("fig2-g", "fig4-d"):
+        scenario = all_scenarios()[name]
+        base, grid = scenario.base, scenario.grid
+        classes = doppler.build_classes(base, 0.0, base.field.delta2)
+        pencils, absorption = [], []
+        for delta1 in grid.tolist():
+            bloch._PENCILS.clear()
+            absorption.append(bloch.absorption_exact(base, delta1))
+            bloch._PENCILS.clear()
+            pencils.append(bloch.steady_state_pencil(*bloch.drift_pencil(base, [delta1]),
+                                                     classes.shifts).take(0))
+        out[name] = base, grid, np.array(absorption), pencils
+    return out
+
+
+class TestStackedRows:
+    # a row's bytes do not depend on the rows stacked with it
+
+    @pytest.mark.parametrize("rows", [1, 7, 16, 801])
+    @pytest.mark.parametrize("name", ["fig2-g", "fig4-d"])
+    def test_stack_matches_rows_bit_for_bit(self, row_by_row, name, rows):
+        base, grid, absorption, pencils = row_by_row[name]
+        # rows spread over the grid, and a contiguous run about the feature
+        for pick in (np.linspace(0, len(grid) - 1, rows).round().astype(int),
+                     np.arange(rows) + min(len(grid) - rows, 390)):
+            bloch._PENCILS.clear()
+            stacked = bloch.absorption_rows(base, grid[pick])
+            assert stacked.dtype == absorption.dtype
+            assert stacked.tobytes() == absorption[pick].tobytes()
+            bloch._PENCILS.clear()
+            shifts, _ = doppler.maxwellian_rule(base.doppler)
+            pencil = bloch.steady_state_pencil(*bloch.drift_pencil(base, grid[pick]), shifts)
+            for r, k in enumerate(pick):
+                assert same_bytes(pencil.take(r), pencils[k])
+
+    def test_absorption_exact_is_one_row(self, fast_params):
+        params = fast_params(p=6.0)
+        got = bloch.absorption_exact(params, 12.5)
+        assert isinstance(got, float)
+        assert got == bloch.absorption_rows(params, [12.5])[0]
+
+    def test_pump_off_probe_has_no_absorption(self, fast_params):
+        assert np.array_equal(bloch.absorption_rows(fast_params(alpha1=0.0), [0.0, 5.0]),
+                              [0.0, 0.0])

@@ -470,7 +470,10 @@ _DETERMINISM_RUNS = [
     ("fig4-c", ["--delta1-min", "190", "--delta1-max", "210", "--delta1-points", "9"]),
     ("fig3", []),
     ("fig2-a", ["--omega", "50", "--delta1-min", "-4", "--delta1-max", "4",
-                "--delta1-points", "9"])]
+                "--delta1-points", "9"]),
+    # absorption only: stacked chunks of 1, 2, 4, ... rows, and at --jobs 2
+    # a pool once the rows left are worth one
+    ("fig2-g", ["--delta1-min", "-400", "--delta1-max", "400", "--delta1-points", "801"])]
 
 # runs the cli.main argument lists of argv[1] (JSON) in order, and stops at
 # the first nonzero exit

@@ -253,7 +253,8 @@ class TestFactorMoments:
 class TestResolventSeries:
     def test_zero_is_one_and_pairs_evaluated_once(self, monkeypatch):
         # a fig2-a row at w = 0: neither the absorption nor the elimination
-        # evaluates g at 0 or at both members of a conjugate pair
+        # evaluates g at 0 or at both members of a conjugate pair; a stack
+        # of rows evaluates each row's points alone, in one call per row
         params = all_scenarios()["fig2-a"].base
         taylor, evaluated = doppler.resolvent_taylor, []
 
@@ -262,18 +263,25 @@ class TestResolventSeries:
             return taylor(classes, points, order)
 
         monkeypatch.setattr(doppler, "resolvent_taylor", recording)
-        for row in (bloch.absorption_exact, fluctuations.field_system_at):
+        stack = [-35.0, 0.0, 0.5, 200.0]
+        for run, rows in ((lambda: bloch.absorption_exact(params, 0.0), 1),
+                          (lambda: fluctuations.field_system_at(params, 0.0), None),
+                          (lambda: bloch.absorption_rows(params, stack), len(stack))):
             evaluated.clear()
-            row(params, 0.0)
-            points = np.concatenate(evaluated)
-            assert len(points) and np.all(points != 0.0)
-            assert not np.isin(points[points.imag != 0.0].conj(), points).any()
+            run()
+            if rows is not None:
+                assert len(evaluated) == rows
+            for points in evaluated if rows else [np.concatenate(evaluated)]:
+                assert len(points) and np.all(points != 0.0)
+                assert not np.isin(points[points.imag != 0.0].conj(), points).any()
         # every pencil point's <r> is the exact conjugate of its partner's
         classes = doppler.build_classes(params, 0.0, params.field.delta2)
-        pencil = bloch.steady_state_pencil(*bloch.drift_pencil(params, 0.0), classes.shifts)
-        partner = np.argmax(pencil.points.conj()[:, None] == pencil.points, axis=1)
-        assert np.array_equal(pencil.points[partner], pencil.points.conj())
-        assert np.any(pencil.points.imag != 0.0)
-        r = doppler.resolvent_series(classes, pencil.points, 0)[0]
-        assert np.array_equal(r[partner], r.conj())
-        assert np.all(r[pencil.points == 0.0] == 1.0)
+        pencils = bloch.steady_state_pencil(*bloch.drift_pencil(params, stack), classes.shifts)
+        for points, own in zip(pencils.points, evaluated):
+            partner = np.argmax(points.conj()[:, None] == points, axis=1)
+            assert np.array_equal(points[partner], points.conj())
+            assert np.any(points.imag != 0.0)
+            assert np.array_equal(own, points[(points != 0.0) & (points.imag >= 0.0)])
+            r = doppler.resolvent_series(classes, points, 0)[0]
+            assert np.array_equal(r[partner], r.conj())
+            assert np.all(r[points == 0.0] == 1.0)

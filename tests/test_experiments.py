@@ -246,7 +246,7 @@ class TestRunScenario:
             return dggev(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dggev", counting)
-        bloch._factored_pencil.cache_clear()
+        bloch._PENCILS.clear()
         bloch.relaxation_log_norm.cache_clear()
         scenario = ex.Scenario(name="t", base=ex.baseline_params(doppler=fast_doppler),
                                kind="pump-sweep", grid=np.linspace(1.0, 150.0, points),

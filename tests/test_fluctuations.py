@@ -272,7 +272,8 @@ class TestAdiabaticElimination:
         # is not; +i w on its partner rho12 keeps B0 Hermiticity-preserving
         omega = 3.0
         b0 = np.diag([-1.0, -1.0, -1j * omega, 1j * omega, -1.0, -1.0, -1.0, -1.0])
-        monkeypatch.setattr(fl, "drift_pencil", lambda params, delta1: (b0, np.ones(8), np.ones(8)))
+        monkeypatch.setattr(fl, "drift_pencil",
+                            lambda params, delta1s: (b0[None], np.ones((1, 8)), np.ones(8)))
         with pytest.raises(ResonanceError, match=f"singular atomic resolvent at omega={omega}"):
             fl.field_system_at(fast_params(), 0.0, omega)
 
@@ -289,7 +290,7 @@ class TestAdiabaticElimination:
             calls.append(args)
             return factor(*args)
 
-        bloch._factored_pencil.cache_clear()
+        bloch._PENCILS.clear()
         monkeypatch.setattr(bloch, "factor_pencil", counting)
         monkeypatch.setattr(numerics, "factor_pencil", counting)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], omega=omega, collect=True)
@@ -423,14 +424,14 @@ class TestPencilPhysicality:
         for delta1 in (params.field.delta1, 35.0, 200.0):
             report = fl.field_system_at(params, delta1, omega, collect=True)[3]
             classes = build_classes(params, delta1, params.field.delta2)
-            b0, h, e = bloch.drift_pencil(params, delta1)
-            pencil = bloch.steady_state_pencil(b0, h, e, classes.shifts)
+            b0, h, e = bloch.drift_pencil(params, [delta1])
+            pencil = bloch.steady_state_pencil(b0, h, e, classes.shifts).take(0)
             states = pencil_class_states(pencil, classes.shifts)
             got = (report.trace_error, report.hermiticity_error, report.population_error)
             assert np.max(np.abs(np.subtract(got, steady_state_errors(states)))) <= 1e-15
             pops = bloch._pencil_check(pencil, classes.shifts)[2]
             assert np.max(np.abs(pops - states[:, list(bloch.POPULATIONS)].real.T)) <= 1e-15
-            assert report.max_drift_eigenvalue == pytest.approx(bloch.metric_log_norm(b0),
+            assert report.max_drift_eigenvalue == pytest.approx(bloch.metric_log_norm(b0[0]),
                                                                 rel=1e-13)
 
 
@@ -584,14 +585,65 @@ class TestFieldCovariance:
         monkeypatch.setattr(fl, "perf_counter", lambda: float(next(ticks)))
         opened = []
 
-        def square(k):
-            opened.append(len(recording_pool))
-            return k * k
+        def squares(chunk):
+            opened.extend([len(recording_pool)] * len(chunk))
+            return [k * k for k in chunk]
 
-        assert fl.sweep_rows(square, [(k,) for k in range(rows)], jobs) == [
-            k * k for k in range(rows)]
+        assert fl.sweep_rows(squares, list(range(rows)), jobs) == [k * k for k in range(rows)]
         assert recording_pool == [(workers, fl._set_blas_threads)]
         assert opened == [0] + [1] * (rows - 1)
+
+    @pytest.mark.parametrize("rows, chunks", [
+        (1, [1]), (3, [1, 2]), (16, [1, 2, 4, 8, 1]), (40, [1, 2, 4, 8, 16, 9])])
+    def test_rows_here_run_in_doubling_chunks(self, recording_pool, core_mask, monkeypatch,
+                                              rows, chunks):
+        # a clock that never advances projects no saving, so no pool opens
+        core_mask(2)
+        monkeypatch.setattr(fl, "perf_counter", lambda: 0.0)
+        seen = []
+
+        def record(chunk):
+            seen.append(chunk)
+            return [-k for k in chunk]
+
+        assert fl.sweep_rows(record, list(range(rows)), jobs=2) == [-k for k in range(rows)]
+        assert [len(chunk) for chunk in seen] == chunks
+        assert sum(seen, []) == list(range(rows))
+        assert recording_pool == []
+
+    def test_pool_takes_the_rows_left_in_contiguous_chunks(self, recording_pool, core_mask,
+                                                           monkeypatch):
+        # after a slow first chunk of one row, two workers take the 39 rows
+        # left in chunks of 39 // (4 * 2) = 4, in order
+        core_mask(2)
+        ticks = iter(range(100))
+        monkeypatch.setattr(fl, "perf_counter", lambda: float(next(ticks)))
+        seen = []
+
+        def record(chunk):
+            seen.append(chunk)
+            return [-k for k in chunk]
+
+        assert fl.sweep_rows(record, list(range(40)), jobs=2) == [-k for k in range(40)]
+        assert recording_pool == [(2, fl._set_blas_threads)]
+        assert seen == [[0]] + [list(range(k, min(k + 4, 40))) for k in range(1, 40, 4)]
+
+    def test_pool_sees_one_blas_thread_in_the_environment(self, recording_pool, core_mask,
+                                                          eager_pool, monkeypatch):
+        # the thread variables read 1 while the pool runs, and the caller's
+        # values, or their absence, come back afterwards
+        core_mask(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+        def environment(chunk):
+            return [tuple(os.environ.get(name) for name in names) for _ in chunk]
+
+        rows = fl.sweep_rows(environment, [0, 1, 2], jobs=2)
+        assert rows == [("3", None, None)] + [("1", "1", "1")] * 2
+        assert environment([0]) == [("3", None, None)]
 
 
 # Reads the thread count of every loaded OpenBLAS, independently of the
@@ -631,8 +683,8 @@ def counting_cdll(path, *args, **kwargs):
 
 before = counts()
 fl.ctypes.CDLL = counting_cdll
-inside = fl.sweep_rows(lambda k: counts(), [(0,), (1,)], jobs=1)
-fl.sweep_rows(lambda k: None, [(0,)], jobs=1)
+inside = fl.sweep_rows(lambda chunk: [counts() for _ in chunk], [0, 1], jobs=1)
+fl.sweep_rows(lambda chunk: chunk, [0], jobs=1)
 fl.ctypes.CDLL = real_cdll
 after = counts()
 fl._set_blas_threads()
@@ -640,23 +692,33 @@ print(json.dumps({"before": before, "inside": inside, "after": after,
                   "initialized": counts(), "loads": len(loads)}))
 """
 
-# The counts before a pooled sweep, in its rows with the OS thread count
-# of the process that ran them, and after it; the pool takes every row
-# after the first.
+# The counts before a pooled sweep at the start method argv[1], in its rows
+# with the OS thread count and OPENBLAS_NUM_THREADS of the process that ran
+# them, and after it; the pool takes every row after the first.  Spawned
+# workers import it, so it runs from a file.
 _POOL_THREADS_SCRIPT = _BLAS_COUNTS + """
-def probe(k):
-    return counts(), len(os.listdir("/proc/self/task"))
+import multiprocessing
+import sys
 
-fl.POOL_START_S = 0.0
-before = counts()
-rows = fl.sweep_rows(probe, [(k,) for k in range(4)], jobs=2)
-print(json.dumps({"before": before, "rows": rows, "after": counts()}))
+def probe(chunk):
+    return [(counts(), len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+            for _ in chunk]
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    fl.POOL_START_S = 0.0
+    before = counts()
+    rows = fl.sweep_rows(probe, list(range(4)), jobs=2)
+    print(json.dumps({"before": before, "rows": rows, "after": counts(),
+                      "env": os.environ["OPENBLAS_NUM_THREADS"]}))
 """
 
 
-def _blas_counts_run(script):
+def _blas_counts_run(script, directory, *args):
     # a fresh process, so this one keeps its BLAS setting
-    out = subprocess.run([sys.executable, "-c", script],
+    path = directory / "blas_counts.py"
+    path.write_text(script, encoding="utf-8")
+    out = subprocess.run([sys.executable, str(path), *args],
                          env=package_env(OPENBLAS_NUM_THREADS="2"),
                          check=True, capture_output=True, text=True).stdout
     counts = json.loads(out)
@@ -665,10 +727,10 @@ def _blas_counts_run(script):
 
 
 @pytest.fixture(scope="module")
-def blas_threads():
+def blas_threads(tmp_path_factory):
     if not Path("/proc/self/maps").exists():
         pytest.skip("needs a process memory map")
-    return _blas_counts_run(_BLAS_THREADS_SCRIPT)
+    return _blas_counts_run(_BLAS_THREADS_SCRIPT, tmp_path_factory.mktemp("blas"))
 
 
 def test_serial_sweep_rows_run_on_one_blas_thread(blas_threads):
@@ -683,19 +745,34 @@ def test_pool_worker_initializer_pins_blas_to_one_thread(blas_threads):
     assert blas_threads["initialized"] == [1] * len(blas_threads["before"])
 
 
-def test_forked_pool_workers_inherit_one_blas_thread():
-    # the parent is pinned before the pool forks, so a worker calls no
-    # setter, which would start OpenBLAS's thread server in it
+def pool_thread_counts(method, directory):
+    """_POOL_THREADS_SCRIPT's counts at the given start method, checked:
+    row 0 runs in the pinned parent, rows 1-3 in workers that run BLAS on
+    one thread, started with OPENBLAS_NUM_THREADS=1, in a process of one OS
+    thread; the parent's counts and environment come back afterwards."""
     if not Path("/proc/self/task").exists():
         pytest.skip("needs a process memory map and task list")
-    if multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2:
-        pytest.skip("needs forked pool workers on at least two cores")
-    counts = _blas_counts_run(_POOL_THREADS_SCRIPT)
+    if method not in multiprocessing.get_all_start_methods() or fl.usable_cores() < 2:
+        pytest.skip(f"needs {method} pool workers on at least two cores")
+    counts = _blas_counts_run(_POOL_THREADS_SCRIPT, directory, method)
     n = len(counts["before"])
-    # row 0 runs in the pinned parent, rows 1-3 in one-thread workers
-    assert counts["rows"][0][0] == [1] * n
-    assert counts["rows"][1:] == [[[1] * n, 1]] * 3
+    assert counts["rows"][0][0] == [1] * n and counts["rows"][0][2] == "2"
+    assert counts["rows"][1:] == [[[1] * n, 1, "1"]] * 3
     assert counts["after"] == counts["before"]
+    assert counts["env"] == "2"
+
+
+def test_forked_pool_workers_inherit_one_blas_thread(tmp_path):
+    # the parent is pinned before the pool forks, so a worker calls no
+    # setter, which would start OpenBLAS's thread server in it
+    pool_thread_counts("fork", tmp_path)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_started_pool_workers_load_one_blas_thread(method, tmp_path):
+    # a worker that loads OpenBLAS afresh reads the thread variables the
+    # pool was started with, so it never starts the thread server either
+    pool_thread_counts(method, tmp_path)
 
 
 class _FakeBlas:

@@ -11,7 +11,8 @@ from laddertangle.experiments import all_scenarios, baseline_params, pump_sweep_
 
 
 def real_pencil(b0, e):
-    """The drift pencil (B0, diag(e)) in the real basis, as bloch factors it."""
+    """The drift pencils (B0, diag(e)) of a stack of rows in the real basis,
+    as bloch factors them."""
     u, uh = REAL_BASIS, REAL_BASIS.conj().T
     return (u @ b0 @ uh).real, ((u * e) @ uh).real
 
@@ -100,7 +101,7 @@ class TestShiftedInverse:
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
         e = np.array([0.0, 0.0, 1.0j, -1.0j, 2.0j, 0.3j])   # zero on two components
         shifts = np.linspace(-50.0, 50.0, 11)
-        v, left, theta, cond = numerics.shifted_inverse(a, np.diag(e), shifts)
+        (v,), (left,), (theta,), (cond,) = numerics.shifted_inverse(a[None], np.diag(e), shifts)
         assert theta.shape == (6,)
         assert cond >= 1.0
         for s in shifts:
@@ -115,8 +116,9 @@ class TestShiftedInverse:
         # 40-digit inverses of B0 - s diag(e).
         params = pump_sweep_transform(baseline_params(p=0.0), 1.0)
         classes = build_classes(params, 200.0, params.field.delta2)
-        b0, _, e = drift_pencil(params, 200.0)
-        v, left, theta, _ = numerics.shifted_inverse(b0, np.diag(e), classes.shifts)
+        b0, _, e = drift_pencil(params, [200.0])
+        (v,), (left,), (theta,), _ = numerics.shifted_inverse(b0, np.diag(e), classes.shifts)
+        b0 = b0[0]
         factors = 1.0 / (1.0 - classes.shifts[:, None] * theta)
         with mpmath.workdps(40):
             a, diag_e = mpmath.matrix(b0.tolist()), mpmath.diag(e.tolist())
@@ -133,16 +135,17 @@ class TestShiftedInverse:
         # complex QZ on the component-basis pencil is within 2.8e-13 (fig3)
         params, delta1 = pencil_rows()[row]
         shifts = build_classes(params, delta1, params.field.delta2).shifts
-        b0, h, e = drift_pencil(params, delta1)
-        v, _, theta, _ = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
+        b0, h, e = drift_pencil(params, [delta1])
+        (v,), _, (theta,), _ = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
         assert np.array_equal(np.sort_complex(theta), np.sort_complex(theta.conj()))
         pair = np.flatnonzero(theta.imag)
         assert len(pair) >= 4
         partner = pair[np.argmax(theta[pair].conj()[:, None] == theta[pair], axis=1)]
         assert np.array_equal(v[:, partner], v[:, pair].conj())
-        points = steady_state_pencil(b0, h, e, shifts).points
+        points = steady_state_pencil(b0, h, e, shifts).points[0]
         assert np.array_equal(np.sort_complex(points), np.sort_complex(points.conj()))
-        zggev = numerics.shifted_inverse(b0, np.diag(e), shifts)[2]
+        zggev = numerics.shifted_inverse(b0, np.diag(e), shifts)[2][0]
+        b0 = b0[0]
         assert np.count_nonzero(zggev == 0.0) == np.count_nonzero(theta == 0.0) == 2
         with mpmath.workdps(40):
             k = mpmath.matrix(b0.tolist()) ** -1 * mpmath.diag(e.tolist())
@@ -158,28 +161,57 @@ class TestShiftedInverse:
         # come back from the two QZ drivers in different bases
         params = all_scenarios()["fig4-a"].base
         shifts = build_classes(params, 586.0, params.field.delta2).shifts
-        b0, _, e = drift_pencil(params, 586.0)
-        *_, cond_real = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
-        *_, cond = numerics.shifted_inverse(b0, np.diag(e), shifts)
+        b0, _, e = drift_pencil(params, [586.0])
+        *_, (cond_real,) = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
+        *_, (cond,) = numerics.shifted_inverse(b0, np.diag(e), shifts)
         assert cond_real == pytest.approx(cond, rel=1e-10)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_stack_factors_each_row_alone(self, real):
+        # the real pencils of fig4-c rows, and their complex component-basis
+        # forms: a stack gives each row the bytes it gets alone
+        params = all_scenarios()["fig4-c"].base
+        b0, _, e = drift_pencil(params, [-800.0, -3.0, 0.0, 198.0, 200.0, 650.0, 800.0])
+        a, b = real_pencil(b0, e) if real else (b0, np.diag(e))
+        stacked = numerics.factor_pencil(a, b)
+        # every row has the two theta = 0 of the populations, and pairs
+        assert np.all(np.count_nonzero(stacked[2] == 0.0, axis=1) == 2)
+        assert np.all(np.count_nonzero(stacked[2].imag > 0.0, axis=1) >= 2)
+        for r in range(len(a)):
+            alone = numerics.factor_pencil(a[r:r + 1], b)
+            for x, y in zip(stacked, alone):
+                assert x[r].tobytes() == y[0].tobytes()
+
+    def test_stack_refuses_any_bad_row(self):
+        rows = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            numerics.factor_pencil(rows, np.eye(2))
+        with pytest.raises(ContractError, match="stack of square matrices"):
+            numerics.factor_pencil(np.eye(2), np.eye(2))
+        # the second row's condition number, 1e9, is refused
+        a = np.array([[[1.0, -1.0], [0.0, 1.0]]] * 2)
+        factors = list(numerics.factor_pencil(a, np.diag([1.0, 1.5])))
+        factors[3] = np.array([2.0, 1e9])
+        with pytest.raises(ResonanceError, match="condition number 1e\\+09"):
+            numerics.check_shifts(factors, [0.0])
 
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            numerics.shifted_inverse(np.zeros((3, 3)), np.eye(3), [0.0])
+            numerics.shifted_inverse(np.zeros((1, 3, 3)), np.eye(3), [0.0])
 
     def test_shift_on_a_pole_raises(self):
         # 1 - s theta = 0 at s = 0.5 for A = 1, e = 2
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
-            numerics.shifted_inverse(np.eye(1), [[2.0]], [0.0, 0.5])
+            numerics.shifted_inverse(np.eye(1)[None], [[2.0]], [0.0, 0.5])
         # next to a zero theta, which is no pole
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
-            numerics.shifted_inverse(np.eye(2), np.diag([0.0, 2.0]), [0.0, 0.5])
+            numerics.shifted_inverse(np.eye(2)[None], np.diag([0.0, 2.0]), [0.0, 0.5])
 
     def test_nearly_defective_pencil_raises(self):
         # K = A^-1 diag(e) = [[1, 1 + d], [0, 1 + d]]: two eigenvectors at
         # an angle of order d, so V has condition number of order 1/d
-        a = np.array([[1.0, -1.0], [0.0, 1.0]])
+        a = np.array([[[1.0, -1.0], [0.0, 1.0]]])
         with pytest.raises(ResonanceError, match="condition number"):
             numerics.shifted_inverse(a, np.diag([1.0, 1.0 + 1e-9]), [0.0])
-        *_, cond = numerics.shifted_inverse(a, np.diag([1.0, 1.5]), [0.0])
+        *_, (cond,) = numerics.shifted_inverse(a, np.diag([1.0, 1.5]), [0.0])
         assert cond < numerics.MAX_EIGENVECTOR_CONDITION

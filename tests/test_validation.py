@@ -35,9 +35,9 @@ def test_physicality_check_certifies_dissipative_drift(monkeypatch):
     # a drift with a growing mode fails the check instead of raising
     real = validation.fluctuations.drift_pencil
 
-    def growing(params, delta1):
-        _, h, e = real(params, delta1)
-        return 0.5 * np.eye(8), h, e
+    def growing(params, delta1s):
+        _, h, e = real(params, delta1s)
+        return np.broadcast_to(0.5 * np.eye(8), (len(h), 8, 8)), h, e
 
     monkeypatch.setattr(validation.fluctuations, "drift_pencil", growing)
     result = validation.check_steady_state_physicality(draws=3)
