@@ -112,8 +112,8 @@ def check_shifts(factors, shifts):
     if not accepted.all():
         raise ResonanceError(f"eigenvector condition number {cond[np.argmin(accepted)]:.3g} of "
                              f"the shifted inverse exceeds {MAX_EIGENVECTOR_CONDITION:.0e}")
-    # 1 - s theta vanishes only for a real, nonzero theta, which the
-    # shipped scenarios' rows do not have
+    # 1 - s theta vanishes only for a real, nonzero theta; only the rows
+    # that have one build a (shifts, poles) product
     poles = (theta.imag == 0.0) & (theta != 0.0)
     for r in np.flatnonzero(poles.any(axis=1)):
         if np.any(np.multiply.outer(shifts, theta[r].real[poles[r]]) == 1.0):
