@@ -10,7 +10,7 @@ it velocity independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -42,6 +42,12 @@ class VelocityClasses:
 
     def __len__(self) -> int:
         return len(self.shifts)
+
+    @cached_property
+    def complex_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shifts and weights as complex arrays, as a product with a
+        complex array casts them: cast once per grid, not per product."""
+        return self.shifts.astype(complex), self.weights.astype(complex)
 
 
 @lru_cache(maxsize=8)
@@ -113,7 +119,7 @@ def pole_distance(classes: VelocityClasses, points) -> np.ndarray:
     s = classes.shifts
     with np.errstate(divide="ignore"):
         k = np.searchsorted(s, 1.0 / t.real)
-        poles = 1.0 / s[np.clip([k - 1, k, 0 * k, 0 * k + len(s) - 1], 0, len(s) - 1)]
+        poles = 1.0 / s.take([k - 1, k, 0 * k, 0 * k + len(s) - 1], mode="clip")
     return np.abs(t - poles).min(axis=0)
 
 
@@ -122,13 +128,14 @@ def resolvent_taylor(classes: VelocityClasses, points, order: int) -> np.ndarray
     resolvent function g(t) = <1 / (1 - s t)> of the class rule at each
     point t, shape (order + 1, len(points)), each one weight-vector product
     over the classes."""
-    term = 1.0 / (1.0 - np.asarray(points, dtype=complex)[:, None] * classes.shifts)
-    coef = [term @ classes.weights]
+    shifts, weights = classes.complex_rule
+    term = 1.0 / (1.0 - np.asarray(points, dtype=complex)[:, None] * shifts)
+    coef = [term @ weights]
     if order:
-        sr = term * classes.shifts
+        sr = term * shifts
         for _ in range(order):
             term = term * sr
-            coef.append(term @ classes.weights)
+            coef.append(term @ weights)
     return np.array(coef)
 
 
@@ -157,8 +164,8 @@ def resolvent_series(classes: VelocityClasses, points, orders) -> np.ndarray:
     g[0, t == 0.0] = 1.0
     for order in set(orders[own].tolist()):
         at = own & (orders == order)
-        for start in range(0, len(t), n):
-            row = slice(start, start + n)
+        for r in np.flatnonzero(at.reshape(-1, n).any(axis=1)).tolist():
+            row = slice(r * n, r * n + n)
             g[:order + 1, row][:, at[row]] = resolvent_taylor(classes, t[row][at[row]], order)
     g[:, mirrored] = g[:, mirror[mirrored]].conj()
     return g.reshape(-1, *shape)
@@ -167,7 +174,8 @@ def resolvent_series(classes: VelocityClasses, points, orders) -> np.ndarray:
 def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
     """Class averages <r(t_1) r(t_2) r(t_3)> of the pencil factors
     r(t) = 1 / (1 - s t), for triples of points given as rows of indices
-    into points (a point 0 is a factor 1).
+    into a row of points (a point 0 is a factor 1), or into each row of a
+    stack of them, shape (*points.shape[:-1], len(ids)).
 
     By partial fractions such an average is the divided difference
     F[t_1, t_2, t_3] of F(t) = t^2 g(t), with g(t) = <1 / (1 - s t)>; where
@@ -182,60 +190,122 @@ def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
     two places only: a close pair's first difference, about its
     lower-index point, and a triple whose outer pair is close (so all its
     points are), about its first point.  Every centre takes the one order
-    that the largest gap over its centre's pole distance demands.
+    that the largest gap over its centre's pole distance demands, in its
+    own row.
+
+    Rows whose points repeat alike (_alike_moments) run as one stack, and
+    every step acts on each row alone, with each row's class sums taken
+    apart (resolvent_series), so a row's averages do not depend on the
+    others.
     """
     points = np.asarray(points, dtype=complex)
-    # the distinct points t, and each point's index among them
-    first_equal = np.argmax(points[:, None] == points, axis=1)
-    distinct = np.flatnonzero(first_equal == np.arange(len(points)))
-    t, n = points[distinct], len(distinct)
-    i, j, k = np.searchsorted(distinct, first_equal)[np.asarray(ids).T]
+    ids = np.asarray(ids)
+    rows = points.reshape(-1, points.shape[-1])
+    # the first index of each point's value within its row
+    first_equal = np.argmax(rows[:, :, None] == rows[:, None, :], axis=2)
+    alike = {}
+    for r, pattern in enumerate(first_equal):
+        alike.setdefault(pattern.tobytes(), []).append(r)
+    if len(alike) == 1:
+        value = _alike_moments(classes, rows, first_equal[0], ids)
+    else:
+        value = np.empty((len(rows), len(ids)), dtype=complex)
+        for members in alike.values():
+            value[members] = _alike_moments(classes, rows[members], first_equal[members[0]], ids)
+    return value.reshape(*points.shape[:-1], len(ids))
+
+
+def _alike_moments(classes: VelocityClasses, points: np.ndarray, first_equal: np.ndarray,
+                   ids: np.ndarray) -> np.ndarray:
+    """factor_moments of a stack of rows of points that share the first
+    index of each point's value, first_equal, and so the distinct points'
+    indices.  Lower-case indices count within a row; upper-case ones are
+    flat, row * n + index, into the (R, n) arrays of the rows' distinct
+    points."""
+    distinct = np.flatnonzero(first_equal == np.arange(len(first_equal)))
+    t, n = points[:, distinct], len(distinct)
+    i, j, k = np.searchsorted(distinct, first_equal)[ids.T]
     # order each triple with its farthest pair outermost, where the Newton
     # form divides by its gap last; repeated points then sit side by side
-    gap = np.abs(t[:, None] - t)
-    d01, d12, d02 = gap[i, j], gap[j, k], gap[i, k]
+    gap = np.abs(t[:, :, None] - t[:, None, :])
+    gaps = gap.reshape(len(t), n * n)
+    d01, d12, d02 = gaps[:, i * n + j], gaps[:, j * n + k], gaps[:, i * n + k]
     outer01 = (d01 > d02) & (d01 >= d12)
     outer12 = ~outer01 & (d12 > d02)
     i, j, k = (np.where(outer12, j, i), np.where(outer01, k, np.where(outer12, i, j)),
                np.where(outer01, j, k))
+    base = n * np.arange(len(t))[:, None]
+    I, J, K = i + base, j + base, k + base
     first, last = i == j, j == k
     nonzero = t != 0.0
 
-    close = gap < CLOSE_POINTS * np.maximum.outer(abs(t), abs(t))
-    np.fill_diagonal(close, False)
-    pole = np.full(n, np.inf)
-    if close.any():
-        pole[nonzero] = pole_distance(classes, t[nonzero])
-        close &= gap < CLOSE_POINTS * np.minimum.outer(pole, pole)
-    a, b = np.nonzero(np.triu(close))       # close pairs, a < b
-    near = close[i, k]                      # triples whose outer pair is close
-    c = i[near]                             # and their expansion centres
+    size = abs(t)
+    close = gap < CLOSE_POINTS * np.maximum(size[:, :, None], size[:, None, :])
+    close.reshape(len(t), n * n)[:, ::n + 1] = False
+    pole = np.full(t.shape, np.inf)
+    some = nonzero & close.reshape(len(t), n * n).any(axis=1)[:, None]
+    if some.any():
+        pole[some] = pole_distance(classes, t[some])
+        close &= gap < CLOSE_POINTS * np.minimum(pole[:, :, None], pole[:, None, :])
+    upper = np.arange(n)[:, None] < np.arange(n)
+    pr, a, b = np.nonzero(close & upper)           # close pairs, a < b, of row pr
+    A, B = a + n * pr, b + n * pr
+    near = np.flatnonzero(close.take(I * n + k))   # triples whose outer pair is close
+    C = I.take(near)                               # and their expansion centres
+    nr = C // n
     # the order the repeated points need; at t = 0 F needs g(0) = 1 alone
-    repeats = int(np.any((first | last) & nonzero[j])) + int(np.any(first & last & nonzero[j]))
-    order, orders = repeats, np.full(n, repeats)
-    if len(a):
-        ratio = max(np.max(gap[a, b] / pole[a]), np.max(gap[c, k[near]] / pole[c], initial=0.0))
-        terms = int(np.ceil(np.log(1e-17) / np.log(ratio))) if ratio > 0.0 else 0
-        order = max(repeats, min(terms, MAX_SERIES_ORDER) + 2)
-        orders[np.concatenate([a, c])] = order     # only the expansion centres need it
-    g = np.zeros((max(order, 2) + 3, n), dtype=complex)     # g[m + 2] = g^(m) / m!
-    g[2:order + 3] = resolvent_series(classes, t, orders)
+    nonzero_j = nonzero.take(J)
+    order = (((first | last) & nonzero_j).any(axis=1).astype(int)
+             + (first & last & nonzero_j).any(axis=1))
+    orders = np.repeat(order[:, None], n, axis=1)
+    if len(pr):
+        # the largest gap over its centre's pole distance, per row
+        ratio = np.zeros(len(t))
+        np.maximum.at(ratio, np.concatenate([pr, nr]),
+                      np.concatenate([gap.take(A * n + b), gap.take(C * n + k.take(near))])
+                      / pole.take(np.concatenate([A, C])))
+        for r in set(pr.tolist()):
+            terms = int(np.ceil(np.log(1e-17) / np.log(ratio[r]))) if ratio[r] > 0.0 else 0
+            order[r] = max(order[r], min(terms, MAX_SERIES_ORDER) + 2)
+        orders.ravel()[np.concatenate([A, C])] = order[np.concatenate([pr, nr])]
+    top = order.max()
+    g = np.zeros((max(top, 2) + 3, *t.shape), dtype=complex)   # g[m + 2] = g^(m) / m!
+    g[2:top + 3] = resolvent_series(classes, t, orders)
     # Taylor coefficients of F = t^2 g, then the first differences
-    f = t * t * g[2:] + 2.0 * t * g[1:-1] + g[:-2]
+    f = (t * t * g[2:] + 2.0 * t * g[1:-1] + g[:-2]).reshape(len(g) - 2, -1)
+    t = t.ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff = (f[0][:, None] - f[0]) / (t[:, None] - t)
-        np.fill_diagonal(diff, f[1])
-        # F[a, b] = sum_m f_m(a) (b - a)^(m-1), by Horner's rule
-        pair, u = 0.0, t[b] - t[a]
-        for m in range(order, 0, -1):
-            pair = f[m, a] + u * pair
-        diff[a, b] = diff[b, a] = pair
-        value = np.where(first & last, f[2, i], (diff[i, j] - diff[j, k]) / (t[i] - t[k]))
+        diff = ((f[0].reshape(-1, n, 1) - f[0].reshape(-1, 1, n))
+                / (t.reshape(-1, n, 1) - t.reshape(-1, 1, n))).reshape(-1, n * n)
+        diff[:, ::n + 1] = f[1].reshape(-1, n)
+        diff = diff.ravel()
+        # F[a, b] = sum_m f_m(a) (b - a)^(m-1), by Horner's rule to the row's order
+        for m_top, (lo, hi, lo_hi, hi_lo) in _by_order(order[pr], A, B, A * n + b, B * n + a):
+            pair, u = 0.0, t[hi] - t[lo]
+            for m in range(m_top, 0, -1):
+                pair = f[m, lo] + u * pair
+            diff[lo_hi] = diff[hi_lo] = pair
+        value = np.where(first & last, f[2].take(I),
+                         (diff.take(I * n + j) - diff.take(J * n + k)) / (t.take(I) - t.take(K)))
     # F[c, c + x, c + y] = sum_m f_m(c) h_(m-2)(x, y), with h the complete
     # homogeneous polynomials: Horner's rule in x over the tails in y
-    x, y, tail, near_value = t[j[near]] - t[c], t[k[near]] - t[c], 0.0, 0.0
-    for m in range(order, 1, -1):
-        tail = f[m, c] + y * tail
-        near_value = tail + x * near_value
-    value[near] = near_value
-    return value
+    value = value.ravel()
+    for m_top, (tri, centre) in _by_order(order[nr], near, C):
+        x, y = t[J.take(tri)] - t[centre], t[K.take(tri)] - t[centre]
+        tail = near_value = 0.0
+        for m in range(m_top, 1, -1):
+            tail = f[m, centre] + y * tail
+            near_value = tail + x * near_value
+        value[tri] = near_value
+    return value.reshape(len(base), -1)
+
+
+def _by_order(order: np.ndarray, *columns):
+    """(order, columns at it) for each distinct value of order."""
+    tops = set(order.tolist())
+    if len(tops) == 1:
+        yield tops.pop(), columns
+        return
+    for top in tops:
+        at = order == top
+        yield top, [column[at] for column in columns]

@@ -21,6 +21,13 @@ rule's resolvent function (see _eliminate); no per-class tensor is built.
 M leaves out the common phase i w / c of free propagation: a multiple of
 the identity, it cancels from every second moment of the output.
 
+Rows are a batch axis.  The rows of a sweep that share one parameter set
+and one omega run as one stack (_field_rows, one row being R = 1): the
+classes, the pencils, the class averages, the contractions, propagation
+and the Duan combination each run once over the stack, and every stacked
+step acts on each row alone, so a row's bytes do not depend on its stack
+mates.
+
 Covariances are stored as Sigma_ij = <dA_i dA_j+> in shot-noise units, so
 vacuum/coherent inputs give Sigma = diag(1, 0, 1, 0) and two uncorrelated
 coherent beams give the Duan combination (du)^2 + (dv)^2 = 4.
@@ -34,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
-from itertools import repeat
+from itertools import groupby, repeat
 from time import perf_counter
 
 import numpy as np
@@ -152,44 +159,49 @@ def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.nd
 
 
 def _eliminate(params: SystemParams, pencil, classes, resolvent):
-    """Class-averaged field generator M and noise density S at frequency w.
+    """Class-averaged field generators M and noise densities S at frequency
+    w of a stack of rows.
 
     Per class, T = kp (-i w - B)^-1 is the source response to the atomic
     fluctuations, M_v = T C and S_v = T <F F+> T+, where <F_mu F_nu+> is
     the correlator with its column index conjugated.  With B = B0 - s diag(e),
-    resolvent, the numerics.shifted_inverse factorization of B0 + i w, gives
-    every class (B + i w)^-1 = V diag(r) L with L = ((B0 + i w) V)^-1 and
-    r = 1 / (1 - s theta), so T = -(kp V) diag(r) L.  The maps C and 2D
-    are linear in the steady state, which is X q with q the factors at the
-    points of pencil (bloch.SteadyPencil), so with A = L C X and
-    D = L 2D L^H X
+    resolvent, the stacked numerics.shifted_inverse factorization of
+    B0 + i w, gives every class (B + i w)^-1 = V diag(r) L with
+    L = ((B0 + i w) V)^-1 and r = 1 / (1 - s theta), so T = -(kp V) diag(r) L.
+    The maps C and 2D are linear in the steady state, which is X q with q
+    the factors at the points of pencil (bloch.SteadyPencil), so with
+    A = L C X and D = L 2D L^H X
 
         M = -(kp V)_ai <r_i q_j> A_jib,
         S = (kp V)_ai <r_i r_k^* q_j> D_jik (kp V)^*_bk,
 
     and every class average is a moment of three pencil factors
-    (doppler.factor_moments).  Returns M and S.
+    (doppler.factor_moments).  Every product is a stack of the one-row
+    products, each row's slice laid out as a row alone would lay it out.
+    Returns the stacks of M and S.
     """
     v, left, theta, _ = resolvent
-    kv = _source_projection(params) @ v                            # (4,8)
-    lc = pencil.states.T @ (left @ _coupling_map(params)).reshape(9, 32)
+    kv = _source_projection(params) @ v                            # (R,4,8)
+    states = pencil.states.transpose(0, 2, 1)
+    lc = states @ (left[:, None] @ _coupling_map(params)).reshape(-1, 9, 32)
     corr = _diffusion_map(params)[:, 1:, 1:][:, :, list(REDUCED_CONJ)]
-    ld = pencil.states.T @ (left @ corr @ left.conj().T).reshape(9, 64)
-    points = np.concatenate([pencil.points, theta, theta.conj()])
-    moments = factor_moments(classes, points, _ELIMINATION_TRIPLES).reshape(8, 9, 9)
-    of_m = moments[:, 0].T                                         # (j, i)
-    of_s = moments[:, 1:].transpose(2, 0, 1)                       # (j, i, k)
+    ld = states @ (left[:, None] @ corr
+                   @ left.conj().transpose(0, 2, 1)[:, None]).reshape(-1, 9, 64)
+    points = np.concatenate([pencil.points, theta, theta.conj()], axis=1)
+    moments = factor_moments(classes, points, _ELIMINATION_TRIPLES).reshape(-1, 8, 9, 9)
+    of_m = moments[:, :, 0].transpose(0, 2, 1)                     # (R, j, i)
+    of_s = moments[:, :, 1:].transpose(0, 3, 1, 2)                 # (R, j, i, k)
     scale = params.geometry.N / C_M_MHZ
-    m = -scale * (kv @ (of_m[:, :, None] * lc.reshape(9, 8, 4)).sum(axis=0))
-    s = scale * (kv @ (of_s * ld.reshape(9, 8, 8)).sum(axis=0) @ kv.conj().T)
+    m = -scale * (kv @ (of_m[..., None] * lc.reshape(-1, 9, 8, 4)).sum(axis=1))
+    s = scale * (kv @ (of_s * ld.reshape(-1, 9, 8, 8)).sum(axis=1) @ kv.conj().transpose(0, 2, 1))
     return m, s
 
 
 def propagate(m: np.ndarray, s: np.ndarray, length: float, sigma_in: np.ndarray) -> np.ndarray:
     """Traverse the medium: Sigma_out = T Sigma_in T+ + accumulated noise,
-    with T = exp(M L)."""
+    with T = exp(M L), for one pair M, S or for each of a stack of them."""
     t, noise = propagation_integral(m, s, length)
-    out = t @ sigma_in @ t.conj().T + noise
+    out = t @ sigma_in @ np.swapaxes(t.conj(), -1, -2) + noise
     if not np.all(np.isfinite(out.view(float))) or np.max(np.abs(out)) > 1e12:
         raise DivergenceError("field covariance diverged during propagation")
     return out
@@ -205,8 +217,9 @@ class DuanResult:
 
 
 def full_second_moments(sigma: np.ndarray) -> np.ndarray:
-    """Matrix of plain products <dA_i dA_j> from the covariance layout."""
-    return sigma[:, list(FIELD_CONJ)]
+    """Matrix of plain products <dA_i dA_j> from the covariance layout, of
+    one covariance or of each of a stack of them."""
+    return sigma[..., list(FIELD_CONJ)]
 
 
 def duan_v12(sigma: np.ndarray) -> DuanResult:
@@ -214,15 +227,22 @@ def duan_v12(sigma: np.ndarray) -> DuanResult:
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != (4, 4):
         raise ContractError(f"expected 4x4 covariance, got {sigma.shape}")
+    return DuanResult(*(float(column[0]) for column in _duan_rows(sigma[None])))
+
+
+def _duan_rows(sigma: np.ndarray):
+    """duan_v12's v12, du2 and dv2 of each of a stack of covariances, as
+    arrays.  Each row is a vector-matrix and a vector-vector product, as
+    one row alone."""
     moments = full_second_moments(sigma)
-    du2 = float(np.real(_CU @ moments @ _CU))
-    dv2 = float(np.real(_CV @ moments @ _CV))
-    return DuanResult(v12=du2 + dv2, du2=du2, dv2=dv2)
+    du2, dv2 = (np.real((c @ moments)[:, None, :] @ c[:, None])[:, 0, 0] for c in (_CU, _CV))
+    return du2 + dv2, du2, dv2
 
 
-def covariance_hermiticity_error(sigma: np.ndarray) -> float:
-    """Deviation from the pairing symmetry (a Gram matrix is Hermitian)."""
-    return float(np.max(np.abs(sigma - sigma.conj().T)))
+def covariance_hermiticity_error(sigma: np.ndarray):
+    """Deviation from the pairing symmetry (a Gram matrix is Hermitian), of
+    one covariance or of each of a stack of them."""
+    return np.max(np.abs(sigma - np.swapaxes(sigma.conj(), -1, -2)), axis=(-2, -1))
 
 
 def quadrature_variances(sigma: np.ndarray) -> list[tuple[float, float]]:
@@ -267,38 +287,41 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
                     collect: bool = False):
     """Maxwellian-averaged field generator M(w), without the free-propagation
     phase i w / c (it cancels from every second moment), and noise density
-    S(w) at one probe detuning, plus exact absorption and diagnostics."""
-    classes = build_classes(params, delta1, params.field.delta2)
-    b0, h, e = drift_pencil(params, [delta1])
-    pencils = steady_state_pencil(b0, h, e, classes.shifts)
-    absorption = float(averaged_absorption(params, pencils, classes)[0])
-    pencil = pencils.take(0)
+    S(w) at one probe detuning, plus exact absorption and diagnostics: the
+    one-row stack of _field_rows."""
+    m, s, absorption, reports = _field_rows(params, [delta1], omega, collect)
+    return m[0], s[0], float(absorption[0]), reports[0] if collect else None
+
+
+def _field_rows(params: SystemParams, delta1s, omega: float, collect: bool):
+    """field_system_at of each probe detuning of delta1s at one parameter
+    set and one omega, as one stack of rows: the stacks of M and S, the
+    absorptions, and a PhysicalityReport per row (None unless collected).
+
+    The class averages need the class rule alone, which the rows share, so
+    the classes are built once, at delta1 = 0 (bloch.absorption_rows).  The
+    pencil layer, the shifted resolvent at w != 0, the elimination and its
+    class averages each run once over the stack, and each acts on every
+    row alone."""
+    classes = build_classes(params, 0.0, params.field.delta2)
+    b0, h, e = drift_pencil(params, delta1s)
+    pencil = steady_state_pencil(b0, h, e, classes.shifts)
+    absorption = averaged_absorption(params, pencil, classes)
     resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
     if omega != 0.0:
         try:
-            v, left, theta, cond = shifted_inverse(b0 + (1j * omega) * np.eye(8), np.diag(e),
-                                                   classes.shifts)
+            resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), np.diag(e), classes.shifts)
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
-        resolvent = (v[0], left[0], theta[0], cond[0])
     m, s = _eliminate(params, pencil, classes, resolvent)
-    report = None
+    reports = None
     if collect:
-        report = PhysicalityReport(
-            *pencil_errors(pencil, classes.shifts),
-            max_drift_eigenvalue=drift_bound(params, b0[0], e, classes.shifts),
-            eigenvector_condition=float(max(pencil.resolvent[3], resolvent[3])))
-    return m, s, absorption, report
-
-
-def _spectrum_point(params: SystemParams, delta1: float, omega: float, collect: bool):
-    """One V12 sweep row: (v12, du2, dv2, absorption, report)."""
-    m, s, absorption, report = field_system_at(params, delta1, omega, collect)
-    sigma = propagate(m, s, params.geometry.L, vacuum_covariance())
-    duan = duan_v12(sigma)
-    if report is not None:
-        report = replace(report, covariance_error=covariance_hermiticity_error(sigma))
-    return duan.v12, duan.du2, duan.dv2, absorption, report
+        reports = [PhysicalityReport(
+            *pencil_errors(pencil.take(r), classes.shifts),
+            max_drift_eigenvalue=drift_bound(params, b0[r], e, classes.shifts),
+            eigenvector_condition=float(max(pencil.resolvent[3][r], resolvent[3][r])))
+            for r in range(len(b0))]
+    return m, s, absorption, reports
 
 
 @cache
@@ -413,14 +436,31 @@ def sweep_rows(batch, rows, jobs: int = 1):
 
 
 def _spectrum_rows(rows):
-    """_spectrum_point of each (params, delta1, omega, collect) of rows."""
-    return [_spectrum_point(*row) for row in rows]
+    """(v12, du2, dv2, absorption, report) of each (params, delta1, omega,
+    collect) of rows.  Each run of contiguous rows with equal (params,
+    omega, collect) goes through _field_rows, propagation and the Duan
+    combination as one stack; each stacked step acts on every row alone,
+    so a row's values do not depend on the rest of its chunk.  A
+    spectrum's chunk is one run; the pump sweep's rows each have their own
+    parameter set, so each runs as a one-row stack."""
+    out = []
+    for (params, omega, collect), run in groupby(rows, key=lambda row: (row[0], row[2], row[3])):
+        m, s, absorption, reports = _field_rows(params, [row[1] for row in run], omega, collect)
+        sigma = propagate(m, s, params.geometry.L, vacuum_covariance())
+        if collect:
+            reports = [replace(report, covariance_error=error) for report, error
+                       in zip(reports, covariance_hermiticity_error(sigma).tolist())]
+        out.extend(zip(*(column.tolist() for column in (*_duan_rows(sigma), absorption)),
+                       reports or repeat(None)))
+    return out
 
 
 def spectrum_columns(rows, jobs: int, collect: bool):
     """V12 rows at the (params, delta1, omega, scale) of rows, run by
-    sweep_rows: their v12, du2, dv2 and absorption columns in row order,
-    and their merged PhysicalityReport, which is None unless collected.
+    sweep_rows in chunks of _spectrum_rows, which stacks the contiguous
+    rows of one parameter set and omega: their v12, du2, dv2 and
+    absorption columns in row order, and their merged PhysicalityReport,
+    which is None unless collected.
 
     A row stands for the row with every rate, Rabi frequency, detuning,
     omega and the Doppler width times its scale, and the density too.
@@ -442,9 +482,10 @@ def v12_spectrum(params: SystemParams, delta1_grid, omega: float = 0.0,
                  jobs: int = 1, collect: bool = False):
     """Sweep the probe detuning: correlation V12 and exact absorption.
 
-    Rows are computed independently per detuning (each internally batched
-    over velocity classes) and assembled in grid order, so results are
-    identical at any parallelism degree.
+    Contiguous chunks of detunings run as stacks of rows, each row's
+    values independent of its stack mates (spectrum_columns), and are
+    assembled in grid order, so results are identical at any parallelism
+    degree and chunking.
 
     Returns (SpectrumTable, PhysicalityReport | None).
     """

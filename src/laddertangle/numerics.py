@@ -26,10 +26,13 @@ def _as_square(a, dtype=complex) -> np.ndarray:
 
 
 def matrix_exponential(a) -> np.ndarray:
-    """exp(A) for a small dense complex matrix."""
-    a = _as_square(a)
-    if a.shape[0] > MAX_DIM:
-        raise ContractError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
+    """exp(A) for a small dense complex matrix, or for each of a stack of
+    them (one scipy.linalg.expm call, which takes each matrix alone)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ContractError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.shape[-1] > MAX_DIM:
+        raise ContractError(f"dimension {a.shape[-1]} exceeds supported maximum {MAX_DIM}")
     if not np.all(np.isfinite(a.view(float))):
         raise ContractError("non-finite entries in matrix exponential input")
     return sla.expm(a)
@@ -129,7 +132,8 @@ def shifted_inverse(a, b, shifts):
 
 def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrix T = exp(M L) and accumulated noise
-    I = int_0^L exp(M u) S exp(M^H u) du.
+    I = int_0^L exp(M u) S exp(M^H u) du, for one pair of matrices M, S or
+    for each pair of two stacks of them.
 
     One Van Loan block exponential (Van Loan, IEEE TAC 23(3), 1978)
     over a step h = L / 2^k gives both on [0, h]:
@@ -140,26 +144,55 @@ def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:
     then reach L.  k is the smallest integer with ||M||_1 h <= 1/2.  A
     single block exponential over the whole cell would carry
     exp(-M^H L), which grows as fast as an optically thick cell
-    attenuates, and would lose I to rounding at that scale.
+    attenuates, and would lose I to rounding at that scale.  The pairs of
+    a stack run together in groups of equal k, so each pair takes the
+    steps it takes alone.
     """
-    m = _as_square(m)
-    n = m.shape[0]
-    norm = float(np.linalg.norm(m, 1))
-    steps, h = 0, float(length)
-    while norm * abs(h) > 0.5:
-        steps += 1
-        h *= 0.5
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = m
-    block[:n, n:] = s
-    block[n:, n:] = -m.conj().T
+    m, s = np.asarray(m, dtype=complex), np.asarray(s, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or s.shape != m.shape:
+        raise ContractError(f"expected square M and S of one shape, got {m.shape} and {s.shape}")
+    n = m.shape[-1]
+    ms, ss = m.reshape(-1, n, n), s.reshape(-1, n, n)
+    steps = []
+    for norm in np.abs(ms).sum(axis=1).max(axis=1).tolist():     # ||M||_1
+        k, h = 0, float(length)
+        while norm * abs(h) > 0.5:
+            k += 1
+            h *= 0.5
+        steps.append((k, h))
+    groups = _groups(steps)
+    if len(groups) == 1:
+        t, integral = _doubled(ms, ss, *steps[0])
+    else:
+        t, integral = np.empty_like(ms), np.empty_like(ms)
+        for (k, h), rows in groups.items():
+            t[rows], integral[rows] = _doubled(ms[rows], ss[rows], k, h)
+    return t.reshape(m.shape), integral.reshape(m.shape)
+
+
+def _doubled(m: np.ndarray, s: np.ndarray, steps: int, h: float):
+    """propagation_integral of a stack of pairs M, S that take the same
+    number of doubling steps from the same step h."""
+    n = m.shape[-1]
+    block = np.zeros((len(m), 2 * n, 2 * n), dtype=complex)
+    block[:, :n, :n] = m
+    block[:, :n, n:] = s
+    block[:, n:, n:] = -m.conj().transpose(0, 2, 1)
     f = matrix_exponential(block * h)
-    t = f[:n, :n]
-    integral = f[:n, n:] @ t.conj().T
+    t = f[:, :n, :n]
+    integral = f[:, :n, n:] @ t.conj().transpose(0, 2, 1)
     for _ in range(steps):
-        integral = integral + t @ integral @ t.conj().T
+        integral = integral + t @ integral @ t.conj().transpose(0, 2, 1)
         t = t @ t
     return t, integral
+
+
+def _groups(keys) -> dict:
+    """The indices of each distinct key of a sequence, in first-seen order."""
+    out = {}
+    for index, key in enumerate(keys):
+        out.setdefault(key, []).append(index)
+    return out
 
 
 def _quadrature_propagation_integral(m, s, length: float, panels: int = 8, order: int = 16) -> np.ndarray:

@@ -473,7 +473,10 @@ _DETERMINISM_RUNS = [
                 "--delta1-points", "9"]),
     # absorption only: stacked chunks of 1, 2, 4, ... rows, and at --jobs 2
     # a pool once the rows left are worth one
-    ("fig2-g", ["--delta1-min", "-400", "--delta1-max", "400", "--delta1-points", "801"])]
+    ("fig2-g", ["--delta1-min", "-400", "--delta1-max", "400", "--delta1-points", "801"]),
+    # V12 rows in stacked chunks, and at --jobs 2 pooled stacked chunks
+    # (TestDeterminism.test_long_v12_window_opens_the_pool)
+    ("fig2-b", ["--delta1-min", "-400", "--delta1-max", "400", "--delta1-points", "401"])]
 
 # runs the cli.main argument lists of argv[1] (JSON) in order, and stops at
 # the first nonzero exit
@@ -515,6 +518,13 @@ class TestDeterminism:
         payloads = {determinism_csvs[scenario, threads, jobs]
                     for threads in ("1", "2") for jobs in ("1", "2")}
         assert len(payloads) == 1
+
+
+    def test_long_v12_window_opens_the_pool(self, tmp_path, recording_pool, core_mask):
+        core_mask(2)
+        scenario, grid = _DETERMINISM_RUNS[-1]
+        assert _run(["run", "--scenario", scenario, "--out", tmp_path, "--jobs", 2, *grid]) == 0
+        assert [workers for workers, _ in recording_pool] == [2]
 
 
 class TestValidate:

@@ -241,6 +241,18 @@ class TestFactorMoments:
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
         assert got[3] == 1.0
 
+    def test_stack_gives_the_bytes_of_its_rows_alone(self, rng):
+        # rows whose points repeat alike run as one stack, the others apart;
+        # one row has an extra exact repeat, and every row has close points
+        classes = doppler.build_classes(make_params(nodes=401), 0.0, 0.0)
+        stack = np.array([random_points(rng) for _ in range(5)])
+        stack[3, 5] = stack[3, 0]
+        ids = rng.integers(0, stack.shape[1], (400, 3))
+        got = doppler.factor_moments(classes, stack, ids)
+        assert got.shape == (5, 400)
+        for row, points in zip(got, stack):
+            assert np.array_equal(row, doppler.factor_moments(classes, points, ids))
+
     def test_pole_distance_is_the_nearest_node_pole(self, rng):
         classes = doppler.build_classes(make_params(nodes=401), 0.0, 0.0)
         points = np.concatenate([random_points(rng), [0.0, 1e-3j, -2e-2 + 1e-9j]])

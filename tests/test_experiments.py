@@ -1,5 +1,6 @@
 """Scenario catalog, pump-sweep transform and feature extraction tests."""
 
+import json
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import pin_scenarios
 from conftest import symmetrized_diffusion_min_eig
 from laddertangle import bloch
 from laddertangle import experiments as ex
@@ -157,9 +159,8 @@ class TestPumpSweepTransform:
         base = ex.baseline_params(p=p, doppler=fast_doppler)
         wide = replace(base, doppler=replace(fast_doppler,
                                              width=fast_doppler.width * 50.0 / alpha2))
-        v12, _, _, absorption, _ = fl._spectrum_point(ex.pump_sweep_transform(base, alpha2),
-                                                      0.0, 0.0, False)
-        v12_wide, _, _, absorption_wide, _ = fl._spectrum_point(wide, 0.0, 0.0, False)
+        (v12, _, _, absorption, _), (v12_wide, _, _, absorption_wide, _) = fl._spectrum_rows(
+            [(ex.pump_sweep_transform(base, alpha2), 0.0, 0.0, False), (wide, 0.0, 0.0, False)])
         assert v12 == pytest.approx(v12_wide, rel=1e-12)
         assert absorption == pytest.approx(absorption_wide, rel=1e-12)
 
@@ -220,7 +221,7 @@ class TestRunScenario:
             for alpha2 in grid:
                 params = ex.pump_sweep_transform(replace(base, decay=replace(base.decay, p=p)),
                                                  alpha2)
-                row = fl._spectrum_point(params, params.field.delta1, omega, True)
+                row, = fl._spectrum_rows([(params, params.field.delta1, omega, True)])
                 v12.append(row[0])
                 absorption.append(row[3])
                 expected = expected.merged(row[4])
@@ -356,3 +357,22 @@ class TestExtractFeature:
         hw = ex.default_feature_half_width(params)
         assert hw > 0.0
         assert hw >= 5.0 * params.rates.gamma12
+
+
+PINNED = json.loads(pin_scenarios.PINNED.read_text(encoding="utf-8"))
+
+
+class TestPinnedRows:
+    # a few rows of every shipped scenario against the values that
+    # tests/pin_scenarios.py recorded; a change that moves them regenerates
+    # the file and states the move
+    def test_every_scenario_pinned(self):
+        assert sorted(PINNED["scenarios"]) == sorted(ex.all_scenarios())
+
+    @pytest.mark.parametrize("name", sorted(PINNED["scenarios"]))
+    def test_rows_match_the_pinned_values(self, name):
+        fresh, pinned = pin_scenarios.scenario_rows(name), PINNED["scenarios"][name]
+        assert sorted(fresh) == sorted(pinned)
+        for column, values in pinned.items():
+            np.testing.assert_allclose(np.array(fresh[column], dtype=float),
+                                       np.array(values, dtype=float), rtol=1e-12, atol=0.0)

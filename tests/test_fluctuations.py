@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (package_env, pencil_class_states, per_class_field_system,
                       steady_state_errors, symmetrized_diffusion_min_eig)
-from laddertangle import bloch, cli, fluctuations as fl, numerics
+from laddertangle import bloch, cli, doppler, fluctuations as fl, numerics
 from laddertangle.bloch import PROD
 from laddertangle.doppler import build_classes
 from laddertangle.errors import NoSteadyStateError, ResonanceError
@@ -282,6 +282,7 @@ class TestAdiabaticElimination:
                                                               fast_params, monkeypatch):
         # at w = 0 the resolvent is the steady-state pencil itself, so a
         # row factors it once; any other w factors B0 + i w once more.  The
+        # sweep runs chunks of 1 and 2 rows, each factored as one stack.  The
         # memo is cleared so that pencils factored by earlier tests count
         calls = []
         factor = numerics.factor_pencil
@@ -294,7 +295,8 @@ class TestAdiabaticElimination:
         monkeypatch.setattr(bloch, "factor_pencil", counting)
         monkeypatch.setattr(numerics, "factor_pencil", counting)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], omega=omega, collect=True)
-        assert len(calls) == 3 * per_row
+        assert len(calls) == 2 * per_row
+        assert sum(len(a) for a, _ in calls) == 3 * per_row
 
     def test_field_generator_matches_finite_difference(self):
         # M at omega=0 is the Jacobian of the polarization source with
@@ -435,6 +437,128 @@ class TestPencilPhysicality:
                                                                 rel=1e-13)
 
 
+def stacked_chunks():
+    """Chunks of V12 rows (params, delta1, omega, collect) that the sweep
+    runs as stacks: fig2-a over +-800 MHz (line centre takes one more
+    doubling step than its neighbours, and takes no Taylor series where
+    they do), fig4-a, fig4-c around its relocated feature at 200 MHz, a
+    sideband at omega = 50, and fig3 rows of both p, each with its own
+    parameter set."""
+    scenarios = all_scenarios()
+
+    def rows(name, delta1s, omega=0.0):
+        return [(scenarios[name].base, float(d), omega, True) for d in delta1s]
+
+    base = scenarios["fig3"].base
+    return {"fig2-a": rows("fig2-a", np.linspace(-800.0, 800.0, 17)),
+            "fig4-a": rows("fig4-a", np.linspace(-800.0, 800.0, 9)),
+            "fig4-c": rows("fig4-c", [150.0, 190.0, 199.5, 200.0, 200.5, 210.0, 260.0]),
+            "omega-50": rows("fig2-a", [-4.0, -0.5, 0.0, 0.25, 4.0, 200.0], omega=50.0),
+            "fig3": [(pump_sweep_transform(replace(base, decay=replace(base.decay, p=p)), alpha2),
+                      0.0, 0.0, True) for alpha2 in (1.0, 6.0, 50.0, 150.0) for p in (0.0, 20.0)]}
+
+
+STACKED_CHUNKS = stacked_chunks()
+
+
+def stack_of_one_pole(monkeypatch, bad_delta1, bad_b0):
+    """Replace the drift pencil of every row by -4 I, and that of the row
+    at bad_delta1 by bad_b0, with h = 1 and diag(e) = I."""
+    def pencil(params, delta1s):
+        b0 = np.array([bad_b0 if d == bad_delta1 else -4.0 * np.eye(8) for d in delta1s],
+                      dtype=complex)
+        return b0, np.ones((len(delta1s), 8), dtype=complex), np.ones(8, dtype=complex)
+
+    monkeypatch.setattr(fl, "drift_pencil", pencil)
+
+
+# five classes at shifts -2, -1, 0, 1, 2: B0 = -I, diag(e) = I has its pole at s = -1
+POLE_DOPPLER = DopplerConfig(width=2.0, nodes=5, rule="trapezoid", span=1.0)
+
+
+class TestStackedRows:
+    @pytest.mark.parametrize("chunk", sorted(STACKED_CHUNKS))
+    def test_chunk_gives_the_bytes_of_its_rows_alone(self, chunk):
+        rows = STACKED_CHUNKS[chunk]
+        stacked = fl._spectrum_rows(rows)
+        alone = [fl._spectrum_rows([row])[0] for row in rows]
+        for column in range(4):     # v12, du2, dv2, absorption
+            assert np.array_equal([r[column] for r in stacked], [r[column] for r in alone])
+        for got, want in zip(stacked, alone):
+            assert got[4] == want[4]    # every report field
+
+    @pytest.mark.parametrize("chunk", ["fig2-a", "fig4-a", "fig4-c", "omega-50"])
+    def test_stacked_field_system_is_the_one_row_field_system(self, chunk):
+        (params, _, omega, _), *_ = rows = STACKED_CHUNKS[chunk]
+        m, s, absorption, reports = fl._field_rows(params, [row[1] for row in rows], omega, True)
+        for r, (_, delta1, _, _) in enumerate(rows):
+            m_r, s_r, absorption_r, report_r = fl.field_system_at(params, delta1, omega, True)
+            assert np.array_equal(m[r], m_r) and np.array_equal(s[r], s_r)
+            assert absorption[r] == absorption_r and reports[r] == report_r
+
+    def test_fig2a_chunk_mixes_doubling_counts_and_taylor_branches(self, monkeypatch):
+        # the chunk above covers both kinds of row: propagation groups its
+        # rows by doubling count, and factor_moments expands some rows'
+        # close points in a Taylor series (a resolvent order above 2)
+        doubled, taylor, steps, orders = numerics._doubled, doppler.resolvent_taylor, [], []
+        monkeypatch.setattr(numerics, "_doubled",
+                            lambda m, s, k, h: steps.append((len(m), k)) or doubled(m, s, k, h))
+        monkeypatch.setattr(doppler, "resolvent_taylor",
+                            lambda c, t, order: orders.append(order) or taylor(c, t, order))
+        rows = STACKED_CHUNKS["fig2-a"]
+        fl._spectrum_rows(rows)
+        assert len(steps) == 2 and sum(n for n, _ in steps) == len(rows)
+        assert max(orders) > 2 and len(orders) < 3 * len(rows)
+
+    def test_class_sums_taken_per_row(self, monkeypatch):
+        # no (rows x points, classes) temporary: every resolvent_taylor call
+        # gets points of one row of the stack the series was asked for
+        series, taylor, stacks, calls = doppler.resolvent_series, doppler.resolvent_taylor, [], []
+
+        def recording_series(classes, points, orders):
+            stacks.append(np.atleast_2d(points))
+            return series(classes, points, orders)
+
+        monkeypatch.setattr(doppler, "resolvent_series", recording_series)
+        monkeypatch.setattr(bloch, "resolvent_series", recording_series)
+        monkeypatch.setattr(doppler, "resolvent_taylor",
+                            lambda c, t, order: calls.append(np.array(t)) or taylor(c, t, order))
+        for chunk in ("fig2-a", "omega-50"):
+            fl._spectrum_rows(STACKED_CHUNKS[chunk])
+        assert max(len(stack) for stack in stacks) > 1
+        rows = [row for stack in stacks for row in stack]
+        for points in calls:
+            assert len(points) and any(np.isin(points, row).all() for row in rows)
+
+    @pytest.mark.parametrize("omega, bad_b0, doppler_cfg, error, match", [
+        (0.0, -np.eye(8), POLE_DOPPLER, NoSteadyStateError, "pole"),
+        # shifts -2, -2/3, 2/3, 2 keep off the pole at -1
+        (3.0, np.diag([-1.0, -1.0, -3j, 3j, -1.0, -1.0, -1.0, -1.0]),
+         replace(POLE_DOPPLER, nodes=4), ResonanceError, "singular atomic resolvent at omega=3.0")])
+    def test_bad_row_fails_in_a_chunk_as_alone(self, monkeypatch, omega, bad_b0, doppler_cfg,
+                                               error, match):
+        # a shift on a pole of the steady-state pencil, and B0 + i w singular
+        stack_of_one_pole(monkeypatch, 0.0, bad_b0)
+        params = baseline_params(doppler=doppler_cfg)
+        failures = []
+        for rows in ([0.0], [-1.0, 0.0, 1.0], [0.0, 2.0]):
+            with pytest.raises(error, match=match) as caught:
+                fl._spectrum_rows([(params, d, omega, True) for d in rows])
+            failures.append((type(caught.value), str(caught.value)))
+        assert len(set(failures)) == 1
+        fl._spectrum_rows([(params, 1.0, omega, True)])     # the good rows alone pass
+
+    def test_run_with_a_bad_row_exits_3(self, monkeypatch, tmp_path, capsys):
+        stack_of_one_pole(monkeypatch, 0.0, -np.eye(8))
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps(params_to_config(baseline_params(doppler=POLE_DOPPLER))),
+                          encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                         "--jobs", "1", "--delta1-min", "-2", "--delta1-max", "2",
+                         "--delta1-points", "5"]) == 3
+        assert "pole" in capsys.readouterr().err
+
+
 def scaled(params: SystemParams, c: float) -> SystemParams:
     """params with every rate, Rabi frequency (through the amplitudes),
     detuning, the Doppler width and the density times c."""
@@ -469,9 +593,8 @@ class TestScalingSymmetry:
             delta1, omega = rng.uniform(-60.0, 60.0), rng.uniform(0.5, 20.0)
             c = rng.uniform(0.2, 5.0)
             for w in (0.0, omega):
-                v12, _, _, absorption, _ = fl._spectrum_point(params, delta1, w, False)
-                v12_c, _, _, absorption_c, _ = fl._spectrum_point(scaled(params, c), c * delta1,
-                                                                  c * w, False)
+                (v12, _, _, absorption, _), (v12_c, _, _, absorption_c, _) = fl._spectrum_rows(
+                    [(params, delta1, w, False), (scaled(params, c), c * delta1, c * w, False)])
                 assert v12_c == pytest.approx(v12, rel=1e-12)
                 assert absorption_c == pytest.approx(absorption, rel=1e-12)
 
