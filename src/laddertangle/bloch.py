@@ -13,7 +13,6 @@ and O2 = g2*alpha2 (undepleted pump and probe).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -23,7 +22,7 @@ import scipy.linalg as sla
 from .doppler import average, build_classes, pump_shift_ratio, resolvent_series
 from .errors import ContractError, NoSteadyStateError, ParameterError
 from .model import CoherenceRates, DecayConfig, SystemParams
-from .numerics import check_shifts, factor_pencil
+from .numerics import check_shifts, divide_rows, factor_pencil
 
 LABELS = ((1, 1), (2, 2), (3, 3), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
 IDX = {lab: k for k, lab in enumerate(LABELS)}
@@ -159,9 +158,11 @@ class SteadyPencil(NamedTuple):
     y = (B0 V)^-1 (-h) (see drift_pencil and numerics.factor_pencil), and
     rho11 = 1 - rho22 - rho33.  So with a row's points (0, theta) and the
     factors r(s) = 1 / (1 - s points), its full state is states @ r(s).
-    The theta come in exact conjugate pairs (steady_state_pencil).
-    resolvent is the stacked factorization (V, (B0 V)^-1, theta, cond(V)),
-    which the atomic elimination at w = 0 reuses.
+    The theta come in exact conjugate pairs (_factor_rows).  resolvent is
+    the stacked factorization (V, (B0 V)^-1, theta, cond(V)), which the
+    atomic elimination at w = 0 reuses.  A row of scale c holds the
+    classes at the shifts s / c as the factors at s of its points and
+    theta divided by c (scaled).
     """
 
     points: np.ndarray       # (R, 9)
@@ -174,50 +175,26 @@ class SteadyPencil(NamedTuple):
         return SteadyPencil(self.points[index], self.states[index],
                             tuple(a[index] for a in self.resolvent))
 
+    def scaled(self, scales) -> "SteadyPencil":
+        """Each row's pencil for the classes at its shifts divided by its
+        scale: 1 / (1 - (s / c) t) = 1 / (1 - s (t / c)), so its points and
+        theta are divided by c (numerics.divide_rows), and its states and V
+        are unchanged."""
+        v, left, theta, cond = self.resolvent
+        return SteadyPencil(divide_rows(self.points, scales), self.states,
+                            (v, left, divide_rows(theta, scales), cond))
 
-# Row pencils that steady_state_pencil keeps, most recent last, each as the
-# stack it was factored in and its row there: each p of the pump sweep runs
-# every row from one pencil (experiments.run_pump_sweep_scenario), and a
-# spectrum sweep, with a new pencil on every row, only cycles through.
-PENCIL_MEMO_SIZE = 8
-_PENCILS = OrderedDict()
 
-
-def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) -> SteadyPencil:
-    """Factor the drift pencils of a stack of rows (drift_pencil) for the
-    classes with the given probe shifts.
-
-    A row's factorization depends on its pencil alone, so the last
-    PENCIL_MEMO_SIZE row pencils are kept, read-only, keyed on the exact
-    bytes, dtype and shape of (b0[r], h[r], e): a hit gives the bytes a
-    miss computed from the same bytes, and the rows missed are factored
-    together (_factor_rows).  The checks that depend on the shifts and on
-    numerics.MAX_EIGENVECTOR_CONDITION (numerics.check_shifts) run on every
-    call, for every row."""
-    b0, h, e = np.asarray(b0), np.asarray(h), np.asarray(e)
-    shared = (b0.dtype.str, b0.shape[1:], h.dtype.str, h.shape[1:], e.dtype.str, e.shape,
-              e.tobytes())
-    keys = [(shared, b0_r.tobytes(), h_r.tobytes()) for b0_r, h_r in zip(b0, h)]
-    kept = [_PENCILS.get(key) for key in keys]
-    for key, row in zip(keys, kept):
-        if row is not None:
-            _PENCILS.move_to_end(key)
-    new = [r for r, row in enumerate(kept) if row is None]
-    if len(new) == len(keys):
-        pencil = factored = _factor_rows(b0, h, e)      # every row new: the stack as factored
-    else:
-        if new:
-            factored = _factor_rows(b0[new], h[new], e)
-            for k, r in enumerate(new):
-                kept[r] = factored, k
-        rows = [stack.take(slice(k, k + 1)) for stack, k in kept]
-        pencil = SteadyPencil(np.concatenate([p.points for p in rows]),
-                              np.concatenate([p.states for p in rows]),
-                              tuple(map(np.concatenate, zip(*(p.resolvent for p in rows)))))
-    for k, r in list(enumerate(new))[-PENCIL_MEMO_SIZE:]:
-        _PENCILS[keys[r]] = factored, k
-    while len(_PENCILS) > PENCIL_MEMO_SIZE:
-        _PENCILS.popitem(last=False)
+def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts,
+                        rows=slice(None), scales=1.0) -> SteadyPencil:
+    """Factor the drift pencils of a stack of rows (drift_pencil) once, and
+    return the pencils of the rows at index rows of the stack, each for the
+    classes at the given probe shifts divided by its scale (a scalar, or
+    one per returned row; SteadyPencil.scaled).  So a row repeated in rows
+    is factored once, with the bytes it has alone.  The checks that depend
+    on the shifts and on numerics.MAX_EIGENVECTOR_CONDITION
+    (numerics.check_shifts) run on every returned row, after the division."""
+    pencil = _factor_rows(b0, h, e).take(rows).scaled(scales)
     try:
         check_shifts(pencil.resolvent, shifts)
     except np.linalg.LinAlgError as exc:
@@ -226,8 +203,7 @@ def steady_state_pencil(b0: np.ndarray, h: np.ndarray, e: np.ndarray, shifts) ->
 
 
 def _factor_rows(b0: np.ndarray, h: np.ndarray, e: np.ndarray) -> SteadyPencil:
-    """steady_state_pencil's factorization of a stack of row pencils, its
-    arrays read-only.
+    """steady_state_pencil's factorization of a stack of row pencils.
 
     The drift keeps states Hermitian, so in U = REAL_BASIS the pencil
     (B0, diag(e)) is real up to rounding, which is dropped, and real QZ
@@ -252,8 +228,6 @@ def _factor_rows(b0: np.ndarray, h: np.ndarray, e: np.ndarray) -> SteadyPencil:
     states[:, 0, 0] = 1.0
     states[:, :, 1:] = LIFT @ v * (left @ -h[:, :, None]).transpose(0, 2, 1)
     points = np.concatenate([np.zeros((len(b0), 1)), theta], axis=1)
-    for array in (points, states, v, left, theta, cond):
-        array.flags.writeable = False
     return SteadyPencil(points, states, (v, left, theta, cond))
 
 

@@ -147,10 +147,11 @@ def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.
 
     The row at alpha2 is pump_sweep_transform(base, alpha2), the alpha2 = 50
     row with every rate, Rabi frequency and the density times c = alpha2 / 50.
-    It runs as the alpha2 = 50 row with the Doppler width, the detunings and
-    omega divided by c, which has the same columns
-    (fluctuations.spectrum_columns).  So at line centre every row of one p
-    has the same drift pencil, which bloch.steady_state_pencil factors once.
+    It runs as the alpha2 = 50 row with the detunings and omega divided by
+    c, at scale c, which divides its Doppler width by c too and has the
+    same columns (fluctuations.spectrum_columns).  So at line centre every
+    row of one p has the same parameter set and drift pencil, and the rows
+    of one p in a chunk run as one stack, factored once.
     """
     if scenario.kind != "pump-sweep":
         raise ContractError(f"scenario {scenario.name} is not a pump sweep")
@@ -168,10 +169,9 @@ def run_pump_sweep_scenario(scenario: Scenario, jobs: int = 1, omega: float = 0.
     for p in (0.0, 20.0):
         base = pump_sweep_transform(
             replace(scenario.base, decay=replace(scenario.base.decay, p=p)), 50.0)
-        f, width = base.field, base.doppler.width
+        f = base.field
         for c in scales:
-            params = replace(base, field=replace(f, delta1=f.delta1 / c, delta2=f.delta2 / c),
-                             doppler=replace(base.doppler, width=width / c))
+            params = replace(base, field=replace(f, delta1=f.delta1 / c, delta2=f.delta2 / c))
             rows.append((params, f.delta1 / c, omega / c, c))
     v12, _, _, absorption, report = spectrum_columns(rows, jobs, collect)
     n = len(grid)

@@ -22,11 +22,11 @@ M leaves out the common phase i w / c of free propagation: a multiple of
 the identity, it cancels from every second moment of the output.
 
 Rows are a batch axis.  The rows of a sweep that share one parameter set
-and one omega run as one stack (_field_rows, one row being R = 1): the
-classes, the pencils, the class averages, the contractions, propagation
-and the Duan combination each run once over the stack, and every stacked
-step acts on each row alone, so a row's bytes do not depend on its stack
-mates.
+and one omega run as one stack, whatever their Doppler scales
+(_field_rows, one row being R = 1): the classes, the pencils, the class
+averages, the contractions, propagation and the Duan combination each
+run once over the stack, and every stacked step acts on each row alone,
+so a row's bytes do not depend on its stack mates.
 
 Covariances are stored as Sigma_ij = <dA_i dA_j+> in shot-noise units, so
 vacuum/coherent inputs give Sigma = diag(1, 0, 1, 0) and two uncorrelated
@@ -55,7 +55,7 @@ from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,  # noqa: F401
 from .doppler import build_classes, factor_moments
 from .errors import ContractError, DivergenceError, ResonanceError
 from .model import C_M_MHZ, SystemParams
-from .numerics import propagation_integral, shifted_inverse
+from .numerics import check_shifts, divide_rows, factor_pencil, propagation_integral
 from .tables import SpectrumTable
 
 RIDX = {lab: k for k, lab in enumerate(REDUCED_LABELS)}
@@ -165,7 +165,7 @@ def _eliminate(params: SystemParams, pencil, classes, resolvent):
     Per class, T = kp (-i w - B)^-1 is the source response to the atomic
     fluctuations, M_v = T C and S_v = T <F F+> T+, where <F_mu F_nu+> is
     the correlator with its column index conjugated.  With B = B0 - s diag(e),
-    resolvent, the stacked numerics.shifted_inverse factorization of
+    resolvent, the stacked numerics.factor_pencil factorization of
     B0 + i w, gives every class (B + i w)^-1 = V diag(r) L with
     L = ((B0 + i w) V)^-1 and r = 1 / (1 - s theta), so T = -(kp V) diag(r) L.
     The maps C and 2D are linear in the steady state, which is X q with q
@@ -289,28 +289,37 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     phase i w / c (it cancels from every second moment), and noise density
     S(w) at one probe detuning, plus exact absorption and diagnostics: the
     one-row stack of _field_rows."""
-    m, s, absorption, reports = _field_rows(params, [delta1], omega, collect)
+    m, s, absorption, reports = _field_rows(params, [delta1], [1.0], omega, collect)
     return m[0], s[0], float(absorption[0]), reports[0] if collect else None
 
 
-def _field_rows(params: SystemParams, delta1s, omega: float, collect: bool):
+def _field_rows(params: SystemParams, delta1s, scales, omega: float, collect: bool):
     """field_system_at of each probe detuning of delta1s at one parameter
-    set and one omega, as one stack of rows: the stacks of M and S, the
-    absorptions, and a PhysicalityReport per row (None unless collected).
+    set and one omega, as one stack of rows, each row's classes at the
+    shifts of the class rule divided by its entry of scales: the stacks of
+    M and S, the absorptions, and a PhysicalityReport per row (None unless
+    collected).
 
     The class averages need the class rule alone, which the rows share, so
-    the classes are built once, at delta1 = 0 (bloch.absorption_rows).  The
-    pencil layer, the shifted resolvent at w != 0, the elimination and its
-    class averages each run once over the stack, and each acts on every
-    row alone."""
+    the classes are built once, at delta1 = 0 (bloch.absorption_rows), and
+    a row of scale c takes them at its points divided by c
+    (bloch.SteadyPencil.scaled).  Each distinct detuning's drift pencil is
+    built and factored once, and its rows take it from there; the shifted
+    resolvent at w != 0, the elimination and its class averages run once
+    over the stack, and each acts on every row alone."""
     classes = build_classes(params, 0.0, params.field.delta2)
-    b0, h, e = drift_pencil(params, delta1s)
-    pencil = steady_state_pencil(b0, h, e, classes.shifts)
+    distinct = {}
+    rows = [distinct.setdefault(delta1, len(distinct)) for delta1 in delta1s]
+    b0, h, e = drift_pencil(params, list(distinct))
+    pencil = steady_state_pencil(b0, h, e, classes.shifts, rows, scales)
     absorption = averaged_absorption(params, pencil, classes)
     resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
     if omega != 0.0:
         try:
-            resolvent = shifted_inverse(b0 + (1j * omega) * np.eye(8), np.diag(e), classes.shifts)
+            v, left, theta, cond = (a[rows] for a in factor_pencil(
+                b0 + (1j * omega) * np.eye(8), np.diag(e)))
+            resolvent = v, left, divide_rows(theta, scales), cond
+            check_shifts(resolvent, classes.shifts)
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
     m, s = _eliminate(params, pencil, classes, resolvent)
@@ -318,9 +327,9 @@ def _field_rows(params: SystemParams, delta1s, omega: float, collect: bool):
     if collect:
         reports = [PhysicalityReport(
             *pencil_errors(pencil.take(r), classes.shifts),
-            max_drift_eigenvalue=drift_bound(params, b0[r], e, classes.shifts),
+            max_drift_eigenvalue=drift_bound(params, b0[k], e, classes.shifts / scales[r]),
             eigenvector_condition=float(max(pencil.resolvent[3][r], resolvent[3][r])))
-            for r in range(len(b0))]
+            for r, k in enumerate(rows)]
     return m, s, absorption, reports
 
 
@@ -437,15 +446,16 @@ def sweep_rows(batch, rows, jobs: int = 1):
 
 def _spectrum_rows(rows):
     """(v12, du2, dv2, absorption, report) of each (params, delta1, omega,
-    collect) of rows.  Each run of contiguous rows with equal (params,
-    omega, collect) goes through _field_rows, propagation and the Duan
-    combination as one stack; each stacked step acts on every row alone,
-    so a row's values do not depend on the rest of its chunk.  A
-    spectrum's chunk is one run; the pump sweep's rows each have their own
-    parameter set, so each runs as a one-row stack."""
+    scale, collect) of rows (spectrum_columns).  Each run of contiguous
+    rows with equal (params, omega, collect), whatever their scales, goes
+    through _field_rows, propagation and the Duan combination as one
+    stack; each stacked step acts on every row alone, so a row's values do
+    not depend on the rest of its chunk.  A spectrum's chunk is one run,
+    and so is each p of a line-centre pump sweep in it."""
     out = []
-    for (params, omega, collect), run in groupby(rows, key=lambda row: (row[0], row[2], row[3])):
-        m, s, absorption, reports = _field_rows(params, [row[1] for row in run], omega, collect)
+    for (params, omega, collect), run in groupby(rows, key=lambda row: (row[0], row[2], row[4])):
+        _, delta1s, _, scales, _ = zip(*run)
+        m, s, absorption, reports = _field_rows(params, delta1s, scales, omega, collect)
         sigma = propagate(m, s, params.geometry.L, vacuum_covariance())
         if collect:
             reports = [replace(report, covariance_error=error) for report, error
@@ -462,15 +472,15 @@ def spectrum_columns(rows, jobs: int, collect: bool):
     absorption columns in row order, and their merged PhysicalityReport,
     which is None unless collected.
 
-    A row stands for the row with every rate, Rabi frequency, detuning,
-    omega and the Doppler width times its scale, and the density too.
-    The drift is homogeneous of degree one in all of them and the noise
-    kernel linear in the rates, so the two rows have the same columns;
-    each row's report is scaled to the row it stands for before the merge.
+    A row runs params at delta1 and omega with the Doppler width of params
+    divided by its scale.  It stands for the row with every rate, Rabi
+    frequency, detuning, omega and the density times its scale, and the
+    Doppler width of params.  The drift is homogeneous of degree one in
+    all of them and the noise kernel linear in the rates, so the two rows
+    have the same columns; each row's report is scaled to the row it
+    stands for before the merge.
     """
-    *columns, reports = zip(*sweep_rows(
-        _spectrum_rows, [(params, delta1, omega, collect)
-                         for params, delta1, omega, _ in rows], jobs))
+    *columns, reports = zip(*sweep_rows(_spectrum_rows, [(*row, collect) for row in rows], jobs))
     report = None
     if collect:
         report = reduce(PhysicalityReport.merged,

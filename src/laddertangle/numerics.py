@@ -107,8 +107,8 @@ def check_shifts(factors, shifts):
     """Refuse a stack of factor_pencil factorizations for the given shifts:
     raise ResonanceError when a row's cond(V) exceeds
     MAX_EIGENVECTOR_CONDITION, and LinAlgError when a shift lies on a pole
-    of a row's pencil.  Both depend on the call, not on the pencil alone,
-    so a stored factorization is checked again on every use."""
+    of a row's pencil.  A caller that scales a row's theta (divide_rows)
+    checks the scaled theta, whose poles are the ones its classes meet."""
     _, _, theta, cond = factors
     shifts = np.asarray(shifts, dtype=float)
     accepted = cond <= MAX_EIGENVECTOR_CONDITION
@@ -123,11 +123,12 @@ def check_shifts(factors, shifts):
             raise np.linalg.LinAlgError("a shift lies on a pole of the pencil")
 
 
-def shifted_inverse(a, b, shifts):
-    """factor_pencil of (A, B), checked for the shifts (check_shifts)."""
-    factors = factor_pencil(a, b)
-    check_shifts(factors, shifts)
-    return factors
+def divide_rows(z: np.ndarray, scales) -> np.ndarray:
+    """Each row of a stack of complex rows z divided by its real scale (a
+    scalar, or one per row), the real and imaginary parts apart: complex
+    division by a real rounds through its reciprocal and can flip the sign
+    of a zero part, so a scale of 1 would not leave every bit."""
+    return (z.view(float) / np.reshape(scales, (-1, 1))).view(complex)
 
 
 def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:

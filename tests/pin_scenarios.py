@@ -1,6 +1,7 @@
 """Regenerate tests/pinned_rows.json: a few rows of every shipped scenario,
-which tests/test_experiments.py::TestPinnedRows compares with fresh values
-to 1e-12 relative.
+and of the pump sweep at a sideband frequency too, which
+tests/test_experiments.py::TestPinnedRows compares with fresh values to
+1e-12 relative.
 
 Run from the root of a checkout, with its package importable:
 
@@ -29,15 +30,18 @@ PINNED = Path(__file__).with_name("pinned_rows.json")
 # which hold line centre and the detuned pump's relocated feature at 200
 SPECTRUM_ROWS = default_delta1_grid()[::100]
 PUMP_SWEEP_ROWS = np.array([1.0, 6.0, 50.0, 150.0])
+# the scenarios also pinned at a nonzero omega (MHz): a pump-sweep row there
+# has its own atomic resolvent B0 + i omega / c
+SIDEBANDS = {"fig3": 50.0}
 
 
-def scenario_rows(name: str) -> dict[str, list]:
-    """Every column of the scenario's table on the pinned rows (at jobs 1,
-    omega 0), with a NaN as None: v12, du2, dv2 and absorption for a
-    spectrum, and v12 and absorption per p for the pump sweep."""
+def scenario_rows(name: str, omega: float = 0.0) -> dict[str, list]:
+    """Every column of the scenario's table on the pinned rows (at jobs 1),
+    with a NaN as None: v12, du2, dv2 and absorption for a spectrum, and
+    v12 and absorption per p for the pump sweep."""
     scenario = all_scenarios()[name]
     grid = PUMP_SWEEP_ROWS if scenario.kind == "pump-sweep" else SPECTRUM_ROWS
-    table, _ = run_scenario(replace(scenario, grid=grid))
+    table, _ = run_scenario(replace(scenario, grid=grid), omega=omega)
     return {f.name: [None if np.isnan(x) else float(x) for x in getattr(table, f.name)]
             for f in fields(table)}
 
@@ -51,7 +55,9 @@ def _git(*args) -> str:
 def main():
     pinned = {"commit": _git("rev-parse", "HEAD"),
               "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-              "scenarios": {name: scenario_rows(name) for name in sorted(all_scenarios())}}
+              "scenarios": {name: scenario_rows(name) for name in sorted(all_scenarios())},
+              "sidebands": {name: {"omega": omega, **scenario_rows(name, omega)}
+                            for name, omega in SIDEBANDS.items()}}
     PINNED.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
 
 

@@ -93,7 +93,6 @@ class TestSteadyState:
         b0[1] = -np.eye(8)
         b0[1, IDX[2, 1] - 1, IDX[1, 2] - 1] = 0.5j
         for rows in (slice(1, 2), slice(0, 2)):
-            bloch._PENCILS.clear()
             with pytest.raises(ContractError, match="does not keep states Hermitian"):
                 bloch.steady_state_pencil(b0[rows], h[rows], e, [0.0])
 
@@ -119,81 +118,44 @@ def same_bytes(a, b):
                for x, y in zip(pencil_arrays(a), pencil_arrays(b)))
 
 
-class TestPencilMemo:
-    # steady_state_pencil keeps row factorizations keyed on each row's
-    # bytes; the checks that depend on the call must still run on every hit
+class TestScaledPencil:
+    # a row of scale c holds the classes at the shifts s / c as its points
+    # and theta divided by c; the checks run on the scaled theta
 
-    @staticmethod
-    def hit(monkeypatch, b0, h, e, shifts):
-        """steady_state_pencil on rows factored just before, asserting that
-        no row is factored again."""
-        def factor_again(*args):
-            raise AssertionError("a kept row was factored again")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(bloch, "factor_pencil", factor_again)
-            return bloch.steady_state_pencil(b0, h, e, shifts)
-
-    def test_hit_is_bit_identical_to_miss(self, fast_params, monkeypatch):
-        b0, h, e = bloch.drift_pencil(fast_params(p=0.5), [3.0, -40.0])
-        bloch._PENCILS.clear()
-        miss = bloch.steady_state_pencil(b0, h, e, [0.0])
-        assert same_bytes(self.hit(monkeypatch, b0.copy(), h.copy(), e.copy(), [0.0]), miss)
-        # a row of the stack hits alone, and rows in another order
-        assert same_bytes(self.hit(monkeypatch, b0[1:], h[1:], e, [0.0]).take(0), miss.take(1))
-        swapped = self.hit(monkeypatch, b0[::-1], h[::-1], e, [0.0])
-        assert same_bytes(swapped.take(0), miss.take(1)) and same_bytes(swapped.take(1), miss.take(0))
-        bloch._PENCILS.clear()
-        assert same_bytes(bloch.steady_state_pencil(b0, h, e, [0.0]), miss)
-
-    def test_stack_factors_only_its_missed_rows(self, fast_params, monkeypatch):
-        # one row kept from before, and a missed row repeated in the stack
-        b0, h, e = bloch.drift_pencil(fast_params(p=0.5), [-5.0, 0.0, 5.0, 0.0, 5.0])
-        bloch._PENCILS.clear()
-        alone = bloch.steady_state_pencil(b0[1:2], h[1:2], e, [0.0])
+    def test_rows_have_the_bytes_of_their_row_alone(self, fast_params, monkeypatch):
+        # rows repeated, reordered and scaled: one factorization of the
+        # distinct rows, and each row equals its row factored alone
+        b0, h, e = bloch.drift_pencil(fast_params(p=0.5), [3.0, -40.0, 0.0])
+        rows, scales = [1, 0, 2, 0, 1], [1.0, 3.0, 0.25, 1.0, 50.0 / 6.0]
         factored, factor = [], bloch.factor_pencil
         monkeypatch.setattr(bloch, "factor_pencil",
                             lambda a, b: factored.append(len(a)) or factor(a, b))
-        stack = bloch.steady_state_pencil(b0, h, e, [0.0])
+        stack = bloch.steady_state_pencil(b0, h, e, [0.0], rows, scales)
         assert factored == [3]
-        assert same_bytes(stack.take(1), alone.take(0)) and same_bytes(stack.take(3), alone.take(0))
-        assert same_bytes(stack.take(2), stack.take(4))
-        assert same_bytes(self.hit(monkeypatch, b0[4:], h[4:], e, [0.0]), stack.take(slice(4, 5)))
+        for r, (k, c) in enumerate(zip(rows, scales)):
+            alone = bloch.steady_state_pencil(b0[k:k + 1], h[k:k + 1], e, [0.0], scales=c)
+            assert same_bytes(stack.take(slice(r, r + 1)), alone)
+        # scale 1 is the unscaled pencil, bit for bit
+        assert same_bytes(stack.take(slice(3, 4)), bloch._factor_rows(b0[:1], h[:1], e))
+        points = bloch._factor_rows(b0, h, e).points
+        assert np.array_equal(stack.points[1], points[0] / 3.0)
 
-    def test_memo_keeps_the_last_rows(self, fast_params, monkeypatch):
-        b0, h, e = bloch.drift_pencil(fast_params(), np.linspace(-50.0, 50.0, 12))
-        bloch._PENCILS.clear()
-        bloch.steady_state_pencil(b0, h, e, [0.0])
-        assert len(bloch._PENCILS) == bloch.PENCIL_MEMO_SIZE
-        self.hit(monkeypatch, b0[-bloch.PENCIL_MEMO_SIZE:], h[-bloch.PENCIL_MEMO_SIZE:], e, [0.0])
-
-    def test_cached_arrays_are_read_only(self, fast_params):
-        bloch._PENCILS.clear()
-        bloch.steady_state_pencil(*bloch.drift_pencil(fast_params(), [0.0, 1.0]), [0.0])
-        assert len(bloch._PENCILS) == 2
-        for stack, _ in bloch._PENCILS.values():
-            pencil = stack.take(0)
-            v, left, theta, _ = pencil.resolvent
-            for array in (pencil.points, pencil.states, v, left, theta):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 1.0
-
-    def test_cached_pencil_checks_the_condition_bound(self, fast_params, monkeypatch):
+    def test_scaled_stack_checks_the_condition_bound(self, fast_params, monkeypatch):
         pencil = bloch.drift_pencil(fast_params(), [0.0])
-        bloch.steady_state_pencil(*pencil, [0.0])
         monkeypatch.setattr(numerics, "MAX_EIGENVECTOR_CONDITION", 0.5)
         with pytest.raises(ResonanceError, match="condition number"):
-            self.hit(monkeypatch, *pencil, [0.0])
+            bloch.steady_state_pencil(*pencil, [0.0], [0, 0], [2.0, 0.5])
 
-    def test_cached_pencil_checks_its_shifts(self, monkeypatch):
-        # B0 = -c, diag(e) = 1: theta = -1/c on every component, a pole at s = -c
-        b0 = -np.array([1.0, 2.0])[:, None, None] * np.eye(8, dtype=complex)
-        h, e = np.ones((2, 8), dtype=complex), np.ones(8, dtype=complex)
-        bloch.steady_state_pencil(b0, h, e, [0.0, 3.0])
-        for rows, shifts in ((slice(0, 1), [0.0, -1.0]), (slice(0, 2), [0.0, -2.0])):
+    def test_scaled_row_checks_its_shifts(self):
+        # B0 = -1, diag(e) = 1: theta = -1 on every component, a pole at
+        # s = -1, and at scale 2 theta / 2 = -0.5, a pole at s = -2
+        b0 = -np.eye(8, dtype=complex)[None]
+        h, e = np.ones((1, 8), dtype=complex), np.ones(8, dtype=complex)
+        bloch.steady_state_pencil(b0, h, e, [0.0, -1.0], [0], [2.0])
+        for scales, shifts in (([2.0], [0.0, -2.0]), ([1.0, 2.0], [0.0, -2.0]),
+                               ([1.0, 2.0], [0.0, -1.0])):
             with pytest.raises(NoSteadyStateError, match="pole"):
-                self.hit(monkeypatch, b0[rows], h[rows], e, shifts)
+                bloch.steady_state_pencil(b0, h, e, shifts, [0] * len(scales), scales)
 
 
 def class_drift_max(b0, e, shifts):
@@ -324,9 +286,7 @@ def row_by_row():
         classes = doppler.build_classes(base, 0.0, base.field.delta2)
         pencils, absorption = [], []
         for delta1 in grid.tolist():
-            bloch._PENCILS.clear()
             absorption.append(bloch.absorption_exact(base, delta1))
-            bloch._PENCILS.clear()
             pencils.append(bloch.steady_state_pencil(*bloch.drift_pencil(base, [delta1]),
                                                      classes.shifts).take(0))
         out[name] = base, grid, np.array(absorption), pencils
@@ -343,11 +303,9 @@ class TestStackedRows:
         # rows spread over the grid, and a contiguous run about the feature
         for pick in (np.linspace(0, len(grid) - 1, rows).round().astype(int),
                      np.arange(rows) + min(len(grid) - rows, 390)):
-            bloch._PENCILS.clear()
             stacked = bloch.absorption_rows(base, grid[pick])
             assert stacked.dtype == absorption.dtype
             assert stacked.tobytes() == absorption[pick].tobytes()
-            bloch._PENCILS.clear()
             shifts, _ = doppler.maxwellian_rule(base.doppler)
             pencil = bloch.steady_state_pencil(*bloch.drift_pencil(base, grid[pick]), shifts)
             for r, k in enumerate(pick):

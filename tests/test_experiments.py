@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -155,14 +156,16 @@ class TestPumpSweepTransform:
     def test_row_is_base_row_with_scaled_width(self, alpha2, p, fast_doppler):
         # the transform scales every rate, Rabi frequency and the density by
         # alpha2 / 50 at zero detunings, which is the base with the Doppler
-        # width scaled by 50 / alpha2
+        # width scaled by 50 / alpha2, and so the base at scale alpha2 / 50
         base = ex.baseline_params(p=p, doppler=fast_doppler)
         wide = replace(base, doppler=replace(fast_doppler,
                                              width=fast_doppler.width * 50.0 / alpha2))
-        (v12, _, _, absorption, _), (v12_wide, _, _, absorption_wide, _) = fl._spectrum_rows(
-            [(ex.pump_sweep_transform(base, alpha2), 0.0, 0.0, False), (wide, 0.0, 0.0, False)])
-        assert v12 == pytest.approx(v12_wide, rel=1e-12)
-        assert absorption == pytest.approx(absorption_wide, rel=1e-12)
+        (v12, _, _, absorption, _), *rows = fl._spectrum_rows(
+            [(ex.pump_sweep_transform(base, alpha2), 0.0, 0.0, 1.0, False),
+             (wide, 0.0, 0.0, 1.0, False), (base, 0.0, 0.0, alpha2 / 50.0, False)])
+        for v12_wide, _, _, absorption_wide, _ in rows:
+            assert v12 == pytest.approx(v12_wide, rel=1e-12)
+            assert absorption == pytest.approx(absorption_wide, rel=1e-12)
 
     @pytest.mark.parametrize("alpha2", [5.0, 50.0, 150.0])
     def test_explicit_coherence_scaled(self, alpha2):
@@ -203,14 +206,18 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("omega", [0.0, 50.0])
     @pytest.mark.parametrize("detunings", [(0.0, 0.0), (7.0, -40.0)])
-    def test_pump_sweep_rows_are_transform_rows(self, omega, detunings, fast_doppler):
-        # the sweep runs each row as the alpha2 = 50 row with the width, the
-        # detunings and omega divided by alpha2 / 50; its columns and its
+    @pytest.mark.parametrize("gamma1", [3.0, 5.45])
+    def test_pump_sweep_rows_are_transform_rows(self, omega, detunings, gamma1, fast_doppler):
+        # the sweep runs each row as the alpha2 = 50 row with the detunings
+        # and omega divided by alpha2 / 50, at that scale; its columns and its
         # diagnostics are those of the pump_sweep_transform rows, here from a
-        # base with alpha1 = 7 and both detunings set
+        # base with alpha1 = 7 and both detunings set.  At gamma1/gamma2 =
+        # 10.9 the drift bound falls back to the class eigenvalues, of the
+        # classes at the scaled shifts
         delta1, delta2 = detunings
         base = ex.baseline_params(alpha1=7.0, delta2=delta2, doppler=fast_doppler)
-        base = replace(base, field=replace(base.field, delta1=delta1))
+        base = replace(base, decay=replace(base.decay, gamma1=gamma1),
+                       field=replace(base.field, delta1=delta1))
         grid = np.array([1.0, 6.0, 150.0])
         scenario = ex.Scenario(name="t", base=base, kind="pump-sweep", grid=grid,
                                outputs="both")
@@ -221,7 +228,7 @@ class TestRunScenario:
             for alpha2 in grid:
                 params = ex.pump_sweep_transform(replace(base, decay=replace(base.decay, p=p)),
                                                  alpha2)
-                row, = fl._spectrum_rows([(params, params.field.delta1, omega, True)])
+                row, = fl._spectrum_rows([(params, params.field.delta1, omega, 1.0, True)])
                 v12.append(row[0])
                 absorption.append(row[3])
                 expected = expected.merged(row[4])
@@ -238,22 +245,36 @@ class TestRunScenario:
     @pytest.mark.parametrize("points", [2, 9])
     def test_line_centre_pump_sweep_factors_one_pencil_per_p(self, points, fast_doppler,
                                                              monkeypatch):
-        # every row of one p shares the drift pencil and the relaxation part
-        calls = []
-        dggev = scipy.linalg.lapack.dggev
+        # every row of one p has the same parameter set, so the rows of one
+        # p in a sweep_rows chunk run as one stack: one dggev and one drift
+        # pencil row per (chunk, p) run; and every row shares the relaxation
+        # part
+        calls, built, runs = [], [], []
+        dggev, drift_pencil, batch = scipy.linalg.lapack.dggev, fl.drift_pencil, fl._spectrum_rows
 
         def counting(*args, **kwargs):
             calls.append(args)
             return dggev(*args, **kwargs)
 
+        def building(params, delta1s):
+            built.append(len(delta1s))
+            return drift_pencil(params, delta1s)
+
+        def chunk(rows):
+            runs.append(len(list(groupby(rows, key=lambda row: row[0]))))
+            return batch(rows)
+
         monkeypatch.setattr(scipy.linalg.lapack, "dggev", counting)
-        bloch._PENCILS.clear()
+        monkeypatch.setattr(fl, "drift_pencil", building)
+        monkeypatch.setattr(fl, "_spectrum_rows", chunk)
         bloch.relaxation_log_norm.cache_clear()
         scenario = ex.Scenario(name="t", base=ex.baseline_params(doppler=fast_doppler),
                                kind="pump-sweep", grid=np.linspace(1.0, 150.0, points),
                                outputs="both")
         ex.run_scenario(scenario, collect=True)
-        assert len(calls) == 2
+        assert len(runs) > 1 and max(runs) == 2
+        assert len(calls) == sum(runs)
+        assert built == [1] * sum(runs)
         assert bloch.relaxation_log_norm.cache_info().misses == 2
 
     @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
@@ -371,8 +392,20 @@ class TestPinnedRows:
 
     @pytest.mark.parametrize("name", sorted(PINNED["scenarios"]))
     def test_rows_match_the_pinned_values(self, name):
-        fresh, pinned = pin_scenarios.scenario_rows(name), PINNED["scenarios"][name]
-        assert sorted(fresh) == sorted(pinned)
-        for column, values in pinned.items():
-            np.testing.assert_allclose(np.array(fresh[column], dtype=float),
-                                       np.array(values, dtype=float), rtol=1e-12, atol=0.0)
+        assert_pinned(pin_scenarios.scenario_rows(name), PINNED["scenarios"][name])
+
+    def test_every_sideband_pinned(self):
+        assert {name: rows["omega"] for name, rows in PINNED["sidebands"].items()} \
+            == pin_scenarios.SIDEBANDS
+
+    @pytest.mark.parametrize("name", sorted(PINNED["sidebands"]))
+    def test_sideband_rows_match_the_pinned_values(self, name):
+        pinned = dict(PINNED["sidebands"][name])
+        assert_pinned(pin_scenarios.scenario_rows(name, pinned.pop("omega")), pinned)
+
+
+def assert_pinned(fresh, pinned):
+    assert sorted(fresh) == sorted(pinned)
+    for column, values in pinned.items():
+        np.testing.assert_allclose(np.array(fresh[column], dtype=float),
+                                   np.array(values, dtype=float), rtol=1e-12, atol=0.0)

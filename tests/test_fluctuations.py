@@ -282,8 +282,7 @@ class TestAdiabaticElimination:
                                                               fast_params, monkeypatch):
         # at w = 0 the resolvent is the steady-state pencil itself, so a
         # row factors it once; any other w factors B0 + i w once more.  The
-        # sweep runs chunks of 1 and 2 rows, each factored as one stack.  The
-        # memo is cleared so that pencils factored by earlier tests count
+        # sweep runs chunks of 1 and 2 rows, each factored as one stack
         calls = []
         factor = numerics.factor_pencil
 
@@ -291,9 +290,8 @@ class TestAdiabaticElimination:
             calls.append(args)
             return factor(*args)
 
-        bloch._PENCILS.clear()
         monkeypatch.setattr(bloch, "factor_pencil", counting)
-        monkeypatch.setattr(numerics, "factor_pencil", counting)
+        monkeypatch.setattr(fl, "factor_pencil", counting)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], omega=omega, collect=True)
         assert len(calls) == 2 * per_row
         assert sum(len(a) for a, _ in calls) == 3 * per_row
@@ -438,24 +436,30 @@ class TestPencilPhysicality:
 
 
 def stacked_chunks():
-    """Chunks of V12 rows (params, delta1, omega, collect) that the sweep
-    runs as stacks: fig2-a over +-800 MHz (line centre takes one more
+    """Chunks of V12 rows (params, delta1, omega, scale, collect) that the
+    sweep runs as stacks: fig2-a over +-800 MHz (line centre takes one more
     doubling step than its neighbours, and takes no Taylor series where
     they do), fig4-a, fig4-c around its relocated feature at 200 MHz, a
-    sideband at omega = 50, and fig3 rows of both p, each with its own
-    parameter set."""
+    sideband at omega = 50, fig3 rows of both p, each with its own
+    parameter set, and the same rows as the pump sweep runs them: the
+    alpha2 = 50 row of each p at the scale alpha2 / 50, one stack per p."""
     scenarios = all_scenarios()
 
     def rows(name, delta1s, omega=0.0):
-        return [(scenarios[name].base, float(d), omega, True) for d in delta1s]
+        return [(scenarios[name].base, float(d), omega, 1.0, True) for d in delta1s]
 
     base = scenarios["fig3"].base
+    bases = [pump_sweep_transform(replace(base, decay=replace(base.decay, p=p)), 50.0)
+             for p in (0.0, 20.0)]
     return {"fig2-a": rows("fig2-a", np.linspace(-800.0, 800.0, 17)),
             "fig4-a": rows("fig4-a", np.linspace(-800.0, 800.0, 9)),
             "fig4-c": rows("fig4-c", [150.0, 190.0, 199.5, 200.0, 200.5, 210.0, 260.0]),
             "omega-50": rows("fig2-a", [-4.0, -0.5, 0.0, 0.25, 4.0, 200.0], omega=50.0),
             "fig3": [(pump_sweep_transform(replace(base, decay=replace(base.decay, p=p)), alpha2),
-                      0.0, 0.0, True) for alpha2 in (1.0, 6.0, 50.0, 150.0) for p in (0.0, 20.0)]}
+                      0.0, 0.0, 1.0, True) for alpha2 in (1.0, 6.0, 50.0, 150.0)
+                     for p in (0.0, 20.0)],
+            "fig3-scaled": [(params, 0.0, 0.0, alpha2 / 50.0, True) for params in bases
+                            for alpha2 in (1.0, 6.0, 50.0, 150.0)]}
 
 
 STACKED_CHUNKS = stacked_chunks()
@@ -489,12 +493,32 @@ class TestStackedRows:
 
     @pytest.mark.parametrize("chunk", ["fig2-a", "fig4-a", "fig4-c", "omega-50"])
     def test_stacked_field_system_is_the_one_row_field_system(self, chunk):
-        (params, _, omega, _), *_ = rows = STACKED_CHUNKS[chunk]
-        m, s, absorption, reports = fl._field_rows(params, [row[1] for row in rows], omega, True)
-        for r, (_, delta1, _, _) in enumerate(rows):
+        (params, _, omega, _, _), *_ = rows = STACKED_CHUNKS[chunk]
+        m, s, absorption, reports = fl._field_rows(params, [row[1] for row in rows],
+                                                   [1.0] * len(rows), omega, True)
+        for r, (_, delta1, _, _, _) in enumerate(rows):
             m_r, s_r, absorption_r, report_r = fl.field_system_at(params, delta1, omega, True)
             assert np.array_equal(m[r], m_r) and np.array_equal(s[r], s_r)
             assert absorption[r] == absorption_r and reports[r] == report_r
+
+    def test_repeated_detunings_are_factored_once(self, monkeypatch):
+        # a stack that repeats detunings, at several scales, builds and
+        # factors each distinct detuning's pencil once, and every row has
+        # the bytes of its row alone
+        params = STACKED_CHUNKS["fig3-scaled"][0][0]
+        delta1s, scales = [0.0, 5.0, 0.0, 5.0, 0.0], [0.02, 1.0, 1.0, 3.0, 3.0]
+        built, factored = [], []
+        drift_pencil, factor = fl.drift_pencil, bloch.factor_pencil
+        monkeypatch.setattr(fl, "drift_pencil",
+                            lambda params, d: built.append(list(d)) or drift_pencil(params, d))
+        monkeypatch.setattr(bloch, "factor_pencil",
+                            lambda a, b: factored.append(len(a)) or factor(a, b))
+        m, s, absorption, reports = fl._field_rows(params, delta1s, scales, 0.0, True)
+        assert built == [[0.0, 5.0]] and factored == [2]
+        for r, (delta1, c) in enumerate(zip(delta1s, scales)):
+            m_r, s_r, absorption_r, (report_r,) = fl._field_rows(params, [delta1], [c], 0.0, True)
+            assert m[r].tobytes() == m_r[0].tobytes() and s[r].tobytes() == s_r[0].tobytes()
+            assert absorption[r] == absorption_r[0] and reports[r] == report_r
 
     def test_fig2a_chunk_mixes_doubling_counts_and_taylor_branches(self, monkeypatch):
         # the chunk above covers both kinds of row: propagation groups its
@@ -543,10 +567,10 @@ class TestStackedRows:
         failures = []
         for rows in ([0.0], [-1.0, 0.0, 1.0], [0.0, 2.0]):
             with pytest.raises(error, match=match) as caught:
-                fl._spectrum_rows([(params, d, omega, True) for d in rows])
+                fl._spectrum_rows([(params, d, omega, 1.0, True) for d in rows])
             failures.append((type(caught.value), str(caught.value)))
         assert len(set(failures)) == 1
-        fl._spectrum_rows([(params, 1.0, omega, True)])     # the good rows alone pass
+        fl._spectrum_rows([(params, 1.0, omega, 1.0, True)])     # the good rows alone pass
 
     def test_run_with_a_bad_row_exits_3(self, monkeypatch, tmp_path, capsys):
         stack_of_one_pole(monkeypatch, 0.0, -np.eye(8))
@@ -594,7 +618,8 @@ class TestScalingSymmetry:
             c = rng.uniform(0.2, 5.0)
             for w in (0.0, omega):
                 (v12, _, _, absorption, _), (v12_c, _, _, absorption_c, _) = fl._spectrum_rows(
-                    [(params, delta1, w, False), (scaled(params, c), c * delta1, c * w, False)])
+                    [(params, delta1, w, 1.0, False),
+                     (scaled(params, c), c * delta1, c * w, 1.0, False)])
                 assert v12_c == pytest.approx(v12, rel=1e-12)
                 assert absorption_c == pytest.approx(absorption, rel=1e-12)
 

@@ -28,6 +28,14 @@ def pencil_rows():
             "fig4-c-198": (scenarios["fig4-c"].base, 198.0)}
 
 
+def checked_factors(a, b, shifts):
+    """factor_pencil of (A, B), then refused for the shifts (check_shifts),
+    as every caller in the package runs them."""
+    factors = numerics.factor_pencil(a, b)
+    numerics.check_shifts(factors, shifts)
+    return factors
+
+
 class TestMatrixExponential:
     def test_zero(self):
         assert np.allclose(numerics.matrix_exponential(np.zeros((3, 3))), np.eye(3))
@@ -96,12 +104,12 @@ class TestPropagationIntegral:
             numerics.propagation_integral(np.ones((2, 3)), np.ones((2, 2)), 0.7)
 
 
-class TestShiftedInverse:
+class TestFactorPencil:
     def test_matches_direct_inverse(self, rng):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
         e = np.array([0.0, 0.0, 1.0j, -1.0j, 2.0j, 0.3j])   # zero on two components
         shifts = np.linspace(-50.0, 50.0, 11)
-        (v,), (left,), (theta,), (cond,) = numerics.shifted_inverse(a[None], np.diag(e), shifts)
+        (v,), (left,), (theta,), (cond,) = checked_factors(a[None], np.diag(e), shifts)
         assert theta.shape == (6,)
         assert cond >= 1.0
         for s in shifts:
@@ -117,7 +125,7 @@ class TestShiftedInverse:
         params = pump_sweep_transform(baseline_params(p=0.0), 1.0)
         classes = build_classes(params, 200.0, params.field.delta2)
         b0, _, e = drift_pencil(params, [200.0])
-        (v,), (left,), (theta,), _ = numerics.shifted_inverse(b0, np.diag(e), classes.shifts)
+        (v,), (left,), (theta,), _ = checked_factors(b0, np.diag(e), classes.shifts)
         b0 = b0[0]
         factors = 1.0 / (1.0 - classes.shifts[:, None] * theta)
         with mpmath.workdps(40):
@@ -136,7 +144,7 @@ class TestShiftedInverse:
         params, delta1 = pencil_rows()[row]
         shifts = build_classes(params, delta1, params.field.delta2).shifts
         b0, h, e = drift_pencil(params, [delta1])
-        (v,), _, (theta,), _ = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
+        (v,), _, (theta,), _ = checked_factors(*real_pencil(b0, e), shifts)
         assert np.array_equal(np.sort_complex(theta), np.sort_complex(theta.conj()))
         pair = np.flatnonzero(theta.imag)
         assert len(pair) >= 4
@@ -144,7 +152,7 @@ class TestShiftedInverse:
         assert np.array_equal(v[:, partner], v[:, pair].conj())
         points = steady_state_pencil(b0, h, e, shifts).points[0]
         assert np.array_equal(np.sort_complex(points), np.sort_complex(points.conj()))
-        zggev = numerics.shifted_inverse(b0, np.diag(e), shifts)[2][0]
+        zggev = checked_factors(b0, np.diag(e), shifts)[2][0]
         b0 = b0[0]
         assert np.count_nonzero(zggev == 0.0) == np.count_nonzero(theta == 0.0) == 2
         with mpmath.workdps(40):
@@ -162,8 +170,8 @@ class TestShiftedInverse:
         params = all_scenarios()["fig4-a"].base
         shifts = build_classes(params, 586.0, params.field.delta2).shifts
         b0, _, e = drift_pencil(params, [586.0])
-        *_, (cond_real,) = numerics.shifted_inverse(*real_pencil(b0, e), shifts)
-        *_, (cond,) = numerics.shifted_inverse(b0, np.diag(e), shifts)
+        *_, (cond_real,) = checked_factors(*real_pencil(b0, e), shifts)
+        *_, (cond,) = checked_factors(b0, np.diag(e), shifts)
         assert cond_real == pytest.approx(cond, rel=1e-10)
 
     @pytest.mark.parametrize("real", [True, False])
@@ -197,21 +205,35 @@ class TestShiftedInverse:
 
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            numerics.shifted_inverse(np.zeros((1, 3, 3)), np.eye(3), [0.0])
+            checked_factors(np.zeros((1, 3, 3)), np.eye(3), [0.0])
 
     def test_shift_on_a_pole_raises(self):
         # 1 - s theta = 0 at s = 0.5 for A = 1, e = 2
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
-            numerics.shifted_inverse(np.eye(1)[None], [[2.0]], [0.0, 0.5])
+            checked_factors(np.eye(1)[None], [[2.0]], [0.0, 0.5])
         # next to a zero theta, which is no pole
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
-            numerics.shifted_inverse(np.eye(2)[None], np.diag([0.0, 2.0]), [0.0, 0.5])
+            checked_factors(np.eye(2)[None], np.diag([0.0, 2.0]), [0.0, 0.5])
 
     def test_nearly_defective_pencil_raises(self):
         # K = A^-1 diag(e) = [[1, 1 + d], [0, 1 + d]]: two eigenvectors at
         # an angle of order d, so V has condition number of order 1/d
         a = np.array([[[1.0, -1.0], [0.0, 1.0]]])
         with pytest.raises(ResonanceError, match="condition number"):
-            numerics.shifted_inverse(a, np.diag([1.0, 1.0 + 1e-9]), [0.0])
-        *_, (cond,) = numerics.shifted_inverse(a, np.diag([1.0, 1.5]), [0.0])
+            checked_factors(a, np.diag([1.0, 1.0 + 1e-9]), [0.0])
+        *_, (cond,) = checked_factors(a, np.diag([1.0, 1.5]), [0.0])
         assert cond < numerics.MAX_EIGENVECTOR_CONDITION
+
+
+class TestDivideRows:
+    def test_each_part_divided_by_its_row_scale(self):
+        # a scale of 1 leaves every bit, the sign of a zero part included
+        z = np.array([[complex(-0.0, 1.0), complex(2.0, -0.0), -3e-300 + 0.1j],
+                      [1.0 + 1.0j, complex(-0.0, -0.0), 7.0 + 0.3j]])
+        got = numerics.divide_rows(z, [1.0, 3.0])
+        assert got[0].tobytes() == z[0].tobytes()
+        assert np.array_equal(got[1].real, z[1].real / 3.0)
+        assert np.array_equal(got[1].imag, z[1].imag / 3.0)
+        assert np.signbit(got[1, 1].real) and np.signbit(got[1, 1].imag)
+        one_scale = numerics.divide_rows(z, 3.0)
+        assert one_scale.tobytes() == numerics.divide_rows(z, [3.0, 3.0]).tobytes()
