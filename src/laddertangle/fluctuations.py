@@ -21,9 +21,10 @@ rule's resolvent function (see _eliminate); no per-class tensor is built.
 M leaves out the common phase i w / c of free propagation: a multiple of
 the identity, it cancels from every second moment of the output.
 
-Rows are a batch axis.  The rows of a sweep that share one parameter set
-and one omega run as one stack, whatever their Doppler scales
-(_field_rows, one row being R = 1): the classes, the pencils, the class
+Rows are a batch axis.  The contiguous rows of a sweep that share one
+parameter set run as one stack, whatever their omegas and Doppler scales,
+as long as omega = 0 on all of them or on none (_field_rows, one row
+being R = 1): the classes, the pencils, the class
 averages, the contractions, propagation and the Duan combination each
 run once over the stack, and every stacked step acts on each row alone,
 so a row's bytes do not depend on its stack mates.
@@ -289,24 +290,25 @@ def field_system_at(params: SystemParams, delta1: float, omega: float = 0.0,
     phase i w / c (it cancels from every second moment), and noise density
     S(w) at one probe detuning, plus exact absorption and diagnostics: the
     one-row stack of _field_rows."""
-    m, s, absorption, reports = _field_rows(params, [delta1], [1.0], omega, collect)
+    m, s, absorption, reports = _field_rows(params, [delta1], [omega], [1.0], collect)
     return m[0], s[0], float(absorption[0]), reports[0] if collect else None
 
 
-def _field_rows(params: SystemParams, delta1s, scales, omega: float, collect: bool):
+def _field_rows(params: SystemParams, delta1s, omegas, scales, collect: bool):
     """field_system_at of each probe detuning of delta1s at one parameter
-    set and one omega, as one stack of rows, each row's classes at the
-    shifts of the class rule divided by its entry of scales: the stacks of
-    M and S, the absorptions, and a PhysicalityReport per row (None unless
-    collected).
+    set, as one stack of rows, each row at its entry of omegas (all zero,
+    or none) and with its classes at the shifts of the class rule divided
+    by its entry of scales: the stacks of M and S, the absorptions, and a
+    PhysicalityReport per row (None unless collected).
 
     The class averages need the class rule alone, which the rows share, so
     the classes are built once, at delta1 = 0 (bloch.absorption_rows), and
     a row of scale c takes them at its points divided by c
     (bloch.SteadyPencil.scaled).  Each distinct detuning's drift pencil is
-    built and factored once, and its rows take it from there; the shifted
-    resolvent at w != 0, the elimination and its class averages run once
-    over the stack, and each acts on every row alone."""
+    built and factored once, and its rows take it from there; at w = 0
+    that factorization is the resolvent too, and at w != 0 each row
+    factors B0 + i w of its own.  The elimination and its class averages
+    run once over the stack, and each acts on every row alone."""
     classes = build_classes(params, 0.0, params.field.delta2)
     distinct = {}
     rows = [distinct.setdefault(delta1, len(distinct)) for delta1 in delta1s]
@@ -314,14 +316,16 @@ def _field_rows(params: SystemParams, delta1s, scales, omega: float, collect: bo
     pencil = steady_state_pencil(b0, h, e, classes.shifts, rows, scales)
     absorption = averaged_absorption(params, pencil, classes)
     resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
-    if omega != 0.0:
+    if any(omegas):
         try:
-            v, left, theta, cond = (a[rows] for a in factor_pencil(
-                b0 + (1j * omega) * np.eye(8), np.diag(e)))
+            v, left, theta, cond = factor_pencil(
+                b0[rows] + (1j * np.asarray(omegas))[:, None, None] * np.eye(8), np.diag(e))
             resolvent = v, left, divide_rows(theta, scales), cond
             check_shifts(resolvent, classes.shifts)
         except np.linalg.LinAlgError as exc:
-            raise ResonanceError(f"singular atomic resolvent at omega={omega}: {exc}") from exc
+            lo, hi = min(omegas), max(omegas)
+            where = f"omega={lo}" if lo == hi else f"omega in [{lo}, {hi}]"
+            raise ResonanceError(f"singular atomic resolvent at {where}: {exc}") from exc
     m, s = _eliminate(params, pencil, classes, resolvent)
     reports = None
     if collect:
@@ -405,40 +409,35 @@ def sweep_rows(batch, rows, jobs: int = 1):
     result per row, each independent of the chunk's other rows.
 
     Rows run with every loaded OpenBLAS at one thread, and the caller's
-    thread counts are restored afterwards.  Rows run here, in order, in
-    chunks of 1, 2, 4, ... rows.  When more than one worker is possible
-    (jobs, rows and usable_cores() allowing), each chunk is timed, and once
-    the serial time projected for the rows left from the mean row time so
-    far, times (1 - 1/workers), exceeds POOL_START_S, the rows left go to
-    one pool of min(jobs, rows left, usable_cores()) worker processes in
-    contiguous chunks, about four per worker.  This process is already
-    pinned when the pool starts, so a forked worker inherits the pin and
-    the library lookup; and while the pool runs, the _BLAS_THREAD_ENV
-    variables read 1, so a worker that loads OpenBLAS afresh (the spawn
-    and forkserver start methods) starts it on one thread.  Results come
-    back in row order, so they do not depend on where a row ran.  With one
-    possible worker no pool is opened.
+    thread counts are restored afterwards.  With one possible worker
+    (min(jobs, usable_cores(), rows - 1) < 2) every row runs here, as one
+    chunk.  Otherwise the first row runs here alone and is timed: when its
+    time, times the rows left, times (1 - 1/workers), exceeds
+    POOL_START_S, the rows left go to one pool of that many worker
+    processes in contiguous chunks, about four per worker, and otherwise
+    they run here as one more chunk.  This process is already pinned when
+    the pool starts, so a forked worker inherits the pin and the library
+    lookup; and while the pool runs, the _BLAS_THREAD_ENV variables read
+    1, so a worker that loads OpenBLAS afresh (the spawn and forkserver
+    start methods) starts it on one thread.  Results come back in row
+    order, so they do not depend on where a row ran.
     """
     n = len(rows)
-    cap = min(jobs, usable_cores())
+    workers = min(jobs, usable_cores(), n - 1)
     counts = _set_blas_threads()
     try:
-        results, size = [], 1
+        if workers < 2:
+            return list(batch(rows))
         start = perf_counter()
-        while len(results) < n:
-            results.extend(batch(rows[len(results):len(results) + size]))
-            size *= 2
-            done = len(results)
-            left = n - done
-            workers = min(cap, left)
-            if workers > 1 and ((perf_counter() - start) / done * left * (1 - 1 / workers)
-                                > POOL_START_S):
-                chunk = max(1, left // (4 * workers))
-                with _one_blas_thread_env(), ProcessPoolExecutor(
-                        max_workers=workers, initializer=_set_blas_threads) as pool:
-                    for part in pool.map(batch, [rows[k:k + chunk] for k in range(done, n, chunk)]):
-                        results.extend(part)
-                break
+        results = list(batch(rows[:1]))
+        if (perf_counter() - start) * (n - 1) * (1 - 1 / workers) > POOL_START_S:
+            chunk = max(1, (n - 1) // (4 * workers))
+            with _one_blas_thread_env(), ProcessPoolExecutor(
+                    max_workers=workers, initializer=_set_blas_threads) as pool:
+                for part in pool.map(batch, [rows[k:k + chunk] for k in range(1, n, chunk)]):
+                    results.extend(part)
+        else:
+            results.extend(batch(rows[1:]))
         return results
     finally:
         _set_blas_threads(counts)
@@ -447,15 +446,17 @@ def sweep_rows(batch, rows, jobs: int = 1):
 def _spectrum_rows(rows):
     """(v12, du2, dv2, absorption, report) of each (params, delta1, omega,
     scale, collect) of rows (spectrum_columns).  Each run of contiguous
-    rows with equal (params, omega, collect), whatever their scales, goes
-    through _field_rows, propagation and the Duan combination as one
-    stack; each stacked step acts on every row alone, so a row's values do
-    not depend on the rest of its chunk.  A spectrum's chunk is one run,
-    and so is each p of a line-centre pump sweep in it."""
+    rows with equal (params, collect), whatever their scales, and with
+    omega = 0 on all of them or on none, goes through _field_rows,
+    propagation and the Duan combination as one stack; each stacked step
+    acts on every row alone, so a row's values do not depend on the rest
+    of its chunk.  A spectrum's chunk is one run, and so is each p of a
+    line-centre pump sweep in it, at any omega."""
     out = []
-    for (params, omega, collect), run in groupby(rows, key=lambda row: (row[0], row[2], row[4])):
-        _, delta1s, _, scales, _ = zip(*run)
-        m, s, absorption, reports = _field_rows(params, delta1s, scales, omega, collect)
+    for (params, _, collect), run in groupby(rows, key=lambda row: (row[0], row[2] == 0.0,
+                                                                    row[4])):
+        _, delta1s, omegas, scales, _ = zip(*run)
+        m, s, absorption, reports = _field_rows(params, delta1s, omegas, scales, collect)
         sigma = propagate(m, s, params.geometry.L, vacuum_covariance())
         if collect:
             reports = [replace(report, covariance_error=error) for report, error
@@ -468,9 +469,9 @@ def _spectrum_rows(rows):
 def spectrum_columns(rows, jobs: int, collect: bool):
     """V12 rows at the (params, delta1, omega, scale) of rows, run by
     sweep_rows in chunks of _spectrum_rows, which stacks the contiguous
-    rows of one parameter set and omega: their v12, du2, dv2 and
-    absorption columns in row order, and their merged PhysicalityReport,
-    which is None unless collected.
+    rows of one parameter set, at omega = 0 and not apart: their v12,
+    du2, dv2 and absorption columns in row order, and their merged
+    PhysicalityReport, which is None unless collected.
 
     A row runs params at delta1 and omega with the Doppler width of params
     divided by its scale.  It stands for the row with every rate, Rabi

@@ -471,8 +471,9 @@ _DETERMINISM_RUNS = [
     ("fig3", []),
     ("fig2-a", ["--omega", "50", "--delta1-min", "-4", "--delta1-max", "4",
                 "--delta1-points", "9"]),
-    # absorption only: stacked chunks of 1, 2, 4, ... rows, and at --jobs 2
-    # a pool once the rows left are worth one
+    # absorption only: one stacked chunk at --jobs 1; at --jobs 2 the first
+    # row alone, then the rows left as one more chunk, or in a pool when
+    # they are worth one
     ("fig2-g", ["--delta1-min", "-400", "--delta1-max", "400", "--delta1-points", "801"]),
     # V12 rows in stacked chunks, and at --jobs 2 pooled stacked chunks
     # (TestDeterminism.test_long_v12_window_opens_the_pool)

@@ -242,21 +242,28 @@ class TestRunScenario:
                      "covariance_error"):
             assert getattr(report, name) == pytest.approx(getattr(expected, name), abs=1e-13)
 
+    @pytest.mark.parametrize("omega", [0.0, 50.0])
     @pytest.mark.parametrize("points", [2, 9])
-    def test_line_centre_pump_sweep_factors_one_pencil_per_p(self, points, fast_doppler,
+    def test_line_centre_pump_sweep_factors_one_pencil_per_p(self, points, omega, fast_doppler,
                                                              monkeypatch):
         # every row of one p has the same parameter set, so the rows of one
-        # p in a sweep_rows chunk run as one stack: one dggev and one drift
-        # pencil row per (chunk, p) run; and every row shares the relaxation
-        # part
-        calls, built, runs = [], [], []
-        dggev, drift_pencil, batch = scipy.linalg.lapack.dggev, fl.drift_pencil, fl._spectrum_rows
+        # p in a sweep_rows chunk run as one stack, at omega = 0 and at
+        # omega != 0 (omega / c per row): one dggev and one drift pencil row
+        # per (chunk, p) run, and at omega != 0 one zggev per row; and
+        # every row shares the relaxation part.  At jobs=1 every row is in
+        # one chunk, so there is one run per p
+        calls, built, runs = {"dggev": 0, "zggev": 0}, [], []
+        batch = fl._spectrum_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return dggev(*args, **kwargs)
+        def counting(name):
+            lapack = getattr(scipy.linalg.lapack, name)
 
-        def building(params, delta1s):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return lapack(*args, **kwargs)
+            return call
+
+        def building(params, delta1s, drift_pencil=fl.drift_pencil):
             built.append(len(delta1s))
             return drift_pencil(params, delta1s)
 
@@ -264,17 +271,18 @@ class TestRunScenario:
             runs.append(len(list(groupby(rows, key=lambda row: row[0]))))
             return batch(rows)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dggev", counting)
+        for name in calls:
+            monkeypatch.setattr(scipy.linalg.lapack, name, counting(name))
         monkeypatch.setattr(fl, "drift_pencil", building)
         monkeypatch.setattr(fl, "_spectrum_rows", chunk)
         bloch.relaxation_log_norm.cache_clear()
         scenario = ex.Scenario(name="t", base=ex.baseline_params(doppler=fast_doppler),
                                kind="pump-sweep", grid=np.linspace(1.0, 150.0, points),
                                outputs="both")
-        ex.run_scenario(scenario, collect=True)
-        assert len(runs) > 1 and max(runs) == 2
-        assert len(calls) == sum(runs)
-        assert built == [1] * sum(runs)
+        ex.run_scenario(scenario, omega=omega, collect=True)
+        assert runs == [2]
+        assert calls == {"dggev": 2, "zggev": 2 * points if omega else 0}
+        assert built == [1, 1]
         assert bloch.relaxation_log_norm.cache_info().misses == 2
 
     @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])

@@ -281,8 +281,8 @@ class TestAdiabaticElimination:
     def test_zero_frequency_reuses_steady_state_factorization(self, omega, per_row,
                                                               fast_params, monkeypatch):
         # at w = 0 the resolvent is the steady-state pencil itself, so a
-        # row factors it once; any other w factors B0 + i w once more.  The
-        # sweep runs chunks of 1 and 2 rows, each factored as one stack
+        # row factors it once; any other w factors B0 + i w once more.  At
+        # jobs=1 the sweep runs its 3 rows as one chunk, factored as one stack
         calls = []
         factor = numerics.factor_pencil
 
@@ -293,8 +293,8 @@ class TestAdiabaticElimination:
         monkeypatch.setattr(bloch, "factor_pencil", counting)
         monkeypatch.setattr(fl, "factor_pencil", counting)
         fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], omega=omega, collect=True)
-        assert len(calls) == 2 * per_row
-        assert sum(len(a) for a, _ in calls) == 3 * per_row
+        assert len(calls) == per_row
+        assert [len(a) for a, _ in calls] == [3] * per_row
 
     def test_field_generator_matches_finite_difference(self):
         # M at omega=0 is the Jacobian of the polarization source with
@@ -442,7 +442,8 @@ def stacked_chunks():
     they do), fig4-a, fig4-c around its relocated feature at 200 MHz, a
     sideband at omega = 50, fig3 rows of both p, each with its own
     parameter set, and the same rows as the pump sweep runs them: the
-    alpha2 = 50 row of each p at the scale alpha2 / 50, one stack per p."""
+    alpha2 = 50 row of each p at the scale alpha2 / 50, one stack per p,
+    at omega = 0 and at omega = 50 (omega / c per row)."""
     scenarios = all_scenarios()
 
     def rows(name, delta1s, omega=0.0):
@@ -459,7 +460,9 @@ def stacked_chunks():
                       0.0, 0.0, 1.0, True) for alpha2 in (1.0, 6.0, 50.0, 150.0)
                      for p in (0.0, 20.0)],
             "fig3-scaled": [(params, 0.0, 0.0, alpha2 / 50.0, True) for params in bases
-                            for alpha2 in (1.0, 6.0, 50.0, 150.0)]}
+                            for alpha2 in (1.0, 6.0, 50.0, 150.0)],
+            "fig3-scaled-omega-50": [(params, 0.0, 50.0 / (alpha2 / 50.0), alpha2 / 50.0, True)
+                                     for params in bases for alpha2 in (1.0, 6.0, 50.0, 150.0)]}
 
 
 STACKED_CHUNKS = stacked_chunks()
@@ -495,7 +498,7 @@ class TestStackedRows:
     def test_stacked_field_system_is_the_one_row_field_system(self, chunk):
         (params, _, omega, _, _), *_ = rows = STACKED_CHUNKS[chunk]
         m, s, absorption, reports = fl._field_rows(params, [row[1] for row in rows],
-                                                   [1.0] * len(rows), omega, True)
+                                                   [omega] * len(rows), [1.0] * len(rows), True)
         for r, (_, delta1, _, _, _) in enumerate(rows):
             m_r, s_r, absorption_r, report_r = fl.field_system_at(params, delta1, omega, True)
             assert np.array_equal(m[r], m_r) and np.array_equal(s[r], s_r)
@@ -513,12 +516,25 @@ class TestStackedRows:
                             lambda params, d: built.append(list(d)) or drift_pencil(params, d))
         monkeypatch.setattr(bloch, "factor_pencil",
                             lambda a, b: factored.append(len(a)) or factor(a, b))
-        m, s, absorption, reports = fl._field_rows(params, delta1s, scales, 0.0, True)
+        m, s, absorption, reports = fl._field_rows(params, delta1s, [0.0] * 5, scales, True)
         assert built == [[0.0, 5.0]] and factored == [2]
         for r, (delta1, c) in enumerate(zip(delta1s, scales)):
-            m_r, s_r, absorption_r, (report_r,) = fl._field_rows(params, [delta1], [c], 0.0, True)
+            m_r, s_r, absorption_r, (report_r,) = fl._field_rows(params, [delta1], [0.0], [c],
+                                                                 True)
             assert m[r].tobytes() == m_r[0].tobytes() and s[r].tobytes() == s_r[0].tobytes()
             assert absorption[r] == absorption_r[0] and reports[r] == report_r
+
+    def test_stacks_split_where_omega_turns_zero(self, monkeypatch):
+        # contiguous rows of one parameter set stack whatever their omegas,
+        # but rows at omega = 0 never share a stack with rows at omega != 0
+        stacks, field_rows = [], fl._field_rows
+        monkeypatch.setattr(fl, "_field_rows", lambda params, delta1s, omegas, scales, collect:
+                            stacks.append(omegas) or field_rows(params, delta1s, omegas, scales,
+                                                                collect))
+        params = all_scenarios()["fig2-a"].base
+        fl._spectrum_rows([(params, 0.0, omega, 1.0, False)
+                           for omega in (0.0, 0.0, 3.0, 50.0, -50.0, 0.0)])
+        assert stacks == [(0.0, 0.0), (3.0, 50.0, -50.0), (0.0,)]
 
     def test_fig2a_chunk_mixes_doubling_counts_and_taylor_branches(self, monkeypatch):
         # the chunk above covers both kinds of row: propagation groups its
@@ -741,12 +757,16 @@ class TestFieldCovariance:
         assert recording_pool == [(workers, fl._set_blas_threads)]
         assert opened == [0] + [1] * (rows - 1)
 
-    @pytest.mark.parametrize("rows, chunks", [
-        (1, [1]), (3, [1, 2]), (16, [1, 2, 4, 8, 1]), (40, [1, 2, 4, 8, 16, 9])])
-    def test_rows_here_run_in_doubling_chunks(self, recording_pool, core_mask, monkeypatch,
-                                              rows, chunks):
-        # a clock that never advances projects no saving, so no pool opens
-        core_mask(2)
+    @pytest.mark.parametrize("rows, jobs, cores, chunks", [
+        (1, 2, 2, [1]), (2, 2, 2, [2]), (3, 2, 2, [1, 2]), (16, 2, 2, [1, 15]),
+        (40, 2, 2, [1, 39]), (16, 1, 2, [16]), (801, 1, 2, [801]), (16, 4, 1, [16])])
+    def test_rows_here_run_in_one_or_two_chunks(self, recording_pool, core_mask, monkeypatch,
+                                                rows, jobs, cores, chunks):
+        # with one possible worker (jobs=1, one core, or one row left after
+        # the first) every row runs as one chunk; otherwise the first row
+        # runs alone, and a clock that never advances projects no saving,
+        # so the rows left run here as one more chunk and no pool opens
+        core_mask(cores)
         monkeypatch.setattr(fl, "perf_counter", lambda: 0.0)
         seen = []
 
@@ -754,7 +774,7 @@ class TestFieldCovariance:
             seen.append(chunk)
             return [-k for k in chunk]
 
-        assert fl.sweep_rows(record, list(range(rows)), jobs=2) == [-k for k in range(rows)]
+        assert fl.sweep_rows(record, list(range(rows)), jobs) == [-k for k in range(rows)]
         assert [len(chunk) for chunk in seen] == chunks
         assert sum(seen, []) == list(range(rows))
         assert recording_pool == []
