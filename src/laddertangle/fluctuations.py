@@ -24,10 +24,10 @@ the identity, it cancels from every second moment of the output.
 Rows are a batch axis.  The contiguous rows of a sweep that share one
 parameter set run as one stack, whatever their omegas and Doppler scales,
 as long as omega = 0 on all of them or on none (_field_rows, one row
-being R = 1): the classes, the pencils, the class
-averages, the contractions, propagation and the Duan combination each
-run once over the stack, and every stacked step acts on each row alone,
-so a row's bytes do not depend on its stack mates.
+being R = 1): the classes, the pencils, the class averages, the
+contractions, propagation and the Duan combination each run once over
+the stack, and every stacked step acts on each row alone, so a row's
+bytes do not depend on its stack mates.
 
 Covariances are stored as Sigma_ij = <dA_i dA_j+> in shot-noise units, so
 vacuum/coherent inputs give Sigma = diag(1, 0, 1, 0) and two uncorrelated
@@ -427,7 +427,7 @@ def sweep_rows(batch, rows, jobs: int = 1):
     counts = _set_blas_threads()
     try:
         if workers < 2:
-            return list(batch(rows))
+            return list(batch(rows)) if rows else []
         start = perf_counter()
         results = list(batch(rows[:1]))
         if (perf_counter() - start) * (n - 1) * (1 - 1 / workers) > POOL_START_S:

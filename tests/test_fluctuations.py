@@ -758,14 +758,15 @@ class TestFieldCovariance:
         assert opened == [0] + [1] * (rows - 1)
 
     @pytest.mark.parametrize("rows, jobs, cores, chunks", [
-        (1, 2, 2, [1]), (2, 2, 2, [2]), (3, 2, 2, [1, 2]), (16, 2, 2, [1, 15]),
+        (0, 2, 2, []), (1, 2, 2, [1]), (2, 2, 2, [2]), (3, 2, 2, [1, 2]), (16, 2, 2, [1, 15]),
         (40, 2, 2, [1, 39]), (16, 1, 2, [16]), (801, 1, 2, [801]), (16, 4, 1, [16])])
     def test_rows_here_run_in_one_or_two_chunks(self, recording_pool, core_mask, monkeypatch,
                                                 rows, jobs, cores, chunks):
         # with one possible worker (jobs=1, one core, or one row left after
-        # the first) every row runs as one chunk; otherwise the first row
-        # runs alone, and a clock that never advances projects no saving,
-        # so the rows left run here as one more chunk and no pool opens
+        # the first) every row runs as one chunk, and no rows make no
+        # chunk; otherwise the first row runs alone, and a clock that never
+        # advances projects no saving, so the rows left run here as one
+        # more chunk and no pool opens
         core_mask(cores)
         monkeypatch.setattr(fl, "perf_counter", lambda: 0.0)
         seen = []
