@@ -24,7 +24,7 @@ import scipy
 from . import __version__, experiments
 from .errors import ConfigError, ContractError, LadderError, ParameterError
 from .experiments import Scenario, all_scenarios, extract_feature
-from .fluctuations import usable_cores
+from .fluctuations import _BLAS_THREAD_ENV, usable_cores
 from .model import SCHEMA_VERSION, load_config, params_to_config, validate_regime
 from .tables import SpectrumTable
 
@@ -61,12 +61,11 @@ def _sha256(path: Path) -> str:
 
 
 def _environment() -> dict:
-    """Interpreter and library versions plus the BLAS thread settings."""
+    """Interpreter and library versions plus the BLAS thread variables
+    that the sweep's pool pins."""
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "laddertangle": __version__}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = os.environ.get(var)
-    return env
+    return env | {var: os.environ.get(var) for var in _BLAS_THREAD_ENV}
 
 
 def _finite_float(text: str) -> float:

@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
 from itertools import groupby, repeat
-from time import perf_counter
 
 import numpy as np
 
@@ -69,14 +68,12 @@ _BLAS_THREAD_CALLS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads"
 # Thread-count variables that a BLAS or OpenMP runtime reads when it loads
 _BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Seconds of serial row time a process pool must save before sweep_rows
-# opens one.  Pooled time is about c + serial/2 at two workers; medians of 7
-# alternating calls on fig2-a at 8 and 32 rows and fig2-g at 16 and 64 rows
-# (one BLAS thread, 2-core x86-64) put the start-and-stop cost c at 18-23 ms
-# on a quiet host and up to 52 ms on a busy one.  Short sweeps (16 fig2-g or
-# 12 fig4-c rows) stay here; full scenarios still pool (801 fig2-a rows
-# project about 0.8 s of saving).
-POOL_START_S = 0.05
+# Most rows sweep_rows hands batch at once.  A stacked V12 row holds about
+# 125 KB at its peak (doppler.factor_moments), so a stack stays near 8 MB
+# however long the sweep; an 801-row fig2-a spectrum ran no slower in
+# stacks of 64 than as one stack (one BLAS thread, 2-core x86-64).  A call
+# of this many rows or fewer runs here; a longer one pools when it can.
+STACK_ROWS = 64
 
 # field pairing involution (a1 <-> a1+, a2 <-> a2+)
 FIELD_CONJ = (1, 0, 3, 2)
@@ -408,37 +405,31 @@ def sweep_rows(batch, rows, jobs: int = 1):
     rows: batch(chunk) takes a contiguous list of rows and returns one
     result per row, each independent of the chunk's other rows.
 
-    Rows run with every loaded OpenBLAS at one thread, and the caller's
-    thread counts are restored afterwards.  With one possible worker
-    (min(jobs, usable_cores(), rows - 1) < 2) every row runs here, as one
-    chunk.  Otherwise the first row runs here alone and is timed: when its
-    time, times the rows left, times (1 - 1/workers), exceeds
-    POOL_START_S, the rows left go to one pool of that many worker
-    processes in contiguous chunks, about four per worker, and otherwise
-    they run here as one more chunk.  This process is already pinned when
-    the pool starts, so a forked worker inherits the pin and the library
-    lookup; and while the pool runs, the _BLAS_THREAD_ENV variables read
-    1, so a worker that loads OpenBLAS afresh (the spawn and forkserver
-    start methods) starts it on one thread.  Results come back in row
-    order, so they do not depend on where a row ran.
+    Rows go out in contiguous chunks of at most STACK_ROWS rows, with
+    every loaded OpenBLAS at one thread, and the caller's thread counts
+    are restored afterwards.  A call of at most STACK_ROWS rows runs here
+    as one chunk, and so does each chunk of a longer call when only one
+    worker is possible.  Otherwise the rows go to one pool of
+    min(jobs, usable_cores(), rows) worker processes, in chunks of
+    min(STACK_ROWS, ceil(rows / (4 workers))) rows.  This process is
+    already pinned when the pool starts, so a forked worker inherits the
+    pin and the library lookup; and while the pool runs, the
+    _BLAS_THREAD_ENV variables read 1, so a worker that loads OpenBLAS
+    afresh (the spawn and forkserver start methods) starts it on one
+    thread.  Results come back in row order, so they do not depend on
+    where a row ran.
     """
     n = len(rows)
-    workers = min(jobs, usable_cores(), n - 1)
+    workers = min(jobs, usable_cores(), n) if n > STACK_ROWS else 1
+    size = STACK_ROWS if workers < 2 else min(STACK_ROWS, -(-n // (4 * workers)))
+    chunks = [rows[k:k + size] for k in range(0, n, size)]
     counts = _set_blas_threads()
     try:
         if workers < 2:
-            return list(batch(rows)) if rows else []
-        start = perf_counter()
-        results = list(batch(rows[:1]))
-        if (perf_counter() - start) * (n - 1) * (1 - 1 / workers) > POOL_START_S:
-            chunk = max(1, (n - 1) // (4 * workers))
-            with _one_blas_thread_env(), ProcessPoolExecutor(
-                    max_workers=workers, initializer=_set_blas_threads) as pool:
-                for part in pool.map(batch, [rows[k:k + chunk] for k in range(1, n, chunk)]):
-                    results.extend(part)
-        else:
-            results.extend(batch(rows[1:]))
-        return results
+            return [result for chunk in chunks for result in batch(chunk)]
+        with _one_blas_thread_env(), ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_blas_threads) as pool:
+            return [result for part in pool.map(batch, chunks) for result in part]
     finally:
         _set_blas_threads(counts)
 
@@ -451,7 +442,8 @@ def _spectrum_rows(rows):
     propagation and the Duan combination as one stack; each stacked step
     acts on every row alone, so a row's values do not depend on the rest
     of its chunk.  A spectrum's chunk is one run, and so is each p of a
-    line-centre pump sweep in it, at any omega."""
+    line-centre pump sweep in it, at any omega; sweep_rows keeps a chunk,
+    and so each stack, to at most STACK_ROWS rows."""
     out = []
     for (params, _, collect), run in groupby(rows, key=lambda row: (row[0], row[2] == 0.0,
                                                                     row[4])):

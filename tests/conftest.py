@@ -53,9 +53,9 @@ def recording_pool(monkeypatch):
 
 @pytest.fixture
 def eager_pool(monkeypatch):
-    """Let the sweep hand its rows left to a process pool after the first
-    row, however cheap the rows are."""
-    monkeypatch.setattr(fluctuations, "POOL_START_S", 0.0)
+    """Let the sweep hand any call of two or more rows to a process pool,
+    one row a chunk, however short the call is."""
+    monkeypatch.setattr(fluctuations, "STACK_ROWS", 1)
 
 
 @pytest.fixture

@@ -98,7 +98,7 @@ class TestRun:
 
     @pytest.mark.parametrize("omega", [0, 50])
     def test_jobs_do_not_change_bytes(self, tmp_path, fast_config, eager_pool, omega):
-        # at jobs=3 the first row runs here and a real pool runs the rest;
+        # at jobs=3 a real pool runs every row, one row a chunk;
         # at omega != 0 the rows take the complex-QZ resolvent
         outs = []
         for jobs in (1, 3):
@@ -471,9 +471,8 @@ _DETERMINISM_RUNS = [
     ("fig3", []),
     ("fig2-a", ["--omega", "50", "--delta1-min", "-4", "--delta1-max", "4",
                 "--delta1-points", "9"]),
-    # absorption only: one stacked chunk at --jobs 1; at --jobs 2 the first
-    # row alone, then the rows left as one more chunk, or in a pool when
-    # they are worth one
+    # absorption only: stacked chunks here at --jobs 1, and pooled stacked
+    # chunks at --jobs 2
     ("fig2-g", ["--delta1-min", "-400", "--delta1-max", "400", "--delta1-points", "801"]),
     # V12 rows in stacked chunks, and at --jobs 2 pooled stacked chunks
     # (TestDeterminism.test_long_v12_window_opens_the_pool)

@@ -287,7 +287,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("outputs", ["v12", "absorption", "pump-sweep"])
     def test_jobs_do_not_change_bytes(self, outputs, fast_doppler, tmp_path, eager_pool):
-        # at jobs=2 the first row runs here and a real pool runs the rest
+        # at jobs=2 a real pool runs every row, one row a chunk
         scenario = _small_scenario(outputs, fast_doppler)
         payloads = []
         for jobs in (1, 2):

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -701,13 +702,14 @@ class TestFieldCovariance:
         assert np.array_equal(a.absorption, b.absorption)
 
     def test_pool_sized_to_rows(self, fast_params, recording_pool, core_mask, eager_pool):
-        # the first row runs here, so the pool takes the three rows left
+        # past the stack bound every row goes to the pool, so four rows make
+        # four workers; one row runs here
         core_mask(8)
         params = fast_params(p=0.5)
-        fl.v12_spectrum(params, [-10.0, 0.0, 10.0, 20.0], jobs=4)
-        assert recording_pool == [(3, fl._set_blas_threads)]
+        fl.v12_spectrum(params, [-10.0, 0.0, 10.0, 20.0], jobs=5)
+        assert recording_pool == [(4, fl._set_blas_threads)]
         fl.v12_spectrum(params, [0.0], jobs=4)
-        assert recording_pool == [(3, fl._set_blas_threads)]
+        assert recording_pool == [(4, fl._set_blas_threads)]
 
     @pytest.mark.parametrize("cores", [2, 1, None])
     def test_pool_capped_at_the_core_count(self, fast_params, recording_pool, core_mask,
@@ -719,7 +721,7 @@ class TestFieldCovariance:
         assert recording_pool == ([(2, fl._set_blas_threads)] if cores == 2 else [])
 
     def test_one_core_mask_runs_serially(self, fast_params, recording_pool, core_mask,
-                                         monkeypatch):
+                                         monkeypatch, eager_pool):
         # taskset -c 0 on a 2-core host: the pool and the default --jobs
         # count the one core this process may run on, not the host's two
         monkeypatch.setattr(fl.os, "cpu_count", lambda: 2)
@@ -729,46 +731,22 @@ class TestFieldCovariance:
         assert recording_pool == []
         assert cli._default_jobs(None) == 1
 
-    def test_cheap_sweep_runs_here(self, fast_params, recording_pool, core_mask):
-        # two workers are possible, but a pool would cost more than the
-        # rows left; the first call warms this process's caches
+    def test_short_sweep_runs_here(self, fast_params, recording_pool, core_mask):
+        # two workers are possible, but a call within the stack bound runs
+        # here as one stack
         core_mask(2)
-        params = fast_params(p=0.5)
-        fl.v12_spectrum(params, [0.0], jobs=1)
-        fl.v12_spectrum(params, [-10.0, 0.0, 10.0], jobs=2)
+        fl.v12_spectrum(fast_params(p=0.5), [-10.0, 0.0, 10.0], jobs=2)
         assert recording_pool == []
 
-    @pytest.mark.parametrize("jobs, cores, rows, workers", [
-        (4, 8, 6, 4), (8, 8, 3, 2), (8, 3, 6, 3)])
-    def test_slow_rows_hand_the_rest_to_a_pool(self, recording_pool, core_mask, monkeypatch,
-                                               jobs, cores, rows, workers):
-        # a clock that advances a second per reading makes every row slow;
-        # each row records how many pools had opened when it ran
-        core_mask(cores)
-        ticks = iter(range(100))
-        monkeypatch.setattr(fl, "perf_counter", lambda: float(next(ticks)))
-        opened = []
-
-        def squares(chunk):
-            opened.extend([len(recording_pool)] * len(chunk))
-            return [k * k for k in chunk]
-
-        assert fl.sweep_rows(squares, list(range(rows)), jobs) == [k * k for k in range(rows)]
-        assert recording_pool == [(workers, fl._set_blas_threads)]
-        assert opened == [0] + [1] * (rows - 1)
-
     @pytest.mark.parametrize("rows, jobs, cores, chunks", [
-        (0, 2, 2, []), (1, 2, 2, [1]), (2, 2, 2, [2]), (3, 2, 2, [1, 2]), (16, 2, 2, [1, 15]),
-        (40, 2, 2, [1, 39]), (16, 1, 2, [16]), (801, 1, 2, [801]), (16, 4, 1, [16])])
-    def test_rows_here_run_in_one_or_two_chunks(self, recording_pool, core_mask, monkeypatch,
-                                                rows, jobs, cores, chunks):
-        # with one possible worker (jobs=1, one core, or one row left after
-        # the first) every row runs as one chunk, and no rows make no
-        # chunk; otherwise the first row runs alone, and a clock that never
-        # advances projects no saving, so the rows left run here as one
-        # more chunk and no pool opens
+        (0, 2, 2, []), (1, 2, 2, [1]), (3, 2, 2, [3]), (64, 8, 8, [64]), (16, 1, 2, [16]),
+        (65, 1, 2, [64, 1]), (801, 1, 2, [64] * 12 + [33]), (200, 4, 1, [64] * 3 + [8])])
+    def test_rows_here_run_in_chunks_of_the_stack_bound(self, recording_pool, core_mask,
+                                                         rows, jobs, cores, chunks):
+        # a call within the bound is one chunk, and no rows make no chunk;
+        # with one possible worker (jobs=1 or one core) a longer call runs
+        # here in contiguous chunks of STACK_ROWS rows
         core_mask(cores)
-        monkeypatch.setattr(fl, "perf_counter", lambda: 0.0)
         seen = []
 
         def record(chunk):
@@ -780,22 +758,59 @@ class TestFieldCovariance:
         assert sum(seen, []) == list(range(rows))
         assert recording_pool == []
 
-    def test_pool_takes_the_rows_left_in_contiguous_chunks(self, recording_pool, core_mask,
-                                                           monkeypatch):
-        # after a slow first chunk of one row, two workers take the 39 rows
-        # left in chunks of 39 // (4 * 2) = 4, in order
-        core_mask(2)
-        ticks = iter(range(100))
-        monkeypatch.setattr(fl, "perf_counter", lambda: float(next(ticks)))
+    @pytest.mark.parametrize("rows, jobs, cores, workers, size", [
+        (65, 4, 8, 4, 5), (200, 2, 2, 2, 25), (200, 8, 3, 3, 17), (801, 2, 2, 2, 64)])
+    def test_long_sweep_goes_to_one_pool_in_contiguous_chunks(
+            self, recording_pool, core_mask, rows, jobs, cores, workers, size):
+        # past the stack bound every row runs in one pool of
+        # min(jobs, cores, rows) workers, in chunks of
+        # min(STACK_ROWS, ceil(rows / (4 workers))) rows, in order
+        core_mask(cores)
         seen = []
 
         def record(chunk):
-            seen.append(chunk)
+            seen.append((len(recording_pool), chunk))
             return [-k for k in chunk]
 
-        assert fl.sweep_rows(record, list(range(40)), jobs=2) == [-k for k in range(40)]
-        assert recording_pool == [(2, fl._set_blas_threads)]
-        assert seen == [[0]] + [list(range(k, min(k + 4, 40))) for k in range(1, 40, 4)]
+        assert fl.sweep_rows(record, list(range(rows)), jobs) == [-k for k in range(rows)]
+        assert recording_pool == [(workers, fl._set_blas_threads)]
+        assert seen == [(1, list(range(k, min(k + size, rows)))) for k in range(0, rows, size)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_stack_exceeds_the_bound(self, fast_params, recording_pool, core_mask,
+                                        monkeypatch, jobs):
+        # a spy on the V12 batch: 3 STACK_ROWS + 1 rows never reach it more
+        # than STACK_ROWS at a time, here at jobs=1 or through the pool
+        core_mask(2)
+        sizes = []
+        batch = fl._spectrum_rows
+
+        def spy(chunk):
+            sizes.append(len(chunk))
+            return batch(chunk)
+
+        monkeypatch.setattr(fl, "_spectrum_rows", spy)
+        rows = 3 * fl.STACK_ROWS + 1
+        fl.v12_spectrum(fast_params(p=0.5), np.linspace(-20.0, 20.0, rows), jobs=jobs)
+        assert sum(sizes) == rows and max(sizes) <= fl.STACK_ROWS
+        assert len(recording_pool) == jobs - 1
+
+    def test_sweep_memory_does_not_grow_with_its_rows(self, fast_params, monkeypatch):
+        # with stacks of 8, a 32-row sweep peaks near an 8-row one, where
+        # one 32-row stack would hold about four times the memory
+        monkeypatch.setattr(fl, "STACK_ROWS", 8)
+        params = fast_params(p=0.5)
+        fl.v12_spectrum(params, np.linspace(-20.0, 20.0, 8))   # fill the caches
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                fl.v12_spectrum(params, np.linspace(-20.0, 20.0, rows))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= 1.5 * peak(8)
 
     def test_pool_sees_one_blas_thread_in_the_environment(self, recording_pool, core_mask,
                                                           eager_pool, monkeypatch):
@@ -811,7 +826,7 @@ class TestFieldCovariance:
             return [tuple(os.environ.get(name) for name in names) for _ in chunk]
 
         rows = fl.sweep_rows(environment, [0, 1, 2], jobs=2)
-        assert rows == [("3", None, None)] + [("1", "1", "1")] * 2
+        assert rows == [("1", "1", "1")] * 3
         assert environment([0]) == [("3", None, None)]
 
 
@@ -863,7 +878,7 @@ print(json.dumps({"before": before, "inside": inside, "after": after,
 
 # The counts before a pooled sweep at the start method argv[1], in its rows
 # with the OS thread count and OPENBLAS_NUM_THREADS of the process that ran
-# them, and after it; the pool takes every row after the first.  Spawned
+# them, and after it; with stacks of one row the pool takes every row.  Spawned
 # workers import it, so it runs from a file.
 _POOL_THREADS_SCRIPT = _BLAS_COUNTS + """
 import multiprocessing
@@ -875,7 +890,7 @@ def probe(chunk):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
-    fl.POOL_START_S = 0.0
+    fl.STACK_ROWS = 1
     before = counts()
     rows = fl.sweep_rows(probe, list(range(4)), jobs=2)
     print(json.dumps({"before": before, "rows": rows, "after": counts(),
@@ -916,17 +931,16 @@ def test_pool_worker_initializer_pins_blas_to_one_thread(blas_threads):
 
 def pool_thread_counts(method, directory):
     """_POOL_THREADS_SCRIPT's counts at the given start method, checked:
-    row 0 runs in the pinned parent, rows 1-3 in workers that run BLAS on
-    one thread, started with OPENBLAS_NUM_THREADS=1, in a process of one OS
-    thread; the parent's counts and environment come back afterwards."""
+    every row runs in a worker that runs BLAS on one thread, started with
+    OPENBLAS_NUM_THREADS=1, in a process of one OS thread; the parent's
+    counts and environment come back afterwards."""
     if not Path("/proc/self/task").exists():
         pytest.skip("needs a process memory map and task list")
     if method not in multiprocessing.get_all_start_methods() or fl.usable_cores() < 2:
         pytest.skip(f"needs {method} pool workers on at least two cores")
     counts = _blas_counts_run(_POOL_THREADS_SCRIPT, directory, method)
     n = len(counts["before"])
-    assert counts["rows"][0][0] == [1] * n and counts["rows"][0][2] == "2"
-    assert counts["rows"][1:] == [[[1] * n, 1, "1"]] * 3
+    assert counts["rows"] == [[[1] * n, 1, "1"]] * 4
     assert counts["after"] == counts["before"]
     assert counts["env"] == "2"
 
