@@ -247,9 +247,11 @@ def relaxation_log_norm(decay: DecayConfig, rates: CoherenceRates) -> float:
     return metric_log_norm(reduce_generator(decay_generator(decay, rates)))
 
 
-def drift_bound(params: SystemParams, b0: np.ndarray, e: np.ndarray, shifts) -> float:
+def drift_bound(params: SystemParams, b0: np.ndarray, e: np.ndarray, shifts,
+                scale: float) -> float:
     """Upper bound on the real parts of the eigenvalues of the reduced
-    drifts B0 - s diag(e) of the classes with the given probe shifts.
+    drifts B0 - s diag(e) of the classes with the given probe shifts
+    divided by scale.
 
     The Hamiltonian part of the drift, detunings and velocity shift
     included, is skew in the Hilbert-Schmidt metric P = LIFT^T LIFT.  So
@@ -262,7 +264,7 @@ def drift_bound(params: SystemParams, b0: np.ndarray, e: np.ndarray, shifts) -> 
     top = relaxation_log_norm(params.decay, params.rates)
     if top < 0.0:
         return top
-    b = b0 - np.asarray(shifts, dtype=float)[:, None, None] * np.diag(e)
+    b = b0 - (np.asarray(shifts, dtype=float) / scale)[:, None, None] * np.diag(e)
     return float(np.max(np.linalg.eigvals(b).real))
 
 
@@ -396,14 +398,14 @@ def absorption_exact_batch(params: SystemParams, mean_vecs: np.ndarray, classes)
     return float(average(vals, classes))
 
 
-def averaged_absorption(params: SystemParams, pencil: SteadyPencil, classes) -> np.ndarray:
+def averaged_absorption(params: SystemParams, pencil: SteadyPencil, factors) -> np.ndarray:
     """Doppler average of (gamma12/(g1 alpha1)) Im rho21 of each row of a
     stacked pencil, from the class averages <1 / (1 - s t)> at the row's
-    points alone (doppler.resolvent_series)."""
+    points, factors (R, 9): doppler.resolvent_series' order 0 in
+    absorption_rows, and the V12 rows' (doppler.factor_moments), alike."""
     o1 = params.rabi1
     if o1 == 0.0:
         return np.zeros(len(pencil.points))
-    factors = resolvent_series(classes, pencil.points, 0)[0]
     rho21 = pencil.states[:, None, IDX[2, 1]] @ factors[:, :, None]
     return params.rates.gamma12 / o1 * rho21[:, 0, 0].imag
 
@@ -416,7 +418,7 @@ def absorption_rows(params: SystemParams, delta1s) -> np.ndarray:
     once, at delta1 = 0."""
     classes = build_classes(params, 0.0, params.field.delta2)
     pencil = steady_state_pencil(*drift_pencil(params, delta1s), classes.shifts)
-    return averaged_absorption(params, pencil, classes)
+    return averaged_absorption(params, pencil, resolvent_series(classes, pencil.points, 0)[0])
 
 
 def absorption_exact(params: SystemParams, delta1: float) -> float:

@@ -126,11 +126,12 @@ def pole_distance(classes: VelocityClasses, points) -> np.ndarray:
 def resolvent_taylor(classes: VelocityClasses, points, order: int) -> np.ndarray:
     """Taylor coefficients <s^m / (1 - s t)^(m+1)>, m = 0..order, of the
     resolvent function g(t) = <1 / (1 - s t)> of the class rule at each
-    point t, shape (order + 1, len(points)), each one weight-vector product
-    over the classes."""
+    point t, shape (order + 1, len(points)), each order one weight-vector
+    product over the classes; g itself is one product per point, since a
+    point's bytes in a product over several points depend on the others."""
     shifts, weights = classes.complex_rule
     term = 1.0 / (1.0 - np.asarray(points, dtype=complex)[:, None] * shifts)
-    coef = [term @ weights]
+    coef = [[row @ weights for row in term]]
     if order:
         sr = term * shifts
         for _ in range(order):
@@ -147,7 +148,8 @@ def resolvent_series(classes: VelocityClasses, points, orders) -> np.ndarray:
     and of an exact conjugate pair within a row the member above the real
     axis is evaluated (to the pair's larger order) and the other mirrored,
     as g(conj t) = conj g(t) on a real rule.  Each row's class sums are
-    taken apart (resolvent_taylor), so no K-length temporary spans rows."""
+    taken apart (resolvent_taylor), so no K-length temporary spans rows,
+    and a point's g has its bytes alone in any row, call or order."""
     shape = np.shape(points)
     n = shape[-1]
     rows = np.asarray(points, dtype=complex).reshape(-1, n)
@@ -171,11 +173,12 @@ def resolvent_series(classes: VelocityClasses, points, orders) -> np.ndarray:
     return g.reshape(-1, *shape)
 
 
-def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
+def factor_moments(classes: VelocityClasses, points, ids):
     """Class averages <r(t_1) r(t_2) r(t_3)> of the pencil factors
     r(t) = 1 / (1 - s t), for triples of points given as rows of indices
     into a row of points (a point 0 is a factor 1), or into each row of a
-    stack of them, shape (*points.shape[:-1], len(ids)).
+    stack of them, shape (*points.shape[:-1], len(ids)); and <r(t)> at
+    every point, shape points.shape, as resolvent_series gives it.
 
     By partial fractions such an average is the divided difference
     F[t_1, t_2, t_3] of F(t) = t^2 g(t), with g(t) = <1 / (1 - s t)>; where
@@ -193,38 +196,42 @@ def factor_moments(classes: VelocityClasses, points, ids) -> np.ndarray:
     that the largest gap over its centre's pole distance demands, in its
     own row.
 
-    Rows whose points repeat alike (_alike_moments) run as one stack, and
-    every step acts on each row alone, with each row's class sums taken
+    Rows whose points repeat alike run as one stack (_alike_moments), over
+    each multiset of their distinct points that a triple names, once.
+    Every step acts on each row alone, with each row's class sums taken
     apart (resolvent_series), so a row's averages do not depend on the
     others.
     """
     points = np.asarray(points, dtype=complex)
-    ids = np.asarray(ids)
     rows = points.reshape(-1, points.shape[-1])
     # the first index of each point's value within its row
     first_equal = np.argmax(rows[:, :, None] == rows[:, None, :], axis=2)
     alike = {}
     for r, pattern in enumerate(first_equal):
         alike.setdefault(pattern.tobytes(), []).append(r)
-    if len(alike) == 1:
-        value = _alike_moments(classes, rows, first_equal[0], ids)
-    else:
-        value = np.empty((len(rows), len(ids)), dtype=complex)
-        for members in alike.values():
-            value[members] = _alike_moments(classes, rows[members], first_equal[members[0]], ids)
-    return value.reshape(*points.shape[:-1], len(ids))
+    value = np.empty((len(rows), len(ids)), dtype=complex)
+    series = np.empty(rows.shape, dtype=complex)
+    for members in alike.values():
+        first = first_equal[members[0]]
+        distinct = np.flatnonzero(first == np.arange(len(first)))
+        at, n = np.searchsorted(distinct, first), len(distinct)
+        # each triple as the flat index (i, j, k) of its sorted multiset i <= j <= k
+        code = np.ravel_multi_index(np.sort(at[ids], axis=1).T, (n, n, n))
+        seen = np.zeros(n ** 3, dtype=bool)
+        seen[code] = True
+        moments, g = _alike_moments(classes, rows[members][:, distinct],
+                                    np.unravel_index(np.flatnonzero(seen), (n, n, n)))
+        value[members], series[members] = moments[:, (np.cumsum(seen) - 1)[code]], g[:, at]
+    return value.reshape(*points.shape[:-1], len(ids)), series.reshape(points.shape)
 
 
-def _alike_moments(classes: VelocityClasses, points: np.ndarray, first_equal: np.ndarray,
-                   ids: np.ndarray) -> np.ndarray:
-    """factor_moments of a stack of rows of points that share the first
-    index of each point's value, first_equal, and so the distinct points'
-    indices.  Lower-case indices count within a row; upper-case ones are
-    flat, row * n + index, into the (R, n) arrays of the rows' distinct
-    points."""
-    distinct = np.flatnonzero(first_equal == np.arange(len(first_equal)))
-    t, n = points[:, distinct], len(distinct)
-    i, j, k = np.searchsorted(distinct, first_equal)[ids.T]
+def _alike_moments(classes: VelocityClasses, t: np.ndarray, ids):
+    """factor_moments of a stack of rows of distinct points t, shape (R, n),
+    for the triples of indices ids = (i, j, k) into each row, and g(t) at
+    every point.  Lower-case indices count within a row; upper-case ones
+    are flat, row * n + index, into the (R, n) arrays of the rows' points."""
+    n = t.shape[1]
+    i, j, k = ids
     # order each triple with its farthest pair outermost, where the Newton
     # form divides by its gap last; repeated points then sit side by side
     gap = np.abs(t[:, :, None] - t[:, None, :])
@@ -297,7 +304,7 @@ def _alike_moments(classes: VelocityClasses, points: np.ndarray, first_equal: np
             tail = f[m, centre] + y * tail
             near_value = tail + x * near_value
         value[tri] = near_value
-    return value.reshape(len(base), -1)
+    return value.reshape(len(base), -1), g[2]
 
 
 def _by_order(order: np.ndarray, *columns):

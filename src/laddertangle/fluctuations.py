@@ -17,7 +17,9 @@ through a diagonal, so one eigendecomposition per row factors every
 class, and the steady state and the resolvent depend on s only through
 factors 1/(1 - s theta).  M and S are then contractions with class
 averages of products of two and three such factors, computed from the
-rule's resolvent function (see _eliminate); no per-class tensor is built.
+rule's resolvent function in one pass over the classes that gives the
+absorption's averages of one factor too (see _eliminate); no per-class
+tensor is built.
 M leaves out the common phase i w / c of free propagation: a multiple of
 the identity, it cancels from every second moment of the output.
 
@@ -176,7 +178,8 @@ def _eliminate(params: SystemParams, pencil, classes, resolvent):
     and every class average is a moment of three pencil factors
     (doppler.factor_moments).  Every product is a stack of the one-row
     products, each row's slice laid out as a row alone would lay it out.
-    Returns the stacks of M and S.
+    Returns the stacks of M and S, and the class averages <r> at the points
+    of pencil, which the moments' pass takes on the way (the absorption's).
     """
     v, left, theta, _ = resolvent
     kv = _source_projection(params) @ v                            # (R,4,8)
@@ -186,13 +189,14 @@ def _eliminate(params: SystemParams, pencil, classes, resolvent):
     ld = states @ (left[:, None] @ corr
                    @ left.conj().transpose(0, 2, 1)[:, None]).reshape(-1, 9, 64)
     points = np.concatenate([pencil.points, theta, theta.conj()], axis=1)
-    moments = factor_moments(classes, points, _ELIMINATION_TRIPLES).reshape(-1, 8, 9, 9)
+    moments, factors = factor_moments(classes, points, _ELIMINATION_TRIPLES)
+    moments = moments.reshape(-1, 8, 9, 9)
     of_m = moments[:, :, 0].transpose(0, 2, 1)                     # (R, j, i)
     of_s = moments[:, :, 1:].transpose(0, 3, 1, 2)                 # (R, j, i, k)
     scale = params.geometry.N / C_M_MHZ
     m = -scale * (kv @ (of_m[..., None] * lc.reshape(-1, 9, 8, 4)).sum(axis=1))
     s = scale * (kv @ (of_s * ld.reshape(-1, 9, 8, 8)).sum(axis=1) @ kv.conj().transpose(0, 2, 1))
-    return m, s
+    return m, s, factors[:, :9]
 
 
 def propagate(m: np.ndarray, s: np.ndarray, length: float, sigma_in: np.ndarray) -> np.ndarray:
@@ -304,14 +308,14 @@ def _field_rows(params: SystemParams, delta1s, omegas, scales, collect: bool):
     (bloch.SteadyPencil.scaled).  Each distinct detuning's drift pencil is
     built and factored once, and its rows take it from there; at w = 0
     that factorization is the resolvent too, and at w != 0 each row
-    factors B0 + i w of its own.  The elimination and its class averages
-    run once over the stack, and each acts on every row alone."""
+    factors B0 + i w of its own.  The elimination and its class averages,
+    the absorption's among them, run once over the stack, and each acts on
+    every row alone."""
     classes = build_classes(params, 0.0, params.field.delta2)
     distinct = {}
     rows = [distinct.setdefault(delta1, len(distinct)) for delta1 in delta1s]
     b0, h, e = drift_pencil(params, list(distinct))
     pencil = steady_state_pencil(b0, h, e, classes.shifts, rows, scales)
-    absorption = averaged_absorption(params, pencil, classes)
     resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
     if any(omegas):
         try:
@@ -323,12 +327,13 @@ def _field_rows(params: SystemParams, delta1s, omegas, scales, collect: bool):
             lo, hi = min(omegas), max(omegas)
             where = f"omega={lo}" if lo == hi else f"omega in [{lo}, {hi}]"
             raise ResonanceError(f"singular atomic resolvent at {where}: {exc}") from exc
-    m, s = _eliminate(params, pencil, classes, resolvent)
+    m, s, factors = _eliminate(params, pencil, classes, resolvent)
+    absorption = averaged_absorption(params, pencil, factors)
     reports = None
     if collect:
         reports = [PhysicalityReport(
             *pencil_errors(pencil.take(r), classes.shifts),
-            max_drift_eigenvalue=drift_bound(params, b0[k], e, classes.shifts / scales[r]),
+            max_drift_eigenvalue=drift_bound(params, b0[k], e, classes.shifts, scales[r]),
             eigenvector_condition=float(max(pencil.resolvent[3][r], resolvent[3][r])))
             for r, k in enumerate(rows)]
     return m, s, absorption, reports

@@ -177,7 +177,7 @@ class TestDriftBound:
                 doppler=DopplerConfig(width=530.0, nodes=41, rule="trapezoid"))
             (b0,), _, e = bloch.drift_pencil(params, [rng.uniform(-600.0, 600.0)])
             shifts, _ = doppler.maxwellian_rule(params.doppler)
-            bound = bloch.drift_bound(params, b0, e, shifts)
+            bound = bloch.drift_bound(params, b0, e, shifts, 1.0)
             assert class_drift_max(b0, e, shifts) - 1e-12 <= bound < 0.0
             # the Hamiltonian part is skew in the metric, so B0's own
             # logarithmic norm is the relaxation part's, once per parameter set
@@ -195,7 +195,10 @@ class TestDriftBound:
         exact = class_drift_max(b0, e, shifts)
         assert exact < 0.0
         assert bloch.metric_log_norm(b0) >= 0.0
-        assert bloch.drift_bound(params, b0, e, shifts) == exact
+        assert bloch.drift_bound(params, b0, e, shifts, 1.0) == exact
+        # a row of scale c sees the shifts divided by c, in the fallback only
+        assert (bloch.drift_bound(params, b0, e, shifts, 4.0)
+                == class_drift_max(b0, e, shifts / 4.0) != exact)
 
 
 class TestAbsorption:

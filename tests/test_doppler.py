@@ -224,7 +224,7 @@ class TestFactorMoments:
         close_sets = ((points, np.array(list(itertools.product(range(len(points)), repeat=3))))
                       for points in CLOSE_SETS)
         for points, ids in itertools.chain(random_sets, close_sets):
-            got = doppler.factor_moments(classes, points, ids)
+            got, _ = doppler.factor_moments(classes, points, ids)
             want, scale = moment_oracle(classes, points, ids)
             # next to a pole the divided differences lose up to 4e-12 (the
             # worst of 40 seeds); without the Taylor series about close
@@ -237,7 +237,7 @@ class TestFactorMoments:
         points = np.array([0.0, 0.004 + 0.001j, 0.004 - 0.001j])
         ids = np.array([[1, 1, 1], [1, 2, 1], [0, 1, 0], [0, 0, 0], [2, 0, 2]])
         want, scale = moment_oracle(classes, points, ids)
-        got = doppler.factor_moments(classes, points, ids)
+        got, _ = doppler.factor_moments(classes, points, ids)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
         assert got[3] == 1.0
 
@@ -248,10 +248,22 @@ class TestFactorMoments:
         stack = np.array([random_points(rng) for _ in range(5)])
         stack[3, 5] = stack[3, 0]
         ids = rng.integers(0, stack.shape[1], (400, 3))
-        got = doppler.factor_moments(classes, stack, ids)
+        got, series = doppler.factor_moments(classes, stack, ids)
         assert got.shape == (5, 400)
-        for row, points in zip(got, stack):
-            assert np.array_equal(row, doppler.factor_moments(classes, points, ids))
+        for row, row_series, points in zip(got, series, stack):
+            alone, alone_series = doppler.factor_moments(classes, points, ids)
+            assert np.array_equal(row, alone) and np.array_equal(row_series, alone_series)
+
+    def test_any_order_of_a_triples_points_gives_the_same_bytes(self, rng):
+        # each triple is averaged as the multiset of its points
+        classes = doppler.build_classes(make_params(nodes=401), 0.0, 0.0)
+        for points in (random_points(rng), *CLOSE_SETS):
+            ids = rng.integers(0, len(points), (300, 3))
+            want, series = doppler.factor_moments(classes, points, ids)
+            for order in itertools.permutations(range(3)):
+                got, got_series = doppler.factor_moments(classes, points, ids[:, order])
+                assert got.tobytes() == want.tobytes()
+                assert got_series.tobytes() == series.tobytes()
 
     def test_pole_distance_is_the_nearest_node_pole(self, rng):
         classes = doppler.build_classes(make_params(nodes=401), 0.0, 0.0)
@@ -297,3 +309,17 @@ class TestResolventSeries:
             r = doppler.resolvent_series(classes, points, 0)[0]
             assert np.array_equal(r[partner], r.conj())
             assert np.all(r[points == 0.0] == 1.0)
+
+    def test_order_zero_has_the_bytes_of_the_point_alone(self, rng):
+        # g(t) of a point does not depend on the points, the rows or the
+        # orders it is evaluated with: the absorption reads it from either
+        # the absorption rows or the V12 rows' moments
+        params = all_scenarios()["fig2-a"].base
+        classes = doppler.build_classes(params, 0.0, params.field.delta2)
+        pencils = bloch.steady_state_pencil(*bloch.drift_pencil(params, [-35.0, 0.5, 200.0]),
+                                            classes.shifts)
+        stack = np.concatenate([pencils.points, [random_points(rng)[:9] for _ in range(3)]])
+        orders = rng.integers(0, 9, stack.shape)
+        together = doppler.resolvent_series(classes, stack, orders)[0]
+        for t, g in zip(stack.ravel().tolist(), together.ravel().tolist()):
+            assert doppler.resolvent_series(classes, [t], 0)[0, 0] == g

@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -598,6 +599,52 @@ class TestStackedRows:
                          "--jobs", "1", "--delta1-min", "-2", "--delta1-max", "2",
                          "--delta1-points", "5"]) == 3
         assert "pole" in capsys.readouterr().err
+
+
+class TestOneResolventPass:
+    def test_each_multiset_of_points_averaged_once_in_one_series_call(self, monkeypatch):
+        # a fig2-a row at omega = 0 has 7 distinct points (0 and the 6
+        # nonzero theta), so its 648 elimination triples name 84 multisets;
+        # the stack's moments and absorption take one resolvent_series call
+        # (the absorption had one of its own), at omega = 50 too
+        alike, series, triples, calls = doppler._alike_moments, doppler.resolvent_series, [], []
+        monkeypatch.setattr(doppler, "_alike_moments", lambda classes, t, ids:
+                            triples.append((len(t), len(ids[0]))) or alike(classes, t, ids))
+
+        def recording_series(classes, points, orders):
+            calls.append(np.shape(points))
+            return series(classes, points, orders)
+
+        monkeypatch.setattr(doppler, "resolvent_series", recording_series)
+        monkeypatch.setattr(bloch, "resolvent_series", recording_series)
+        for chunk, multisets in (("fig2-a", 84), ("omega-50", 343)):
+            triples.clear()
+            calls.clear()
+            rows = STACKED_CHUNKS[chunk]
+            fl._spectrum_rows(rows)
+            assert triples == [(len(rows), multisets)]
+            assert len(calls) == 1 and calls[0][0] == len(rows)
+        assert len(fl._ELIMINATION_TRIPLES) == 648
+
+    @pytest.mark.parametrize("chunk", ["fig2-a", "fig3-scaled"])
+    def test_stacked_absorption_is_the_absorption_rows(self, chunk):
+        # the V12 rows' absorption, from their moments' <r>, has the bytes
+        # of absorption_rows, which evaluates <r> alone: at a row's scale c
+        # both take the pencil's points divided by c
+        rows = STACKED_CHUNKS[chunk]
+        got = [row[3] for row in fl._spectrum_rows(rows)]
+        want = []
+        for params, group in itertools.groupby(rows, key=lambda row: row[0]):
+            _, delta1s, _, scales, _ = zip(*group)
+            classes = build_classes(params, 0.0, params.field.delta2)
+            pencil = bloch.steady_state_pencil(*bloch.drift_pencil(params, delta1s),
+                                               classes.shifts, scales=scales)
+            part = bloch.averaged_absorption(
+                params, pencil, doppler.resolvent_series(classes, pencil.points, 0)[0]).tolist()
+            if set(scales) == {1.0}:
+                assert bloch.absorption_rows(params, delta1s).tolist() == part
+            want += part
+        assert len(want) == len(rows) and got == want
 
 
 def scaled(params: SystemParams, c: float) -> SystemParams:
