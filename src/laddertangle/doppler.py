@@ -127,11 +127,11 @@ def resolvent_taylor(classes: VelocityClasses, points, order: int) -> np.ndarray
     """Taylor coefficients <s^m / (1 - s t)^(m+1)>, m = 0..order, of the
     resolvent function g(t) = <1 / (1 - s t)> of the class rule at each
     point t, shape (order + 1, len(points)), each order one weight-vector
-    product over the classes; g itself is one product per point, since a
-    point's bytes in a product over several points depend on the others."""
+    product over the classes; g itself is a stack of one product per point,
+    since a point's bytes in a product over several depend on the others."""
     shifts, weights = classes.complex_rule
     term = 1.0 / (1.0 - np.asarray(points, dtype=complex)[:, None] * shifts)
-    coef = [[row @ weights for row in term]]
+    coef = [(term[:, None] @ weights)[:, 0]]
     if order:
         sr = term * shifts
         for _ in range(order):
