@@ -70,9 +70,9 @@ _BLAS_THREAD_CALLS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads"
 # Thread-count variables that a BLAS or OpenMP runtime reads when it loads
 _BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Most rows sweep_rows hands batch at once.  A stacked V12 row holds about
-# 125 KB at its peak (doppler.factor_moments), so a stack stays near 8 MB
-# however long the sweep; an 801-row fig2-a spectrum ran no slower in
+# Most rows sweep_rows hands batch at once.  A stacked fig2-a row holds
+# 51 KB at its peak at omega = 0 and 104 KB at 50 (tracemalloc), so a stack
+# stays under 7 MB however long the sweep; an 801-row fig2-a spectrum ran no slower in
 # stacks of 64 than as one stack (one BLAS thread, 2-core x86-64).  A call
 # of this many rows or fewer runs here; a longer one pools when it can.
 STACK_ROWS = 64
