@@ -605,8 +605,8 @@ class TestOneResolventPass:
     def test_each_multiset_of_points_averaged_once_in_one_series_call(self, monkeypatch):
         # a fig2-a row at omega = 0 has 7 distinct points (0 and the 6
         # nonzero theta), so its 648 elimination triples name 84 multisets;
-        # the stack's moments and absorption take one resolvent_series call
-        # (the absorption had one of its own), at omega = 50 too
+        # the stack's moments and absorption take one resolvent_series call,
+        # at omega = 50 too
         alike, series, triples, calls = doppler._alike_moments, doppler.resolvent_series, [], []
         monkeypatch.setattr(doppler, "_alike_moments", lambda classes, t, ids:
                             triples.append((len(t), len(ids[0]))) or alike(classes, t, ids))
