@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .doppler import average, build_classes, pump_shift_ratio, resolvent_series
 from .errors import ContractError, NoSteadyStateError, ParameterError
@@ -40,8 +39,10 @@ REAL_BASIS = np.where(_K == _P, np.eye(8),
                       np.where(_K < _P, np.eye(8) + _SWAP, 1j * (np.eye(8) - _SWAP)) / np.sqrt(2.0))
 # reduced -> full components of a traceless vector: rho11 = -rho22 - rho33
 LIFT = np.vstack([-np.eye(8)[:2].sum(axis=0), np.eye(8)])
-# Hilbert-Schmidt inner product of traceless vectors in the reduced basis
+# Hilbert-Schmidt inner product of traceless vectors in the reduced basis,
+# and the inverse of its Cholesky factor L (HS_METRIC = L L^T)
 HS_METRIC = LIFT.T @ LIFT
+_HS_CHOLESKY_INVERSE = np.linalg.inv(np.linalg.cholesky(HS_METRIC))
 
 
 def _elementary(i: int, j: int) -> np.ndarray:
@@ -78,9 +79,11 @@ for _a, (_i, _j) in enumerate(LABELS):
             PROD[_a, _b] = IDX[_k, _j]
 
 
+@lru_cache(maxsize=64)
 def decay_generator(d: DecayConfig, c: CoherenceRates) -> np.ndarray:
     """Field-independent relaxation part of the component drift matrix:
-    population decay d and coherence rates c (SystemParams.rates)."""
+    population decay d and coherence rates c (SystemParams.rates), built
+    once per set of them and returned read-only."""
     g = np.zeros((9, 9), dtype=complex)
     g[IDX[1, 1], IDX[2, 2]] += 2.0 * d.gamma1
     g[IDX[2, 2], IDX[2, 2]] -= 2.0 * d.gamma1
@@ -90,6 +93,7 @@ def decay_generator(d: DecayConfig, c: CoherenceRates) -> np.ndarray:
                          ((3, 1), c.gamma13), ((1, 3), c.gamma13),
                          ((3, 2), c.gamma23), ((2, 3), c.gamma23)):
         g[IDX[i, j], IDX[i, j]] -= rate
+    g.flags.writeable = False
     return g
 
 
@@ -206,8 +210,9 @@ def _factor_rows(b0: np.ndarray, h: np.ndarray, e: np.ndarray) -> SteadyPencil:
     """steady_state_pencil's factorization of a stack of row pencils.
 
     The drift keeps states Hermitian, so in U = REAL_BASIS the pencil
-    (B0, diag(e)) is real up to rounding, which is dropped, and real QZ
-    pairs its theta exactly; V = U^H V_r and (B0 V)^-1 = (B_r V_r)^-1 U.
+    (B0, diag(e)) is real up to rounding, which is dropped, and
+    numerics.factor_pencil pairs the theta of a real pencil exactly;
+    V = U^H V_r and (B0 V)^-1 = (B_r V_r)^-1 U.
     An imaginary part above rounding, on any row, is a drift that does not
     keep states Hermitian, and raises ContractError."""
     u, uh = REAL_BASIS, REAL_BASIS.conj().T
@@ -234,9 +239,11 @@ def _factor_rows(b0: np.ndarray, h: np.ndarray, e: np.ndarray) -> SteadyPencil:
 def metric_log_norm(b: np.ndarray) -> float:
     """Largest eigenvalue mu of Herm(P b) y = mu P y, with P = HS_METRIC:
     the logarithmic norm of the reduced drift b in the Hilbert-Schmidt
-    metric, so an upper bound on the real parts of its eigenvalues."""
+    metric, so an upper bound on the real parts of its eigenvalues.  With
+    P = L L^T, mu is the largest eigenvalue of L^-1 Herm(P b) L^-T."""
     pb = HS_METRIC @ b
-    return float(sla.eigh(0.5 * (pb + pb.conj().T), HS_METRIC, eigvals_only=True)[-1])
+    h = _HS_CHOLESKY_INVERSE @ (0.5 * (pb + pb.conj().T)) @ _HS_CHOLESKY_INVERSE.T
+    return float(np.linalg.eigvalsh(h)[-1])
 
 
 @lru_cache(maxsize=64)

@@ -19,7 +19,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, experiments
 from .errors import ConfigError, ContractError, LadderError, ParameterError
@@ -62,9 +61,18 @@ def _sha256(path: Path) -> str:
 
 def _environment() -> dict:
     """Interpreter and library versions plus the BLAS thread variables
-    that the sweep's pool pins."""
+    that the sweep's pool pins.  scipy is no dependency of the package;
+    its installed version, or None, is read from its metadata without
+    importing it.  importlib.metadata itself takes about 15 ms to import,
+    so only a manifest imports it."""
+    import importlib.metadata
+
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__, "laddertangle": __version__}
+           "scipy": scipy, "laddertangle": __version__}
     return env | {var: os.environ.get(var) for var in _BLAS_THREAD_ENV}
 
 

@@ -272,7 +272,7 @@ class PhysicalityReport:
     covariance_error: float = 0.0
     # largest condition number of the eigenvector bases that factor the
     # class dependence (numerics.factor_pencil), each with its theta = 0
-    # columns (the populations) orthonormalized
+    # columns (the populations) unit vectors
     eigenvector_condition: float = 0.0
 
     def merged(self, other: "PhysicalityReport") -> "PhysicalityReport":

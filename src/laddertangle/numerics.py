@@ -1,13 +1,17 @@
-"""Small dense linear-algebra kernels.
+"""Small dense linear-algebra kernels, in numpy alone.
 
 Everything here operates on matrices of dimension <= 16; the physics
-modules only ever need 3x3, 8x8 and 4x4 systems.
+modules only ever need 3x3, 8x8 and 4x4 systems.  The drift pencils are
+factored by a stacked standard eigenproblem and one Newton step
+(factor_pencil), and the exponentials are Pade scaling and squaring
+(matrix_exponential), so the package needs no scipy.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContractError, ResonanceError
 
@@ -25,17 +29,78 @@ def _as_square(a, dtype=complex) -> np.ndarray:
     return a
 
 
+# Degrees of the diagonal Pade approximants of exp, each with the largest
+# ||A||_1 at which it meets double precision unscaled (Higham, SIAM J. Matrix
+# Anal. Appl. 26, 1179, 2005, Table 2.3), and the approximants' coefficients
+_PADE_REACH = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+_PADE_COEFFICIENTS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0)}
+# each degree's coefficients of (U / A, V) on the powers I, A^2, A^4, ...; at
+# degree 13 the terms through A^6, and apart those of A^6 times (A^2, A^4, A^6)
+_PADE_TERMS = {m: np.array([b[1:8:2], b[0:8:2]] if m == 13 else [b[1::2], b[::2]])
+               for m, b in _PADE_COEFFICIENTS.items()}
+_PADE_TERMS["13 high"] = np.array([_PADE_COEFFICIENTS[13][9::2], _PADE_COEFFICIENTS[13][8::2]])
+
+
 def matrix_exponential(a) -> np.ndarray:
     """exp(A) for a small dense complex matrix, or for each of a stack of
-    them (one scipy.linalg.expm call, which takes each matrix alone)."""
+    them, by Pade scaling and squaring (Higham 2005): each matrix takes the
+    lowest degree whose reach covers its 1-norm, and degree 13 over A / 2^k
+    with the fewest k squarings beyond that.  The matrices run together in
+    groups of equal (degree, k), so each one's bytes are those it has alone."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ContractError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.shape[-1] > MAX_DIM:
-        raise ContractError(f"dimension {a.shape[-1]} exceeds supported maximum {MAX_DIM}")
+    n = a.shape[-1]
+    if n > MAX_DIM:
+        raise ContractError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     if not np.all(np.isfinite(a.view(float))):
         raise ContractError("non-finite entries in matrix exponential input")
-    return sla.expm(a)
+    stack = a.reshape(-1, n, n)
+    steps = []
+    for norm in np.abs(stack).sum(axis=1).max(axis=1).tolist():     # ||A||_1
+        degree = next((m for m, reach in _PADE_REACH if norm <= reach), 13)
+        steps.append((degree, max(0, math.ceil(math.log2(norm / _PADE_REACH[-1][1])))
+                      if degree == 13 else 0))
+    groups = _groups(steps)
+    if len(groups) == 1:
+        out = _pade_squared(stack, *steps[0])
+    else:
+        out = np.empty_like(stack)
+        for (degree, squarings), rows in groups.items():
+            out[rows] = _pade_squared(stack[rows], degree, squarings)
+    return out.reshape(a.shape)
+
+
+def _pade_squared(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
+    """exp of each of a stack of matrices: the degree-m Pade approximant
+    r = (V - U)^-1 (V + U) at A / 2^k, squared k times; U holds the odd
+    terms of its numerator and V the even ones."""
+    if squarings:
+        a = a * 0.5 ** squarings
+    powers = np.empty((degree // 2 + 1 if degree < 13 else 4, *a.shape), dtype=complex)
+    powers[0] = np.eye(a.shape[-1])         # I, A^2, A^4, ..., at degree 13 up to A^6
+    np.matmul(a, a, out=powers[1])
+    for k in range(2, len(powers)):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    odd, even = np.einsum("jk,k...->j...", _PADE_TERMS[degree], powers)
+    if degree == 13:
+        high = np.einsum("jk,k...->j...", _PADE_TERMS["13 high"], powers[1:])
+        odd += powers[3] @ high[0]
+        even += powers[3] @ high[1]
+    u = a @ odd
+    r = np.linalg.solve(even - u, even + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def _as_stack(a, dtype) -> np.ndarray:
@@ -46,59 +111,77 @@ def _as_stack(a, dtype) -> np.ndarray:
 
 
 def factor_pencil(a, b):
-    """Factor (A_r - s B)^-1 for every row r of a stack of matrices A and
-    every shift s at once.
+    """Factor (A_r - s B)^-1 for every row r of a stack of matrices A that
+    share B, and for every shift s at once.
 
-    QZ (Moler & Stewart, SIAM J. Numer. Anal. 10, 241, 1973) gives beta A V =
-    alpha B V without forming A^-1 B, which loses digits when its
-    eigenvalues theta = beta / alpha span decades.  Then
+    With theta the eigenvalues of A^-1 B and V its eigenvectors,
 
         (A - s B)^-1 = V diag(1 / (1 - s theta)) (A V)^-1
 
-    for every shift.  A real pencil goes to real QZ (LAPACK dggev), and the
-    second member of each conjugate pair it marks gets the exact conjugate
-    theta and V column of the first (their computed beta differ by
-    rounding); a complex pencil goes to zggev.  The columns at theta = 0,
-    LAPACK's arbitrary basis of ker B, are orthonormalized so that cond(V)
-    does not depend on it.  QZ and that QR run row by row (LAPACK has no
-    batched QZ), the rest on the whole stack, and every stacked step acts
-    on each row alone, so a row's factors do not depend on the others.
-    Returns the stacks of V (unit columns), (A V)^-1, theta and cond(V);
-    the factors 1 / (1 - s theta) are left to the caller, and so are the
-    checks of check_shifts.  Raises LinAlgError when A is singular or
-    non-finite on any row.
+    for every shift.  B vanishes off its support P, the indices of its
+    nonzero rows and columns, and so do the columns of A^-1 B.  Off P,
+    theta = 0 and the columns of V are unit vectors.  On P, theta are the
+    eigenvalues of (A^-1)_PP B_PP, one stacked LAPACK geev, and the column
+    of eigenvector w is (A^-1)_{:,P} B_PP w / theta.
+
+    geev resolves each theta only to the rounding of the largest, so a
+    narrow pole far inside the largest |theta| would lose digits of its
+    width.  One Newton step on the pencil itself restores them: the
+    residual (theta A - B) v is taken at the scale of A and B, and the step
+    solved in the computed eigenbasis, where its Jacobian is diagonal.
+    Against 40-digit inverses of the drift pencils this is more accurate
+    than QZ (Moler & Stewart, SIAM J. Numer. Anal. 10, 241, 1973) with the
+    same reconstruction on every row checked (tests/test_pencil_oracle.py).
+    On a real pencil geev gives exact conjugate pairs of theta and columns,
+    and the second member of each pair takes the exact conjugate of the
+    first's Newton step.  Every stacked step acts on each row alone, so a
+    row's factors do not depend on the others.  Returns the stacks of V
+    (unit columns), (A V)^-1, theta and cond(V); the factors
+    1 / (1 - s theta) are left to the caller, and so are the checks of
+    check_shifts.  Raises LinAlgError when A is singular on any row, B_PP
+    is singular, or an input is not finite.
     """
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     a, b = _as_stack(a, float if real else complex), _as_square(b, float if real else complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("non-finite matrix in the pencil")
     rows, n = a.shape[:2]
-    alpha, alphai = np.empty((rows, n), dtype=complex), np.zeros((rows, n))
-    beta, info = np.empty((rows, n), dtype=a.dtype), np.zeros(rows, dtype=int)
-    # each V column-major, as LAPACK returns it: numpy then sums its column
-    # norms pairwise, for any number of rows
-    v = np.empty((rows, n, n), dtype=complex).transpose(0, 2, 1)
-    # LAPACK's QZ drivers themselves: scipy.linalg.eig wraps them in ~0.1 ms of Python
-    for r, a_r in enumerate(a):
-        if real:
-            alphar, alphai[r], beta[r], _, v[r], _, info[r] = sla.lapack.dggev(
-                a_r, b, compute_vl=False)
-            alpha[r] = alphar + 1j * alphai[r]
-        else:
-            alpha[r], beta[r], _, v[r], _, info[r] = sla.lapack.zggev(a_r, b, compute_vl=False)
-    # checked before dividing: alpha = 0 is a singular A, and LAPACK passes NaN on
-    if info.any() or (alpha == 0.0).any() or not np.isfinite(a + b).all():
-        raise np.linalg.LinAlgError(f"singular or non-finite matrix, or QZ failed "
-                                    f"({info[np.argmax(info != 0)]})")
-    theta = beta / alpha
+    support = b.any(axis=0) | b.any(axis=1)
+    p, q = np.flatnonzero(support), np.flatnonzero(~support)
+    diagonal = (slice(None), p, np.arange(len(p)))     # entries (p_i, i) of (R, n, |P|)
+    b_p = b[:, p]
+    if np.linalg.slogdet(b_p[p])[0] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix B on its support")
+    try:
+        coupled = np.linalg.solve(a, b_p)              # the columns P of A^-1 B
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("singular matrix A on a row of the stack") from exc
+    theta_p, w = np.linalg.eig(coupled[:, p])
+    if (theta_p == 0.0).any():
+        raise np.linalg.LinAlgError("singular matrix B on its support")
+    theta = np.zeros((rows, n), dtype=complex)
+    theta[:, p] = theta_p
+    # each V column-major, as LAPACK lays out eigenvectors: numpy then sums
+    # its column norms pairwise, for any number of rows
+    v = np.zeros((rows, n, n), dtype=complex).transpose(0, 2, 1)
+    v[:, q, q] = 1.0
+    v[:, :, p] = x = coupled @ w / theta_p[:, None, :]
+    # Newton on (theta A - B) x = 0: with c = V^-1 dx and g = (A V)^-1 times
+    # the residual of x_i, (theta_i - theta_j) c_j = -g_j for j != i (none
+    # across an exactly repeated theta), c_i = 0 and d theta_i = -g_i
+    av = a @ v
+    g = np.linalg.solve(av, av[:, :, p] * theta_p[:, None, :] - b_p @ x[:, p])
+    gap = theta_p[:, None, :] - theta[:, :, None]
+    v[:, :, p] = x - v @ np.divide(g, gap, out=np.zeros_like(g), where=gap != 0.0)
+    theta[:, p] = theta_p - g[diagonal]
     if real:
-        # pair j, j + 1 (alphai[j] > 0): columns j, j + 1 hold the first eigenvector's Re, Im
-        r, j = np.nonzero(alphai > 0.0)
-        v[r, :, j] += 1j * v[r, :, j + 1]
-        v[r, :, j + 1] = v[r, :, j].conj()
-        theta[r, j + 1] = theta[r, j].conj()
+        # geev lists each conjugate pair together, the member above the axis
+        # first; the step keeps the partner the exact conjugate of that member
+        r, j = np.nonzero(theta_p.imag > 0.0)
+        first, second = p[j], p[j + 1]
+        v[r, :, second] = v[r, :, first].conj()
+        theta[r, second] = theta[r, first].conj()
     v /= np.linalg.norm(v, axis=1)[:, None, :]
-    kernel = theta == 0.0     # QR through LAPACK itself: numpy's wrapper costs 3x as much
-    for r in np.flatnonzero(kernel.any(axis=1)):
-        v[r][:, kernel[r]] = sla.lapack.zungqr(*sla.lapack.zgeqrf(v[r][:, kernel[r]])[:2])[0]
     sigma = np.linalg.svd(v, compute_uv=False)     # cond(V) = sigma_max / sigma_min
     return v, np.linalg.inv(a @ v), theta, sigma[:, 0] / sigma[:, -1]
 
@@ -145,41 +228,43 @@ def propagation_integral(m, s, length: float) -> tuple[np.ndarray, np.ndarray]:
     then reach L.  k is the smallest integer with ||M||_1 h <= 1/2.  A
     single block exponential over the whole cell would carry
     exp(-M^H L), which grows as fast as an optically thick cell
-    attenuates, and would lose I to rounding at that scale.  The pairs of
-    a stack run together in groups of equal k, so each pair takes the
-    steps it takes alone.
+    attenuates, and would lose I to rounding at that scale.  The block
+    exponentials of a stack are one matrix_exponential call, whose matrices
+    each take the approximant they take alone, and the pairs then double in
+    groups of equal k, so each pair takes the steps it takes alone.
     """
     m, s = np.asarray(m, dtype=complex), np.asarray(s, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or s.shape != m.shape:
         raise ContractError(f"expected square M and S of one shape, got {m.shape} and {s.shape}")
     n = m.shape[-1]
     ms, ss = m.reshape(-1, n, n), s.reshape(-1, n, n)
-    steps = []
+    steps, hs = [], []
     for norm in np.abs(ms).sum(axis=1).max(axis=1).tolist():     # ||M||_1
         k, h = 0, float(length)
         while norm * abs(h) > 0.5:
             k += 1
             h *= 0.5
-        steps.append((k, h))
+        steps.append(k)
+        hs.append(h)
+    block = np.zeros((len(ms), 2 * n, 2 * n), dtype=complex)
+    block[:, :n, :n] = ms
+    block[:, :n, n:] = ss
+    block[:, n:, n:] = -ms.conj().transpose(0, 2, 1)
+    f = matrix_exponential(block * np.array(hs)[:, None, None])
     groups = _groups(steps)
     if len(groups) == 1:
-        t, integral = _doubled(ms, ss, *steps[0])
+        t, integral = _doubled(f, steps[0])
     else:
         t, integral = np.empty_like(ms), np.empty_like(ms)
-        for (k, h), rows in groups.items():
-            t[rows], integral[rows] = _doubled(ms[rows], ss[rows], k, h)
+        for k, rows in groups.items():
+            t[rows], integral[rows] = _doubled(f[rows], k)
     return t.reshape(m.shape), integral.reshape(m.shape)
 
 
-def _doubled(m: np.ndarray, s: np.ndarray, steps: int, h: float):
-    """propagation_integral of a stack of pairs M, S that take the same
-    number of doubling steps from the same step h."""
-    n = m.shape[-1]
-    block = np.zeros((len(m), 2 * n, 2 * n), dtype=complex)
-    block[:, :n, :n] = m
-    block[:, :n, n:] = s
-    block[:, n:, n:] = -m.conj().transpose(0, 2, 1)
-    f = matrix_exponential(block * h)
+def _doubled(f: np.ndarray, steps: int):
+    """T and I of a stack of pairs from their block exponentials f over a
+    step h (propagation_integral), doubled steps times."""
+    n = f.shape[-1] // 2
     t = f[:, :n, :n]
     integral = f[:, :n, n:] @ t.conj().transpose(0, 2, 1)
     for _ in range(steps):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import steady_state_errors
-from laddertangle import bloch, doppler, numerics
+from laddertangle import bloch, doppler, fluctuations, numerics
 from laddertangle.bloch import IDX, LABELS, PROD
 from laddertangle.errors import ContractError, NoSteadyStateError, ResonanceError
 from laddertangle.experiments import all_scenarios, baseline_params
@@ -137,8 +138,10 @@ class TestScaledPencil:
             assert same_bytes(stack.take(slice(r, r + 1)), alone)
         # scale 1 is the unscaled pencil, bit for bit
         assert same_bytes(stack.take(slice(3, 4)), bloch._factor_rows(b0[:1], h[:1], e))
-        points = bloch._factor_rows(b0, h, e).points
-        assert np.array_equal(stack.points[1], points[0] / 3.0)
+        # the scale divides each part of the points (numerics.divide_rows)
+        points = bloch._factor_rows(b0, h, e).points[0]
+        assert np.array_equal(stack.points[1].real, points.real / 3.0)
+        assert np.array_equal(stack.points[1].imag, points.imag / 3.0)
 
     def test_scaled_stack_checks_the_condition_bound(self, fast_params, monkeypatch):
         pencil = bloch.drift_pencil(fast_params(), [0.0])
@@ -199,6 +202,40 @@ class TestDriftBound:
         # a row of scale c sees the shifts divided by c, in the fallback only
         assert (bloch.drift_bound(params, b0, e, shifts, 4.0)
                 == class_drift_max(b0, e, shifts / 4.0) != exact)
+
+
+    def test_metric_log_norm_is_the_generalized_eigenvalue(self, rng):
+        # the Cholesky reduction against scipy's generalized Hermitian solver,
+        # on the shipped drifts and on random ones
+        drifts = [bloch.drift_pencil(s.base, [-800.0, 0.0, 200.0])[0]
+                  for s in all_scenarios().values()]
+        drifts.append(rng.standard_normal((20, 8, 8)) + 1j * rng.standard_normal((20, 8, 8)))
+        for b in np.concatenate(drifts):
+            pb = bloch.HS_METRIC @ b
+            expected = sla.eigh(0.5 * (pb + pb.conj().T), bloch.HS_METRIC, eigvals_only=True)[-1]
+            assert bloch.metric_log_norm(b) == pytest.approx(expected, rel=1e-13,
+                                                             abs=1e-13 * np.abs(b).max())
+
+
+class TestDecayGenerator:
+    def test_cached_matrix_is_a_fresh_build_and_read_only(self):
+        params = baseline_params(p=6.0)
+        cached = bloch.decay_generator(params.decay, params.rates)
+        fresh = bloch.decay_generator.__wrapped__(params.decay, params.rates)
+        assert cached.tobytes() == fresh.tobytes()
+        assert bloch.decay_generator(params.decay, params.rates) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+
+    def test_one_build_per_parameter_set_in_a_stack(self, fast_params):
+        # a 16-row V12 stack builds the relaxation matrix once, for the drift
+        # pencil and the Einstein correlators alike
+        params = fast_params(p=0.5)
+        bloch.decay_generator.cache_clear()
+        fluctuations.v12_spectrum(params, np.linspace(-40.0, 40.0, 16), jobs=1)
+        assert bloch.decay_generator.cache_info().misses == 1
+        fluctuations.v12_spectrum(fast_params(p=6.0), np.linspace(-40.0, 40.0, 16), jobs=1)
+        assert bloch.decay_generator.cache_info().misses == 2
 
 
 class TestAbsorption:

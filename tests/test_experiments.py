@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import pin_scenarios
 from conftest import symmetrized_diffusion_min_eig
@@ -248,20 +247,16 @@ class TestRunScenario:
                                                              monkeypatch):
         # every row of one p has the same parameter set, so the rows of one
         # p in a sweep_rows chunk run as one stack, at omega = 0 and at
-        # omega != 0 (omega / c per row): one dggev and one drift pencil row
-        # per (chunk, p) run, and at omega != 0 one zggev per row; and
-        # every row shares the relaxation part.  At jobs=1 every row is in
-        # one chunk, so there is one run per p
-        calls, built, runs = {"dggev": 0, "zggev": 0}, [], []
-        batch = fl._spectrum_rows
+        # omega != 0 (omega / c per row): one real factor_pencil row and one
+        # drift pencil row per (chunk, p) run, and at omega != 0 one complex
+        # factor_pencil row per row; and every row shares the relaxation
+        # part.  At jobs=1 every row is in one chunk, so there is one run per p
+        calls, built, runs = {"real": 0, "complex": 0}, [], []
+        batch, factor = fl._spectrum_rows, bloch.factor_pencil
 
-        def counting(name):
-            lapack = getattr(scipy.linalg.lapack, name)
-
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return lapack(*args, **kwargs)
-            return call
+        def counting(a, b):
+            calls["complex" if np.iscomplexobj(a) or np.iscomplexobj(b) else "real"] += len(a)
+            return factor(a, b)
 
         def building(params, delta1s, drift_pencil=fl.drift_pencil):
             built.append(len(delta1s))
@@ -271,8 +266,8 @@ class TestRunScenario:
             runs.append(len(list(groupby(rows, key=lambda row: row[0]))))
             return batch(rows)
 
-        for name in calls:
-            monkeypatch.setattr(scipy.linalg.lapack, name, counting(name))
+        monkeypatch.setattr(bloch, "factor_pencil", counting)
+        monkeypatch.setattr(fl, "factor_pencil", counting)
         monkeypatch.setattr(fl, "drift_pencil", building)
         monkeypatch.setattr(fl, "_spectrum_rows", chunk)
         bloch.relaxation_log_norm.cache_clear()
@@ -281,7 +276,7 @@ class TestRunScenario:
                                outputs="both")
         ex.run_scenario(scenario, omega=omega, collect=True)
         assert runs == [2]
-        assert calls == {"dggev": 2, "zggev": 2 * points if omega else 0}
+        assert calls == {"real": 2, "complex": 2 * points if omega else 0}
         assert built == [1, 1]
         assert bloch.relaxation_log_norm.cache_info().misses == 2
 

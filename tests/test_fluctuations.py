@@ -544,7 +544,7 @@ class TestStackedRows:
         # close points in a Taylor series (a resolvent order above 2)
         doubled, taylor, steps, orders = numerics._doubled, doppler.resolvent_taylor, [], []
         monkeypatch.setattr(numerics, "_doubled",
-                            lambda m, s, k, h: steps.append((len(m), k)) or doubled(m, s, k, h))
+                            lambda f, k: steps.append((len(f), k)) or doubled(f, k))
         monkeypatch.setattr(doppler, "resolvent_taylor",
                             lambda c, t, order: orders.append(order) or taylor(c, t, order))
         rows = STACKED_CHUNKS["fig2-a"]

@@ -7,6 +7,11 @@ oracle in tests/.  The names below are kept on purpose.
 """
 
 import ast
+import importlib.metadata
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import laddertangle
@@ -72,3 +77,42 @@ def test_every_definition_has_a_production_caller():
 def test_every_reference_exists():
     defined = {name.rpartition(".")[2] for _, name in _defined(_trees())}
     assert set(REFERENCES) <= defined, sorted(set(REFERENCES) - defined)
+
+
+# Imports the package, as the console script does, and runs a small sweep;
+# prints what it found of scipy and of numpy's OpenBLAS.
+_FRESH_RUN = """
+import json, sys
+import laddertangle, laddertangle.cli
+from laddertangle import cli, fluctuations
+imported = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+controls = len(fluctuations._blas_thread_controls())
+code = cli.main(["run", "--scenario", "fig2-g", "--out", sys.argv[1], "--jobs", "1",
+                 "--delta1-min", "-20", "--delta1-max", "20", "--delta1-points", "3"])
+after = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"imported": imported, "controls": controls, "code": code, "after": after}))
+"""
+
+
+def test_package_runs_without_importing_scipy(tmp_path):
+    # scipy is a test dependency only: a fresh interpreter imports the
+    # package and runs a sweep without loading it, still pins numpy's own
+    # OpenBLAS, and the manifest still records scipy's installed version
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    found = json.loads(done.stdout.splitlines()[-1])
+    assert found["code"] == 0
+    assert found["imported"] == [] and found["after"] == []
+    assert found["controls"] >= 1
+    manifest = json.loads((tmp_path / "fig2-g.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["environment"]["scipy"] == importlib.metadata.version("scipy")
+
+
+def test_no_module_imports_scipy():
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.partition(".")[0] == "scipy" for name in names), module

@@ -47,6 +47,36 @@ class TestMatrixExponential:
     def test_nilpotent(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(numerics.matrix_exponential(a), [[1.0, 1.0], [0.0, 1.0]])
+        # a strictly upper triangular 5x5 (A^5 = 0) whose norm takes the
+        # scaled degree-13 approximant: exp(A) is the finite series
+        a = np.triu(np.arange(1.0, 26.0).reshape(5, 5) * (0.3 - 0.2j), k=1)
+        series = sum(np.linalg.matrix_power(a, k) / np.prod(np.arange(1.0, k + 1.0))
+                     for k in range(5))
+        got = numerics.matrix_exponential(a)
+        assert np.abs(a).sum(axis=0).max() > 10.0
+        assert np.max(np.abs(got - series)) <= 1e-13 * np.max(np.abs(series))
+        assert np.max(np.abs(got - sla.expm(a))) <= 1e-13 * np.max(np.abs(series))
+
+    def test_matches_scipy_expm_where_scaling_is_needed(self, rng):
+        # ||A||_1 = 50 takes degree 13 after 4 squarings
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        a *= 50.0 / np.abs(a).sum(axis=0).max()
+        expected = sla.expm(a)
+        got = numerics.matrix_exponential(a)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_stacked_row_has_its_bytes_alone(self, rng):
+        # one matrix at each degree and one that needs squarings: each row of
+        # the mixed stack has the bytes it has alone, and matches scipy
+        blocks = rng.standard_normal((6, 8, 8)) + 1j * rng.standard_normal((6, 8, 8))
+        norms = np.array([0.01, 0.2, 0.9, 2.0, 5.0, 40.0])
+        blocks *= (norms / np.abs(blocks).sum(axis=1).max(axis=1))[:, None, None]
+        stack = numerics.matrix_exponential(blocks)
+        for k, block in enumerate(blocks):
+            alone = numerics.matrix_exponential(block[None])[0]
+            assert stack[k].tobytes() == alone.tobytes()
+            expected = sla.expm(block)
+            assert np.max(np.abs(alone - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_commuting_product_rule(self, rng):
         for _ in range(10):
@@ -138,9 +168,10 @@ class TestFactorPencil:
 
     @pytest.mark.parametrize("row", ["fig2-a-0", "fig2-a-m800", "fig3-alpha2-1-200", "fig4-c-198"])
     def test_conjugate_pairs_made_exact(self, row):
-        # real QZ in the real basis pairs theta exactly, with no tolerance.
-        # Its theta are within 1e-13 of 40-digit eigenvalues of B0^-1 diag(e);
-        # complex QZ on the component-basis pencil is within 2.8e-13 (fig3)
+        # the real-basis pencil pairs theta and columns exactly, with no
+        # tolerance.  Its theta are within 1e-13 of 40-digit eigenvalues of
+        # B0^-1 diag(e), and so are those of the component-basis pencil;
+        # QZ (scipy.linalg.eig(B0, diag(e))) is within 2.8e-13 (fig3)
         params, delta1 = pencil_rows()[row]
         shifts = build_classes(params, delta1, params.field.delta2).shifts
         b0, h, e = drift_pencil(params, [delta1])
@@ -152,21 +183,24 @@ class TestFactorPencil:
         assert np.array_equal(v[:, partner], v[:, pair].conj())
         points = steady_state_pencil(b0, h, e, shifts).points[0]
         assert np.array_equal(np.sort_complex(points), np.sort_complex(points.conj()))
-        zggev = checked_factors(b0, np.diag(e), shifts)[2][0]
+        complex_theta = checked_factors(b0, np.diag(e), shifts)[2][0]
         b0 = b0[0]
-        assert np.count_nonzero(zggev == 0.0) == np.count_nonzero(theta == 0.0) == 2
+        assert np.count_nonzero(complex_theta == 0.0) == np.count_nonzero(theta == 0.0) == 2
+        qz = 1.0 / sla.eig(b0, np.diag(e), right=False)
         with mpmath.workdps(40):
             k = mpmath.matrix(b0.tolist()) ** -1 * mpmath.diag(e.tolist())
             exact = np.array(mpmath.eig(k, left=False, right=False), dtype=complex)
-        theta = theta[theta != 0.0]
-        for ref, rtol in ((exact[np.abs(exact) > 1e-20], 1e-13), (zggev[zggev != 0.0], 5e-13)):
-            nearest = np.abs(theta[:, None] - ref).argmin(axis=1)
+        exact = exact[np.abs(exact) > 1e-20]
+        for got, ref, rtol in ((theta, exact, 1e-13), (complex_theta, exact, 1e-13),
+                               (theta, qz[qz != 0.0], 5e-13)):
+            got = got[got != 0.0]
+            nearest = np.abs(got[:, None] - ref).argmin(axis=1)
             assert sorted(nearest) == list(range(6))
-            assert np.all(np.abs(theta - ref[nearest]) <= rtol * np.abs(theta))
+            assert np.all(np.abs(got - ref[nearest]) <= rtol * np.abs(got))
 
     def test_condition_independent_of_the_kernel_basis(self):
-        # fig4-a at delta1 = 586: the theta = 0 columns (the populations)
-        # come back from the two QZ drivers in different bases
+        # fig4-a at delta1 = 586: the theta = 0 columns (the populations) are
+        # unit vectors in both bases, and the real basis is unitary
         params = all_scenarios()["fig4-a"].base
         shifts = build_classes(params, 586.0, params.field.delta2).shifts
         b0, _, e = drift_pencil(params, [586.0])
@@ -206,6 +240,27 @@ class TestFactorPencil:
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             checked_factors(np.zeros((1, 3, 3)), np.eye(3), [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = np.array([[[2.0, 1.0], [0.0, 3.0]]])
+        for pencil in ((np.where(a == 1.0, bad, a), np.eye(2)),
+                       (a, np.diag([1.0, bad])), (a + 1j * a, np.diag([1.0j, bad]))):
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                numerics.factor_pencil(*pencil)
+
+    def test_singular_b_on_its_support_raises(self):
+        # B is nonzero on every row and column, but singular: its kernel
+        # holds no unit vector, so the pencil has no factorization here
+        a = np.array([[[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]])
+        b = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix B"):
+            numerics.factor_pencil(a, b)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix B"):
+            numerics.factor_pencil(a + 0j, b * 1j)
+        # the same B with its kernel a unit vector factors
+        factors = numerics.factor_pencil(a, np.diag([1.0, 1.0, 0.0]))
+        assert np.count_nonzero(factors[2] == 0.0) == 1
 
     def test_shift_on_a_pole_raises(self):
         # 1 - s theta = 0 at s = 0.5 for A = 1, e = 2
