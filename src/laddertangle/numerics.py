@@ -44,10 +44,11 @@ _PADE_COEFFICIENTS = {
          129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
          40840800.0, 960960.0, 16380.0, 182.0, 1.0)}
 # each degree's coefficients of (U / A, V) on the powers I, A^2, A^4, ...; at
-# degree 13 the terms through A^6, and apart those of A^6 times (A^2, A^4, A^6)
+# degree 13 on I, ..., A^6 only, and apart the higher ones, which multiply
+# A^6 (A^2, A^4, A^6)
 _PADE_TERMS = {m: np.array([b[1:8:2], b[0:8:2]] if m == 13 else [b[1::2], b[::2]])
                for m, b in _PADE_COEFFICIENTS.items()}
-_PADE_TERMS["13 high"] = np.array([_PADE_COEFFICIENTS[13][9::2], _PADE_COEFFICIENTS[13][8::2]])
+_PADE_13_HIGH = np.array([_PADE_COEFFICIENTS[13][9::2], _PADE_COEFFICIENTS[13][8::2]])
 
 
 def matrix_exponential(a) -> np.ndarray:
@@ -62,7 +63,7 @@ def matrix_exponential(a) -> np.ndarray:
     n = a.shape[-1]
     if n > MAX_DIM:
         raise ContractError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ContractError("non-finite entries in matrix exponential input")
     stack = a.reshape(-1, n, n)
     steps = []
@@ -93,7 +94,7 @@ def _pade_squared(a: np.ndarray, degree: int, squarings: int) -> np.ndarray:
         np.matmul(powers[k - 1], powers[1], out=powers[k])
     odd, even = np.einsum("jk,k...->j...", _PADE_TERMS[degree], powers)
     if degree == 13:
-        high = np.einsum("jk,k...->j...", _PADE_TERMS["13 high"], powers[1:])
+        high = np.einsum("jk,k...->j...", _PADE_13_HIGH, powers[1:])
         odd += powers[3] @ high[0]
         even += powers[3] @ high[1]
     u = a @ odd
