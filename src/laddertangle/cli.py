@@ -16,6 +16,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -59,20 +60,25 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _environment() -> dict:
-    """Interpreter and library versions plus the BLAS thread variables
-    that the sweep's pool pins.  scipy is no dependency of the package;
-    its installed version, or None, is read from its metadata without
-    importing it.  importlib.metadata itself takes about 15 ms to import,
-    so only a manifest imports it."""
+@cache
+def _scipy_version() -> str | None:
+    """scipy's installed version, or None.  scipy is no dependency of the
+    package, so its metadata is read without importing it, once per
+    process: importlib.metadata takes about 15 ms to import and about 3 ms
+    per lookup, which a run of a few rows would pay on every call."""
     import importlib.metadata
 
     try:
-        scipy = importlib.metadata.version("scipy")
+        return importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:
-        scipy = None
+        return None
+
+
+def _environment() -> dict:
+    """Interpreter and library versions plus the BLAS thread variables
+    that the sweep's pool pins."""
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy, "laddertangle": __version__}
+           "scipy": _scipy_version(), "laddertangle": __version__}
     return env | {var: os.environ.get(var) for var in _BLAS_THREAD_ENV}
 
 
