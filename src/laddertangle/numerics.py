@@ -10,6 +10,7 @@ factored by a stacked standard eigenproblem and one Newton step
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,11 +64,12 @@ def matrix_exponential(a) -> np.ndarray:
     n = a.shape[-1]
     if n > MAX_DIM:
         raise ContractError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    if not np.isfinite(a).all():
-        raise ContractError("non-finite entries in matrix exponential input")
     stack = a.reshape(-1, n, n)
+    norms = np.abs(stack).sum(axis=1).max(axis=1)     # ||A||_1, NaN or inf when A is
+    if not np.isfinite(norms).all():
+        raise ContractError("non-finite entries in matrix exponential input")
     steps = []
-    for norm in np.abs(stack).sum(axis=1).max(axis=1).tolist():     # ||A||_1
+    for norm in norms.tolist():
         degree = next((m for m, reach in _PADE_REACH if norm <= reach), 13)
         steps.append((degree, max(0, math.ceil(math.log2(norm / _PADE_REACH[-1][1])))
                       if degree == 13 else 0))
@@ -144,15 +146,11 @@ def factor_pencil(a, b):
     """
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
     a, b = _as_stack(a, float if real else complex), _as_square(b, float if real else complex)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("non-finite matrix in the pencil")
     rows, n = a.shape[:2]
-    support = b.any(axis=0) | b.any(axis=1)
-    p, q = np.flatnonzero(support), np.flatnonzero(~support)
+    p, q, b_p = _support(b.tobytes(), n, b.dtype.char)
     diagonal = (slice(None), p, np.arange(len(p)))     # entries (p_i, i) of (R, n, |P|)
-    b_p = b[:, p]
-    if np.linalg.slogdet(b_p[p])[0] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix B on its support")
     try:
         coupled = np.linalg.solve(a, b_p)              # the columns P of A^-1 B
     except np.linalg.LinAlgError as exc:
@@ -185,6 +183,25 @@ def factor_pencil(a, b):
     v /= np.linalg.norm(v, axis=1)[:, None, :]
     sigma = np.linalg.svd(v, compute_uv=False)     # cond(V) = sigma_max / sigma_min
     return v, np.linalg.inv(a @ v), theta, sigma[:, 0] / sigma[:, -1]
+
+
+@lru_cache(maxsize=16)
+def _support(data: bytes, n: int, dtype: str):
+    """factor_pencil's support P of an n x n matrix B given by its bytes,
+    the indices Q off it, and the columns P of B, read-only: a sweep
+    shares one B, so they are worked out once for it.  Raises LinAlgError
+    when B is not finite or singular on P."""
+    b = np.frombuffer(data, dtype=dtype).reshape(n, n)
+    if not np.isfinite(b).all():
+        raise np.linalg.LinAlgError("non-finite matrix in the pencil")
+    support = b.any(axis=0) | b.any(axis=1)
+    p, q = np.flatnonzero(support), np.flatnonzero(~support)
+    b_p = b[:, p]
+    if np.linalg.slogdet(b_p[p])[0] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix B on its support")
+    for x in (p, q, b_p):
+        x.flags.writeable = False
+    return p, q, b_p
 
 
 def check_shifts(factors, shifts):

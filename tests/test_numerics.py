@@ -262,6 +262,21 @@ class TestFactorPencil:
         factors = numerics.factor_pencil(a, np.diag([1.0, 1.0, 0.0]))
         assert np.count_nonzero(factors[2] == 0.0) == 1
 
+    def test_support_worked_out_once_per_b(self):
+        # the rows of a sweep share B: its support is found on the first
+        # call, read-only, and each later call with the same bytes reuses it
+        b0, _, e = drift_pencil(all_scenarios()["fig2-a"].base, [-800.0, 0.0, 3.0])
+        a, b = real_pencil(b0, e)
+        numerics._support.cache_clear()
+        for r in range(len(a)):
+            numerics.factor_pencil(a[r:r + 1], b)
+        assert numerics._support.cache_info()[:2] == (2, 1)     # hits, misses
+        p, q, b_p = numerics._support(b.tobytes(), 8, "d")
+        assert list(q) == [0, 1] and list(p) == list(range(2, 8))
+        assert b_p.tobytes() == np.ascontiguousarray(b[:, 2:]).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            b_p[0, 0] = 1.0
+
     def test_shift_on_a_pole_raises(self):
         # 1 - s theta = 0 at s = 0.5 for A = 1, e = 2
         with pytest.raises(np.linalg.LinAlgError, match="pole"):
