@@ -182,8 +182,10 @@ class SteadyPencil(NamedTuple):
     def scaled(self, scales) -> "SteadyPencil":
         """Each row's pencil for the classes at its shifts divided by its
         scale: 1 / (1 - (s / c) t) = 1 / (1 - s (t / c)), so its points and
-        theta are divided by c (numerics.divide_rows), and its states and V
-        are unchanged."""
+        theta are divided by c (numerics.divide_rows, which keeps every bit
+        at c = 1: scales of 1 return the pencil) and its states and V stay."""
+        if np.all(np.equal(scales, 1.0)):
+            return self
         v, left, theta, cond = self.resolvent
         return SteadyPencil(divide_rows(self.points, scales), self.states,
                             (v, left, divide_rows(theta, scales), cond))
@@ -216,16 +218,10 @@ def _factor_rows(b0: np.ndarray, h: np.ndarray, e: np.ndarray) -> SteadyPencil:
     An imaginary part above rounding, on any row, is a drift that does not
     keep states Hermitian, and raises ContractError."""
     u, uh = REAL_BASIS, REAL_BASIS.conj().T
-    b_r, e_r = u @ b0 @ uh, (u * e) @ uh
-    for name, dropped, scale in (
-            ("B0", np.abs(b_r.imag).max(axis=(1, 2)), np.abs(b0).max(axis=(1, 2))),
-            ("diag(e)", np.abs(e_r.imag).max(), np.abs(e).max())):
-        refused = dropped > 8.0 * np.finfo(float).eps * scale
-        if np.any(refused):
-            raise ContractError(f"the drift pencil's {name} does not keep states Hermitian: "
-                                f"imaginary part {np.max(dropped * refused):.3g} in the real basis")
+    b_r = _real_part("B0", u @ b0 @ uh, np.abs(b0).max(axis=(1, 2)))
+    e_r = _real_diagonal(np.asarray(e, dtype=complex).tobytes())
     try:
-        v, left, theta, cond = factor_pencil(b_r.real, e_r.real)
+        v, left, theta, cond = factor_pencil(b_r, e_r)
     except np.linalg.LinAlgError as exc:
         raise NoSteadyStateError(f"steady-state solve failed: {exc}") from exc
     v, left = uh @ v, left @ u
@@ -234,6 +230,27 @@ def _factor_rows(b0: np.ndarray, h: np.ndarray, e: np.ndarray) -> SteadyPencil:
     states[:, :, 1:] = LIFT @ v * (left @ -h[:, :, None]).transpose(0, 2, 1)
     points = np.concatenate([np.zeros((len(b0), 1)), theta], axis=1)
     return SteadyPencil(points, states, (v, left, theta, cond))
+
+
+@lru_cache(maxsize=16)
+def _real_diagonal(e: bytes) -> np.ndarray:
+    """U diag(e) U^H in U = REAL_BASIS, checked and made real by _real_part,
+    of a velocity diagonal given by its complex bytes: once per e, read-only."""
+    e = np.frombuffer(e, dtype=complex)
+    e_r = _real_part("diag(e)", (REAL_BASIS * e) @ REAL_BASIS.conj().T, np.abs(e).max())
+    e_r.flags.writeable = False
+    return e_r
+
+
+def _real_part(name: str, x: np.ndarray, scale) -> np.ndarray:
+    """The real part of a matrix x in the real basis (or of a stack): raises
+    ContractError on an imaginary part above rounding of its scale."""
+    dropped = np.abs(x.imag).max(axis=(-2, -1))
+    refused = dropped > 8.0 * np.finfo(float).eps * scale
+    if np.any(refused):
+        raise ContractError(f"the drift pencil's {name} does not keep states Hermitian: "
+                            f"imaginary part {np.max(dropped * refused):.3g} in the real basis")
+    return x.real
 
 
 def metric_log_norm(b: np.ndarray) -> float:

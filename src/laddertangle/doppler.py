@@ -209,41 +209,57 @@ def factor_moments(classes: VelocityClasses, points, ids):
     alike = {}
     for r, pattern in enumerate(first_equal):
         alike.setdefault(pattern.tobytes(), []).append(r)
+    triples = np.asarray(ids, dtype=np.intp).tobytes()
     value = np.empty((len(rows), len(ids)), dtype=complex)
     series = np.empty(rows.shape, dtype=complex)
-    for members in alike.values():
-        first = first_equal[members[0]]
-        distinct = np.flatnonzero(first == np.arange(len(first)))
-        at, n = np.searchsorted(distinct, first), len(distinct)
-        # each triple as the flat index (i, j, k) of its sorted multiset i <= j <= k
-        code = np.ravel_multi_index(np.sort(at[ids], axis=1).T, (n, n, n))
-        seen = np.zeros(n ** 3, dtype=bool)
-        seen[code] = True
-        moments, g = _alike_moments(classes, rows[members][:, distinct],
-                                    np.unravel_index(np.flatnonzero(seen), (n, n, n)))
-        value[members], series[members] = moments[:, (np.cumsum(seen) - 1)[code]], g[:, at]
+    for pattern, members in alike.items():
+        *table, distinct, at, gather = _multisets(pattern, triples)
+        moments, g = _alike_moments(classes, rows[members][:, distinct], table)
+        value[members], series[members] = moments[:, gather], g[:, at]
     return value.reshape(*points.shape[:-1], len(ids)), series.reshape(points.shape)
+
+
+@lru_cache(maxsize=32)
+def _multisets(pattern: bytes, triples: bytes):
+    """factor_moments' table, read-only, for rows whose points have the first
+    equal indices pattern and for the triples (intp bytes): the multisets
+    i <= j <= k of distinct points that the triples name, i == j, j == k,
+    the flat pairs (i n + j, j n + k, i n + k) and the mask a < b of the
+    n x n pairs (_alike_moments' ids); the first index of each distinct
+    point, each point's index among them, and each triple's multiset."""
+    first = np.frombuffer(pattern, dtype=np.intp)
+    distinct = np.flatnonzero(first == np.arange(len(first)))
+    at, n = np.searchsorted(distinct, first), len(distinct)
+    # each triple as the flat index (i, j, k) of its sorted multiset i <= j <= k
+    ids = np.frombuffer(triples, dtype=np.intp).reshape(-1, 3)
+    code = np.ravel_multi_index(np.sort(at[ids], axis=1).T, (n, n, n))
+    seen = np.zeros(n ** 3, dtype=bool)
+    seen[code] = True
+    i, j, k = np.unravel_index(np.flatnonzero(seen), (n, n, n))
+    table = (i, j, k, i == j, j == k, np.array([i * n + j, j * n + k, i * n + k]),
+             np.arange(n)[:, None] < np.arange(n), distinct, at, (np.cumsum(seen) - 1)[code])
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _alike_moments(classes: VelocityClasses, t: np.ndarray, ids):
     """factor_moments of a stack of rows of distinct points t, shape (R, n),
-    for the triples of indices ids = (i, j, k) into each row, and g(t) at
+    for the multisets ids (_multisets) of indices into each row, and g(t) at
     every point.  Lower-case indices count within a row; upper-case ones
     are flat, row * n + index, into the (R, n) arrays of the rows' points."""
     n = t.shape[1]
-    i, j, k = ids
+    i, j, k, first, last, pairs, upper = ids
     # order each triple with its farthest pair outermost, where the Newton
-    # form divides by its gap last; repeated points then sit side by side
+    # form divides by its gap last; repeated points (first, last) stay put
     gap = np.abs(t[:, :, None] - t[:, None, :])
-    gaps = gap.reshape(len(t), n * n)
-    d01, d12, d02 = gaps[:, i * n + j], gaps[:, j * n + k], gaps[:, i * n + k]
+    d01, d12, d02 = gap.reshape(len(t), n * n)[:, pairs].transpose(1, 0, 2)
     outer01 = (d01 > d02) & (d01 >= d12)
     outer12 = ~outer01 & (d12 > d02)
     i, j, k = (np.where(outer12, j, i), np.where(outer01, k, np.where(outer12, i, j)),
                np.where(outer01, j, k))
     base = n * np.arange(len(t))[:, None]
     I, J, K = i + base, j + base, k + base
-    first, last = i == j, j == k
     nonzero = t != 0.0
 
     size = abs(t)
@@ -254,7 +270,6 @@ def _alike_moments(classes: VelocityClasses, t: np.ndarray, ids):
     if some.any():
         pole[some] = pole_distance(classes, t[some])
         close &= gap < CLOSE_POINTS * np.minimum(pole[:, :, None], pole[:, None, :])
-    upper = np.arange(n)[:, None] < np.arange(n)
     pr, a, b = np.nonzero(close & upper)           # close pairs, a < b, of row pr
     A, B = a + n * pr, b + n * pr
     near = np.flatnonzero(close.take(I * n + k))   # triples whose outer pair is close
@@ -288,9 +303,9 @@ def _alike_moments(classes: VelocityClasses, t: np.ndarray, ids):
         diff = diff.ravel()
         # F[a, b] = sum_m f_m(a) (b - a)^(m-1), by Horner's rule to the row's order
         for m_top, (lo, hi, lo_hi, hi_lo) in _by_order(order[pr], A, B, A * n + b, B * n + a):
-            pair, u = 0.0, t[hi] - t[lo]
+            f_lo, pair, u = f[:m_top + 1, lo], 0.0, t[hi] - t[lo]
             for m in range(m_top, 0, -1):
-                pair = f[m, lo] + u * pair
+                pair = f_lo[m] + u * pair
             diff[lo_hi] = diff[hi_lo] = pair
         value = np.where(first & last, f[2].take(I),
                          (diff.take(I * n + j) - diff.take(J * n + k)) / (t.take(I) - t.take(K)))
@@ -299,9 +314,9 @@ def _alike_moments(classes: VelocityClasses, t: np.ndarray, ids):
     value = value.ravel()
     for m_top, (tri, centre) in _by_order(order[nr], near, C):
         x, y = t[J.take(tri)] - t[centre], t[K.take(tri)] - t[centre]
-        tail = near_value = 0.0
+        f_c, tail, near_value = f[:m_top + 1, centre], 0.0, 0.0
         for m in range(m_top, 1, -1):
-            tail = f[m, centre] + y * tail
+            tail = f_c[m] + y * tail
             near_value = tail + x * near_value
         value[tri] = near_value
     return value.reshape(len(base), -1), g[2]

@@ -43,7 +43,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import groupby, repeat
 
 import numpy as np
@@ -56,7 +56,7 @@ from .bloch import (PROD, REDUCED_CONJ, REDUCED_LABELS,  # noqa: F401
                     generator_matrix, pencil_errors, steady_state_pencil)
 from .doppler import build_classes, factor_moments
 from .errors import ContractError, DivergenceError, ResonanceError
-from .model import C_M_MHZ, SystemParams
+from .model import C_M_MHZ, CoherenceRates, DecayConfig, SystemParams
 from .numerics import check_shifts, divide_rows, factor_pencil, propagation_integral
 from .tables import SpectrumTable
 
@@ -135,7 +135,7 @@ def coupling_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
     return (means @ _coupling_map(params).reshape(9, 32)).reshape(-1, 8, 4)
 
 
-def _diffusion_map(params: SystemParams) -> np.ndarray:
+def _diffusion_map(decay: DecayConfig, rates: CoherenceRates) -> np.ndarray:
     """Langevin correlators 2*D from the generalized Einstein relation, as
     a linear map of the steady state in the full 9-component basis:
     2 D = sum_m means[m] * map[m], shape (9, 9, 9).
@@ -148,14 +148,23 @@ def _diffusion_map(params: SystemParams) -> np.ndarray:
     zero when that product vanishes.  Hamiltonian drift terms are derivations
     of the operator algebra and cancel identically.
     """
-    gdec = decay_generator(params.decay, params.rates)
+    gdec = decay_generator(decay, rates)
     return ((gdec.T @ _PROD_ONEHOT.reshape(9, 81)).reshape(9, 9, 9)
             - gdec @ _PROD_ONEHOT - _PROD_ONEHOT @ gdec.T)
 
 
+@lru_cache(maxsize=64)
+def _noise_map(decay: DecayConfig, rates: CoherenceRates) -> np.ndarray:
+    """_eliminate's map of <F F+>, the reduced _diffusion_map with its column
+    index conjugated, once per set of relaxation inputs, read-only."""
+    corr = _diffusion_map(decay, rates)[:, 1:, 1:][:, :, list(REDUCED_CONJ)]
+    corr.flags.writeable = False
+    return corr
+
+
 def diffusion_correlator_batch(params: SystemParams, means: np.ndarray) -> np.ndarray:
     """Langevin correlators 2*D per class: one product with the 9x81 map."""
-    return (means @ _diffusion_map(params).reshape(9, 81)).reshape(-1, 9, 9)
+    return (means @ _diffusion_map(params.decay, params.rates).reshape(9, 81)).reshape(-1, 9, 9)
 
 
 def _eliminate(params: SystemParams, pencil, classes, resolvent):
@@ -185,8 +194,7 @@ def _eliminate(params: SystemParams, pencil, classes, resolvent):
     kv = _source_projection(params) @ v                            # (R,4,8)
     states = pencil.states.transpose(0, 2, 1)
     lc = states @ (left[:, None] @ _coupling_map(params)).reshape(-1, 9, 32)
-    corr = _diffusion_map(params)[:, 1:, 1:][:, :, list(REDUCED_CONJ)]
-    ld = states @ (left[:, None] @ corr
+    ld = states @ (left[:, None] @ _noise_map(params.decay, params.rates)
                    @ left.conj().transpose(0, 2, 1)[:, None]).reshape(-1, 9, 64)
     points = np.concatenate([pencil.points, theta, theta.conj()], axis=1)
     moments, factors = factor_moments(classes, points, _ELIMINATION_TRIPLES)
@@ -204,7 +212,7 @@ def propagate(m: np.ndarray, s: np.ndarray, length: float, sigma_in: np.ndarray)
     with T = exp(M L), for one pair M, S or for each of a stack of them."""
     t, noise = propagation_integral(m, s, length)
     out = t @ sigma_in @ np.swapaxes(t.conj(), -1, -2) + noise
-    if not np.all(np.isfinite(out.view(float))) or np.max(np.abs(out)) > 1e12:
+    if not np.abs(out).max() <= 1e12:       # a NaN or inf entry fails this too
         raise DivergenceError("field covariance diverged during propagation")
     return out
 
@@ -315,7 +323,8 @@ def _field_rows(params: SystemParams, delta1s, omegas, scales, collect: bool):
     distinct = {}
     rows = [distinct.setdefault(delta1, len(distinct)) for delta1 in delta1s]
     b0, h, e = drift_pencil(params, list(distinct))
-    pencil = steady_state_pencil(b0, h, e, classes.shifts, rows, scales)
+    pencil = steady_state_pencil(b0, h, e, classes.shifts,
+                                 rows if len(distinct) < len(rows) else slice(None), scales)
     resolvent = pencil.resolvent   # at w = 0 the resolvent is the steady-state pencil
     if any(omegas):
         try:

@@ -150,7 +150,6 @@ def factor_pencil(a, b):
         raise np.linalg.LinAlgError("non-finite matrix in the pencil")
     rows, n = a.shape[:2]
     p, q, b_p = _support(b.tobytes(), n, b.dtype.char)
-    diagonal = (slice(None), p, np.arange(len(p)))     # entries (p_i, i) of (R, n, |P|)
     try:
         coupled = np.linalg.solve(a, b_p)              # the columns P of A^-1 B
     except np.linalg.LinAlgError as exc:
@@ -171,16 +170,16 @@ def factor_pencil(a, b):
     av = a @ v
     g = np.linalg.solve(av, av[:, :, p] * theta_p[:, None, :] - b_p @ x[:, p])
     gap = theta_p[:, None, :] - theta[:, :, None]
-    v[:, :, p] = x - v @ np.divide(g, gap, out=np.zeros_like(g), where=gap != 0.0)
-    theta[:, p] = theta_p - g[diagonal]
+    x = x - v @ np.divide(g, gap, out=np.zeros_like(g), where=gap != 0.0)
+    refined = theta_p - g[:, p, np.arange(len(p))]
     if real:
         # geev lists each conjugate pair together, the member above the axis
         # first; the step keeps the partner the exact conjugate of that member
         r, j = np.nonzero(theta_p.imag > 0.0)
-        first, second = p[j], p[j + 1]
-        v[r, :, second] = v[r, :, first].conj()
-        theta[r, second] = theta[r, first].conj()
-    v /= np.linalg.norm(v, axis=1)[:, None, :]
+        x[r, :, j + 1] = x[r, :, j].conj()
+        refined[r, j + 1] = refined[r, j].conj()
+    v[:, :, p], theta[:, p] = x, refined
+    v /= np.sqrt(np.add.reduce((v.conj() * v).real, axis=1, keepdims=True))
     sigma = np.linalg.svd(v, compute_uv=False)     # cond(V) = sigma_max / sigma_min
     return v, np.linalg.inv(a @ v), theta, sigma[:, 0] / sigma[:, -1]
 

@@ -6,16 +6,20 @@ tests/test_experiments.py::TestPinnedRows compares with fresh values to
 Run from the root of a checkout, with its package importable:
 
     PYTHONPATH=src python tests/pin_scenarios.py
+    PYTHONPATH=src python tests/pin_scenarios.py --compare
 
 The file records the commit it was made at, and whether src/ then had
 uncommitted changes.  A change that moves the numerics regenerates the
 file in the same commit and states its largest move; the diff of the file
-is then the evidence.  Tier-1 does not run this script (pytest collects
-only test_*.py files).
+is then the evidence.  --compare prints the largest absolute and relative
+move of each column against the committed file, and leaves the file
+unwritten.  Tier-1 does not run this script (pytest collects only
+test_*.py files), but tests the comparison (moves).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 from dataclasses import fields, replace
@@ -52,12 +56,55 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def main():
+def fresh_rows() -> dict:
+    """Fresh rows in the pinned file's layout: every scenario, and each
+    sideband with its omega."""
+    return {"scenarios": {name: scenario_rows(name) for name in sorted(all_scenarios())},
+            "sidebands": {name: {"omega": omega, **scenario_rows(name, omega)}
+                          for name, omega in SIDEBANDS.items()}}
+
+
+def moves(pinned: dict, fresh: dict) -> dict[str, tuple[float, float]]:
+    """The largest absolute and relative move of each column of fresh rows
+    against pinned ones, both in the pinned file's layout, by
+    "scenarios/<name>/<column>" and "sidebands/<name>/<column>".  A value
+    None (NaN) on both sides has not moved, and on one side only has moved
+    by inf; a move from 0 is inf relative."""
+    out = {}
+    for part in ("scenarios", "sidebands"):
+        for name, columns in pinned[part].items():
+            for column, values in columns.items():
+                if column == "omega":
+                    continue
+                old = np.array(values, dtype=float)
+                new = np.array(fresh[part][name][column], dtype=float)
+                delta = np.abs(new - old)
+                delta[np.isnan(delta)] = np.inf
+                delta[np.isnan(old) & np.isnan(new)] = 0.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    relative = np.where(delta == 0.0, 0.0, delta / np.abs(old))
+                relative[np.isnan(relative)] = np.inf
+                out[f"{part}/{name}/{column}"] = (float(delta.max()), float(relative.max()))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Regenerate tests/pinned_rows.json, or "
+                                                 "compare fresh rows with it.")
+    parser.add_argument("--compare", action="store_true",
+                        help="print the largest absolute and relative move of each column "
+                             "against the committed file, and leave it unwritten")
+    args = parser.parse_args(argv)
+    fresh = fresh_rows()
+    if args.compare:
+        found = moves(json.loads(PINNED.read_text(encoding="utf-8")), fresh)
+        for key, (absolute, relative) in found.items():
+            print(f"{key:32s} abs {absolute:.3g}  rel {relative:.3g}")
+        print(f"{'largest':32s} abs {max(a for a, _ in found.values()):.3g}  "
+              f"rel {max(r for _, r in found.values()):.3g}")
+        return
     pinned = {"commit": _git("rev-parse", "HEAD"),
-              "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-              "scenarios": {name: scenario_rows(name) for name in sorted(all_scenarios())},
-              "sidebands": {name: {"omega": omega, **scenario_rows(name, omega)}
-                            for name, omega in SIDEBANDS.items()}}
+              "src_modified": bool(_git("status", "--porcelain", "--", "src")), **fresh}
     PINNED.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
 
 

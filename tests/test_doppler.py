@@ -265,6 +265,20 @@ class TestFactorMoments:
                 assert got.tobytes() == want.tobytes()
                 assert got_series.tobytes() == series.tobytes()
 
+    def test_one_pattern_with_other_triples_takes_its_own_table(self, rng):
+        # the multiset table is keyed on the triples as well as on the
+        # points' equality pattern: two arrays of triples of one length over
+        # the same points each build their own, and give their own bytes
+        classes = doppler.build_classes(make_params(nodes=401), 0.0, 0.0)
+        points = random_points(rng)
+        ids = [rng.integers(0, len(points), (300, 3)) for _ in range(2)]
+        doppler._multisets.cache_clear()
+        got = [doppler.factor_moments(classes, points, each)[0] for each in ids * 2]
+        assert doppler._multisets.cache_info()[:2] == (2, 2)     # hits, misses
+        for each, value in zip(ids * 2, got):
+            doppler._multisets.cache_clear()
+            assert doppler.factor_moments(classes, points, each)[0].tobytes() == value.tobytes()
+
     def test_pole_distance_is_the_nearest_node_pole(self, rng):
         classes = doppler.build_classes(make_params(nodes=401), 0.0, 0.0)
         points = np.concatenate([random_points(rng), [0.0, 1e-3j, -2e-2 + 1e-9j]])

@@ -407,6 +407,24 @@ class TestPinnedRows:
         assert_pinned(pin_scenarios.scenario_rows(name, pinned.pop("omega")), pinned)
 
 
+    def test_compare_gives_the_largest_move_of_each_column(self):
+        # pin_scenarios.py --compare on synthetic rows: the largest absolute
+        # and relative move per column; NaN (None) on both sides is no move,
+        # on one side only an infinite one, and so is a move away from 0
+        pinned = {"commit": "x", "src_modified": False,
+                  "scenarios": {"a": {"v12": [4.0, None, -2.0], "absorption": [1.0, 0.5, 0.0]},
+                                "b": {"v12": [None, None], "absorption": [0.0, 2.0]}},
+                  "sidebands": {"c": {"omega": 50.0, "v12_p0": [3.0, 4.0]}}}
+        fresh = {"scenarios": {"a": {"v12": [4.0, None, -2.5], "absorption": [1.0, 0.75, 0.0]},
+                               "b": {"v12": [None, 1.0], "absorption": [1e-3, 2.0]}},
+                 "sidebands": {"c": {"omega": 50.0, "v12_p0": [3.0, 3.0]}}}
+        assert pin_scenarios.moves(pinned, fresh) == {
+            "scenarios/a/v12": (0.5, 0.25), "scenarios/a/absorption": (0.25, 0.5),
+            "scenarios/b/v12": (np.inf, np.inf), "scenarios/b/absorption": (1e-3, np.inf),
+            "sidebands/c/v12_p0": (1.0, 0.25)}
+        assert all(move == (0.0, 0.0) for move in pin_scenarios.moves(pinned, pinned).values())
+
+
 def assert_pinned(fresh, pinned):
     assert sorted(fresh) == sorted(pinned)
     for column, values in pinned.items():

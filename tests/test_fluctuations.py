@@ -16,7 +16,8 @@ from conftest import (package_env, pencil_class_states, per_class_field_system,
 from laddertangle import bloch, cli, doppler, fluctuations as fl, numerics
 from laddertangle.bloch import PROD
 from laddertangle.doppler import build_classes
-from laddertangle.errors import NoSteadyStateError, ResonanceError
+from laddertangle.errors import (ContractError, DivergenceError, NoSteadyStateError,
+                                 ResonanceError)
 from laddertangle.experiments import all_scenarios, baseline_params, pump_sweep_transform
 from laddertangle.model import (C_M_MHZ, CoherenceRates, DecayConfig, DopplerConfig,
                                 FieldConfig, GeometryConfig, SystemParams, params_to_config)
@@ -70,6 +71,18 @@ class TestPropagate:
         for length in (0.05, 1.0, 20.0):
             out = fl.propagate(m, s, length, fl.vacuum_covariance())
             assert np.max(np.abs(out - fl.vacuum_covariance())) < 1e-12
+
+    def test_runaway_gain_and_non_finite_entries_diverge(self):
+        # one bound on |Sigma_out| catches a covariance above 1e12 and a NaN
+        # entry alike
+        gain = 0.8 * np.eye(4, dtype=complex)
+        with pytest.raises(DivergenceError, match="diverged"):
+            fl.propagate(gain, np.zeros((4, 4)), 40.0, fl.vacuum_covariance())
+        for bad in (np.nan, complex(0.0, np.nan)):
+            sigma = fl.vacuum_covariance()
+            sigma[1, 2] = bad
+            with pytest.raises(DivergenceError, match="diverged"):
+                fl.propagate(-gain, np.zeros((4, 4)), 1.0, sigma)
 
 
 def class_kernels(params, d1, d2=0.0):
@@ -645,6 +658,85 @@ class TestOneResolventPass:
                 assert bloch.absorption_rows(params, delta1s).tolist() == part
             want += part
         assert len(want) == len(rows) and got == want
+
+
+# the read-only caches of structure that rows share: the multisets of an
+# equality pattern and a set of triples, the real velocity diagonal, the
+# reduced noise map, the relaxation matrix and the support of B
+STRUCTURE_CACHES = (doppler._multisets, bloch._real_diagonal, fl._noise_map,
+                    bloch.decay_generator, numerics._support)
+
+
+def keyed_rows():
+    """One-row V12 rows whose cache keys differ: fig2-a at p = 0, fig4-c,
+    fig2-a without the residual mismatch (another velocity diagonal), a
+    fig3 row as the pump sweep scales it, and fig2-a at omega = 50 (another
+    equality pattern of the points)."""
+    scenarios = all_scenarios()
+    fig2a = scenarios["fig2-a"].base
+    matched = replace(fig2a, doppler=replace(fig2a.doppler, residual_mismatch=False))
+    return [(fig2a, 3.0, 0.0, 1.0, True), (scenarios["fig4-c"].base, 200.0, 0.0, 1.0, True),
+            (matched, 3.0, 0.0, 1.0, True), STACKED_CHUNKS["fig3-scaled"][0],
+            (fig2a, 0.5, 50.0, 1.0, True)]
+
+
+class TestStructureCaches:
+    def test_rows_alternating_over_keys_have_the_bytes_of_cleared_caches(self):
+        rows = keyed_rows() * 2
+        cached = [fl._spectrum_rows([row])[0] for row in rows]
+        assert bloch._real_diagonal.cache_info().currsize >= 2
+        assert doppler._multisets.cache_info().currsize >= 2
+        for row, got in zip(rows, cached):
+            for cache in STRUCTURE_CACHES:
+                cache.cache_clear()
+            want = fl._spectrum_rows([row])[0]
+            assert np.array(got[:4]).tobytes() == np.array(want[:4]).tobytes()
+            assert got[4] == want[4]
+
+    def test_cached_structures_are_read_only_fresh_builds(self):
+        params = all_scenarios()["fig2-a"].base
+        b0, _, e = bloch.drift_pencil(params, [3.0])
+        noise = fl._noise_map(params.decay, params.rates)
+        diagonal = bloch._real_diagonal(e.tobytes())
+        pattern = np.array([0, 1, 1, 0], dtype=np.intp).tobytes()
+        triples = np.array([[0, 1, 2], [3, 0, 1], [1, 1, 2]], dtype=np.intp).tobytes()
+        table = doppler._multisets(pattern, triples)
+        for cached, fresh in ((noise, fl._noise_map.__wrapped__(params.decay, params.rates)),
+                              (diagonal, bloch._real_diagonal.__wrapped__(e.tobytes())),
+                              *zip(table, doppler._multisets.__wrapped__(pattern, triples))):
+            assert cached.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                cached.flat[0] = 0
+        # points 0 and 3 are one value, and so are 1 and 2: the triples name
+        # the multisets {0, 1, 1}, {0, 0, 1} and {1, 1, 1} of distinct points
+        i, j, k, first, last, pairs, upper, distinct, at, gather = table
+        assert (i.tolist(), j.tolist(), k.tolist()) == ([0, 0, 1], [0, 1, 1], [1, 1, 1])
+        assert first.tolist() == [True, False, True] and last.tolist() == [False, True, True]
+        assert distinct.tolist() == [0, 1] and at.tolist() == [0, 1, 1, 0]
+        assert gather.tolist() == [1, 0, 2]
+
+    def test_a_drift_diagonal_that_breaks_hermiticity_raises_on_every_call(self):
+        # e_21 + 0.5 is no longer the conjugate of e_12; a raise is not
+        # cached, so the second call checks again
+        b0, h, e = bloch.drift_pencil(all_scenarios()["fig2-a"].base, [0.0])
+        bad = e + 0.5 * np.eye(8)[fl.RIDX[2, 1]]
+        bloch._real_diagonal.cache_clear()
+        for calls in (1, 2):
+            with pytest.raises(ContractError, match="diag\\(e\\) does not keep states Hermitian"):
+                bloch.steady_state_pencil(b0, h, bad, [0.0])
+            assert bloch._real_diagonal.cache_info().misses == calls
+
+    @pytest.mark.parametrize("calls", [1, 16])
+    def test_every_structure_built_once_per_sweep(self, calls):
+        # a 16-row sweep, as one call or as 16 one-row calls, builds each
+        # cached structure once; every row's bytes are its row alone
+        # (TestStackedRows)
+        params, grid = all_scenarios()["fig2-a"].base, np.linspace(-40.0, 40.0, 16)
+        for cache in STRUCTURE_CACHES:
+            cache.cache_clear()
+        for part in np.split(grid, calls):
+            fl.v12_spectrum(params, part)
+        assert [cache.cache_info().misses for cache in STRUCTURE_CACHES] == [1] * 5
 
 
 def scaled(params: SystemParams, c: float) -> SystemParams:
