@@ -695,7 +695,7 @@ class TestStructureCaches:
 
     def test_cached_structures_are_read_only_fresh_builds(self):
         params = all_scenarios()["fig2-a"].base
-        b0, _, e = bloch.drift_pencil(params, [3.0])
+        _, _, e = bloch.drift_pencil(params, [3.0])
         noise = fl._noise_map(params.decay, params.rates)
         diagonal = bloch._real_diagonal(e.tobytes())
         pattern = np.array([0, 1, 1, 0], dtype=np.intp).tobytes()
@@ -736,7 +736,7 @@ class TestStructureCaches:
             cache.cache_clear()
         for part in np.split(grid, calls):
             fl.v12_spectrum(params, part)
-        assert [cache.cache_info().misses for cache in STRUCTURE_CACHES] == [1] * 5
+        assert [cache.cache_info().misses for cache in STRUCTURE_CACHES] == [1, 1, 1, 1, 1]
 
 
 def scaled(params: SystemParams, c: float) -> SystemParams:
